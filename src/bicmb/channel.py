@@ -100,6 +100,8 @@ class FadingProfile:
         if beta.ndim != 2 or beta.shape != paths.shape:
             raise ConfigurationError(
                 "beta and paths must be matrices of the same shape")
+        if not np.all(np.isfinite(beta)):
+            raise ConfigurationError("beta coefficients must be finite")
         if np.any(beta < 0):
             raise ConfigurationError("beta coefficients must be nonnegative")
         if np.any(paths < 1):

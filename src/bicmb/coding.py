@@ -240,33 +240,47 @@ def _viterbi_batch(trellis: Trellis, costs: np.ndarray, terminated: bool) -> np.
     n_states = trellis.n_states
     P = 1 << n
 
-    # Cost of each packed output pattern at each step: (B, T, P).
+    # Cost of each packed output pattern at each step, stored (T, P, B):
+    # state-major arrays make every per-step gather below a copy of whole
+    # contiguous batch rows.
     pb = _pattern_bits(n)
     jidx = np.broadcast_to(np.arange(n), (P, n))
-    pattern_costs = costs[:, :, jidx, pb].sum(axis=3)
+    pattern_costs = np.ascontiguousarray(
+        costs[:, :, jidx, pb].sum(axis=3).transpose(1, 2, 0))
 
     pred_state = trellis.pred_state
-    pred_pattern = trellis.pred_pattern
+    ps0, ps1 = pred_state[:, 0], pred_state[:, 1]
+    pp0, pp1 = trellis.pred_pattern[:, 0], trellis.pred_pattern[:, 1]
 
-    metric = np.full((B, n_states), np.inf)
-    metric[:, 0] = 0.0  # encoder always starts in state 0
-    survivor = np.empty((T, B, n_states), dtype=np.uint8)
+    metric = np.full((n_states, B), np.inf)
+    metric[0] = 0.0  # encoder always starts in state 0
+    cand0 = np.empty_like(metric)
+    cand1 = np.empty_like(metric)
+    branch = np.empty_like(metric)
+    # survivor[t, s, b] is True when s's predecessor slot 1 survived.
+    survivor = np.empty((T, n_states, B), dtype=bool)
+    # The trellis tables index in range, so mode="clip" never clips; it
+    # lets np.take write straight into ``out`` instead of buffering.
     for t in range(T):
-        cand = metric[:, pred_state] + pattern_costs[:, t][:, pred_pattern]
-        # argmin keeps the first minimum: the lower predecessor state wins ties
-        best = np.argmin(cand, axis=2)
-        survivor[t] = best
-        metric = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0]
+        pc = pattern_costs[t]
+        np.take(metric, ps0, axis=0, out=cand0, mode="clip")
+        cand0 += np.take(pc, pp0, axis=0, out=branch, mode="clip")
+        np.take(metric, ps1, axis=0, out=cand1, mode="clip")
+        cand1 += np.take(pc, pp1, axis=0, out=branch, mode="clip")
+        # strict <: the lower predecessor state (slot 0) wins ties
+        np.less(cand1, cand0, out=survivor[t])
+        np.minimum(cand0, cand1, out=cand0)
+        metric, cand0 = cand0, metric
 
     if terminated:
-        state = np.zeros(B, dtype=np.int64)
+        state = np.zeros(B, dtype=np.intp)
     else:
-        state = np.argmin(metric, axis=1)
+        state = np.argmin(metric, axis=0)
 
-    rows = np.arange(B)
+    cols = np.arange(B)
     decided = np.empty((B, T), dtype=np.uint8)
     for t in range(T - 1, -1, -1):
-        k = survivor[t, rows, state]
+        k = survivor[t, state, cols].astype(np.intp)
         decided[:, t] = trellis.pred_input[state, k]
         state = pred_state[state, k]
 

@@ -33,7 +33,6 @@ __all__ = [
     "Preset",
     "parse_config",
     "load_config",
-    "config_to_text",
     "build_runtime",
     "run_frame",
     "sweep",
@@ -105,11 +104,17 @@ class SimConfig:
         grid = tuple(float(v) for v in self.snr_grid_db)
         if len(grid) == 0:
             raise ConfigurationError("snr_db grid is empty")
+        if not all(math.isfinite(v) for v in grid):
+            raise ConfigurationError("snr_db values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigurationError("snr_db grid must be strictly increasing")
         if self.adversarial_run < 0:
             raise ConfigurationError("adversarial_run cannot be negative")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ConfigurationError("spacing must be a positive finite number")
         lo, hi = self.angle_range_deg
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigurationError("azimuth bounds must be finite")
         if not lo < hi:
             raise ConfigurationError("empty azimuth range")
         object.__setattr__(self, "snr_grid_db", grid)
@@ -181,6 +186,8 @@ def _parse_snr_grid(value: str) -> tuple:
             return tuple(float(t) for t in value.split(","))
     except ValueError as exc:
         raise ConfigurationError(f"bad snr_db value {value!r}") from exc
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise ConfigurationError("snr_db range bounds must be finite")
     if step <= 0:
         raise ConfigurationError("snr_db range step must be positive")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -274,10 +281,6 @@ def load_config(path) -> SimConfig:
         return parse_config(fh.read())
 
 
-def config_to_text(config: SimConfig) -> str:
-    return config.canonical_text()
-
-
 # ---------------------------------------------------------------------------
 # per-config runtime objects
 
@@ -295,10 +298,6 @@ class Runtime:
     angle_range: tuple
     n_coded: int
     n_steps: int
-
-    @property
-    def n_symbols(self) -> int:
-        return self.interleaver.n_symbols
 
 
 def build_runtime(config: SimConfig) -> Runtime:

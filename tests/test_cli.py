@@ -102,6 +102,20 @@ class TestArgumentHandling:
                          "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new", [
+        ("snr_db = 0,4,8", "snr_db = 2,inf"),
+        ("beta_db = -20", "beta_db = nan"),
+        ("label = tiny", "spacing = nan"),
+    ])
+    def test_non_finite_config_value_exits_1(self, tmp_path, capsys, old, new):
+        p = tmp_path / "bad.cfg"
+        p.write_text(TINY_CFG.replace(old, new))
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--config", str(p),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum_preset_cannot_simulate(self, tmp_path, capsys):
         assert cli.main(["simulate", "--preset", "fig2_spectrum",
                          "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG

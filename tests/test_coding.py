@@ -5,8 +5,13 @@ shift-register encoder, exhaustive maximum-likelihood decoding, and the
 closed-form spectrum of the 4-state rate-1/2 code.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bicmb.coding import (
     CodeSpec,
@@ -54,6 +59,79 @@ def exhaustive_ml(trellis, costs, n_bits):
         if best_cost is None or cost < best_cost - 1e-12:
             best_cost, best_msg = cost, msg
     return best_msg
+
+
+def _gf2_gcd(a, b):
+    """Greatest common divisor of two GF(2) polynomials packed as ints."""
+    while b:
+        while a and a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def non_catastrophic(generators, k):
+    """True when the generators' gcd is a power of D (Massey-Sain)."""
+    common = 0
+    for g in generators:
+        # bit i of the polynomial is the tap on u[t - i]
+        common = _gf2_gcd(common, int(f"{g:0{k}b}"[::-1], 2))
+    return common & (common - 1) == 0
+
+
+@st.composite
+def small_codes(draw):
+    """Random non-catastrophic rate-1/n codes, K 3-5, n 2-3."""
+    k = draw(st.integers(3, 5))
+    n = draw(st.integers(2, 3))
+    gens = tuple(draw(st.lists(st.integers(1, (1 << k) - 1),
+                               min_size=n, max_size=n)))
+    assume(non_catastrophic(gens, k))
+    return build_trellis(CodeSpec(gens, k))
+
+
+def tie_costs(trellis, steps, frames=None):
+    """Integer-valued bit costs in 0..2, so path metrics tie often."""
+    shape = (steps, trellis.n_out, 2)
+    if frames is not None:
+        shape = (frames,) + shape
+    return hnp.arrays(np.float64, shape,
+                      elements=st.sampled_from([0.0, 1.0, 2.0]))
+
+
+def reference_viterbi(trellis, costs, terminated):
+    """Per-state add-compare-select straight from the encoder convention.
+
+    Predecessors are scanned in ascending state order and replaced only
+    by a strictly smaller metric, so ties keep the lower predecessor; an
+    unterminated path ends in the lowest-indexed best state.
+    """
+    spec = trellis.spec
+    k = spec.constraint_length
+    n_states = 1 << (k - 1)
+    metric = [0.0] + [math.inf] * (n_states - 1)
+    history = []
+    for step in costs:
+        best = [math.inf] * n_states
+        choice = [None] * n_states
+        for prev in range(n_states):
+            for u in (0, 1):
+                reg = (u << (k - 1)) | prev
+                bits = [bin(reg & g).count("1") % 2 for g in spec.generators]
+                cand = metric[prev] + sum(step[j, b] for j, b in enumerate(bits))
+                nxt = reg >> 1
+                if choice[nxt] is None or cand < best[nxt]:
+                    best[nxt], choice[nxt] = cand, (prev, u)
+        metric = best
+        history.append(choice)
+    state = 0 if terminated else min(range(n_states), key=metric.__getitem__)
+    bits = []
+    for choice in reversed(history):
+        state, u = choice[state]
+        bits.append(u)
+    bits.reverse()
+    return np.array(bits[:len(bits) - (k - 1)] if terminated else bits,
+                    dtype=np.uint8)
 
 
 class TestCodeSpec:
@@ -186,6 +264,43 @@ class TestViterbi:
         for b in range(5):
             np.testing.assert_array_equal(batch[b],
                                           viterbi_decode(trellis64, costs[b]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(trellis=small_codes(), n_bits=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_codes_equal_exhaustive_ml(self, trellis, n_bits, seed):
+        steps = n_bits + trellis.spec.constraint_length - 1
+        costs = np.random.default_rng(seed).uniform(
+            0.0, 1.0, (steps, trellis.n_out, 2))
+        np.testing.assert_array_equal(viterbi_decode(trellis, costs),
+                                      exhaustive_ml(trellis, costs, n_bits))
+
+    @settings(max_examples=80, deadline=None)
+    @given(trellis=small_codes(), n_bits=st.integers(1, 8),
+           terminated=st.booleans(), data=st.data())
+    def test_ties_follow_reference_acs(self, trellis, n_bits, terminated,
+                                       data):
+        k = trellis.spec.constraint_length
+        steps = n_bits + k - 1 if terminated else n_bits
+        costs = data.draw(tie_costs(trellis, steps))
+        np.testing.assert_array_equal(
+            viterbi_decode(trellis, costs, terminated=terminated),
+            reference_viterbi(trellis, costs, terminated))
+
+    @settings(max_examples=40, deadline=None)
+    @given(trellis=small_codes(), n_bits=st.integers(1, 8),
+           frames=st.integers(2, 5), terminated=st.booleans(),
+           data=st.data())
+    def test_batched_equals_single_with_ties(self, trellis, n_bits, frames,
+                                             terminated, data):
+        k = trellis.spec.constraint_length
+        steps = n_bits + k - 1 if terminated else n_bits
+        costs = data.draw(tie_costs(trellis, steps, frames))
+        batch = viterbi_decode(trellis, costs, terminated=terminated)
+        for b in range(frames):
+            np.testing.assert_array_equal(
+                batch[b], viterbi_decode(trellis, costs[b],
+                                         terminated=terminated))
 
     def test_rejects_short_terminated_block(self, trellis64):
         with pytest.raises(ValueError):

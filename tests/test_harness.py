@@ -18,7 +18,6 @@ from bicmb.harness import (
     SimConfig,
     SpectrumJob,
     build_runtime,
-    config_to_text,
     load_config,
     parse_config,
     preset,
@@ -94,6 +93,17 @@ class TestParseConfig:
         ("interleaver = fancy", "interleaver"),
         ("n_s = 9", "exceed"),
         ("generators = 9,7", "octal"),
+        ("snr_db = nan", "finite"),
+        ("snr_db = 2,inf", "finite"),
+        ("snr_db = nan:1:5", "finite"),
+        ("snr_db = 0:1:inf", "finite"),
+        ("beta_db = inf", "finite"),
+        ("beta_db = nan", "finite"),
+        ("spacing = nan", "spacing"),
+        ("spacing = inf", "spacing"),
+        ("spacing = 0", "spacing"),
+        ("angle_min_deg = -inf", "finite"),
+        ("angle_max_deg = nan", "finite"),
     ])
     def test_rejects_malformed_input(self, mutation, needle):
         key = mutation.split(" = ")[0].split("\n")[0].split()[0]
@@ -116,7 +126,7 @@ class TestParseConfig:
 class TestConfigHash:
     def test_canonical_text_round_trips(self):
         cfg = tiny_config()
-        again = parse_config(config_to_text(cfg))
+        again = parse_config(cfg.canonical_text())
         assert again.config_hash == cfg.config_hash
         assert again == cfg
 
