@@ -12,8 +12,8 @@ from .bicm import (Constellation, Interleaver, adversarial_interleaver,
                    structured_interleaver)
 from .channel import (ArrayGeometry, ChannelRealization, FadingProfile,
                       PathSet, assemble_channel, db_to_linear, draw_channel,
-                      draw_paths, linear_to_db, subchannel_matrix,
-                      ula_response)
+                      draw_channels, draw_paths, linear_to_db,
+                      subchannel_matrix, ula_response)
 from .coding import (CodeSpec, DistanceSpectrum, Trellis, build_trellis,
                      distance_spectrum, encode, free_distance, viterbi_decode)
 from .errors import ConfigurationError, NumericalError

@@ -104,7 +104,10 @@ def decompose(channel) -> BeamformingDecomposition:
 
 
 def singular_values(channel) -> np.ndarray:
-    """Singular values only; the fast path used by the Monte Carlo loop."""
+    """Singular values only; the fast path used by the Monte Carlo loop.
+
+    A stack of matrices (..., m, n) gives one row of values per matrix.
+    """
     h = _channel_matrix(channel)
     try:
         return np.linalg.svd(h, compute_uv=False)

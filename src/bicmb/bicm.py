@@ -289,54 +289,100 @@ def check_criteria(interleaver: Interleaver, window: int | None = None) -> Crite
 
 def map_frame(coded_bits: np.ndarray, interleaver: Interleaver,
               constellation: Constellation) -> np.ndarray:
-    """Interleave and modulate one coded frame.
+    """Interleave and modulate one coded frame, or a batch of them.
 
-    Returns the (n_symbols, n_substreams) complex matrix of transmit
-    symbols, one row per symbol time.
+    ``coded_bits`` is (n_coded,) or (B, n_coded).  Returns the complex
+    transmit symbols, (n_symbols, n_substreams) per frame with one row
+    per symbol time, and the batch axis kept.
     """
-    bits = np.asarray(coded_bits, dtype=np.int64)
-    if bits.shape != (interleaver.n_coded,):
+    bits = np.asarray(coded_bits)
+    if bits.ndim not in (1, 2) or bits.shape[-1] != interleaver.n_coded:
         raise ValueError(
-            f"expected {interleaver.n_coded} coded bits, got {bits.shape}")
+            f"expected {interleaver.n_coded} coded bits per frame, got {bits.shape}")
     m = constellation.bits_per_symbol
     if m != interleaver.bits_per_symbol:
         raise ValueError("interleaver and constellation disagree on bits per symbol")
 
-    buf = np.empty(interleaver.n_coded, dtype=np.int64)
-    buf[interleaver.positions] = bits
-    grouped = buf.reshape(-1, m)
-    weights = 1 << (m - 1 - np.arange(m))
-    labels = grouped @ weights
+    # Slot k of the modulation buffer carries coded bit inverse[k]; each
+    # symbol's m slots form its label, MSB first.
+    bits = bits.astype(np.uint8, copy=False)
+    source = interleaver.inverse().reshape(-1, m)
+    labels = bits[..., source[:, 0]]
+    for i in range(1, m):
+        labels <<= 1
+        labels |= bits[..., source[:, i]]
     return constellation.map_labels(labels).reshape(
-        interleaver.n_symbols, interleaver.n_substreams)
+        bits.shape[:-1] + (interleaver.n_symbols, interleaver.n_substreams))
+
+
+# Frames are processed in blocks whose squared-distance planes (this many
+# float64 entries, 1 MiB) stay in cache while the minima read them.
+_METRIC_BLOCK_ENTRIES = 1 << 17
 
 
 def bit_metrics(received: np.ndarray, gains: np.ndarray,
                 constellation: Constellation) -> np.ndarray:
     """Max-log metrics for every label bit of every received symbol.
 
-    ``received`` has shape (n_symbols, n_substreams) and ``gains`` is the
-    per-substream amplitude vector.  Entry [t, s, i, b] is
-    min over x with label bit i = b of |y[t, s] - gains[s] * x|^2.
+    ``received`` has shape (n_symbols, n_substreams), or (B, n_symbols,
+    n_substreams) for a batch, and ``gains`` holds the per-substream
+    amplitudes, (n_substreams,) or (B, n_substreams).  Entry
+    [..., t, s, i, b] is min over x with label bit i = b of
+    |y[..., t, s] - gains[..., s] * x|^2.
     """
     y = np.asarray(received)
     lam = np.asarray(gains, dtype=np.float64)
-    if y.ndim != 2 or lam.shape != (y.shape[1],):
-        raise ValueError("received must be (n_symbols, n_substreams) with one gain per substream")
+    if y.ndim not in (2, 3) or lam.shape != y.shape[:-2] + y.shape[-1:]:
+        raise ValueError("received must be ([B,] n_symbols, n_substreams) "
+                         "with one gain per substream")
 
-    # squared distances to every scaled constellation point: (t, s, point)
-    d2 = np.abs(y[:, :, None] - lam[None, :, None] * constellation.points[None, None, :]) ** 2
-    idx = constellation.subsets()
-    # gather subset members then reduce: (t, s, i, b, size/2) -> (t, s, i, b)
-    return d2[:, :, idx].min(axis=4)
+    m = constellation.bits_per_symbol
+    out = np.empty(y.shape + (m, 2))
+    frames = y.reshape((-1,) + y.shape[-2:])
+    frame_gains = lam.reshape(-1, y.shape[-1])
+    frame_out = out.reshape(frames.shape + (m, 2))
+    subsets = constellation.subsets()
+    entries = max(1, y.shape[-2] * y.shape[-1] * constellation.size)
+    step = max(1, _METRIC_BLOCK_ENTRIES // entries)
+    for lo in range(0, frames.shape[0], step):
+        _metric_block(frames[lo:lo + step], frame_gains[lo:lo + step],
+                      constellation.points, subsets, frame_out[lo:lo + step])
+    return out
 
 
-def deinterleave_metrics(metrics: np.ndarray, interleaver: Interleaver) -> np.ndarray:
+def _metric_block(y, gains, points, subsets, out) -> None:
+    """:func:`bit_metrics` of a (B, n_symbols, n_substreams) block, into ``out``."""
+    # one contiguous plane of squared distances per constellation point
+    scaled = gains[:, None, :]
+    diff = np.empty(y.shape, dtype=complex)
+    d2 = np.empty((points.size,) + y.shape)
+    for p, point in enumerate(points):
+        np.subtract(y, scaled * point, out=diff)
+        np.square(np.abs(diff, out=d2[p]), out=d2[p])
+
+    # max-log: the minimum over each label subset is exact in any order
+    low = np.empty(y.shape)
+    for i, bit_subsets in enumerate(subsets):
+        for b, members in enumerate(bit_subsets):
+            if members.size == 1:
+                out[..., i, b] = d2[members[0]]
+                continue
+            np.minimum(d2[members[0]], d2[members[1]], out=low)
+            for p in members[2:]:
+                np.minimum(low, d2[p], out=low)
+            out[..., i, b] = low
+
+
+def deinterleave_metrics(metrics: np.ndarray, interleaver: Interleaver,
+                         n_bits: int | None = None) -> np.ndarray:
     """Reorder per-bit metrics back to coded order.
 
-    ``metrics`` is the (n_symbols, n_substreams, m, 2) array from
-    :func:`bit_metrics`; the result is (n_coded, 2), row k holding the
-    two costs of coded bit k.
+    ``metrics`` is the ([B,] n_symbols, n_substreams, m, 2) array from
+    :func:`bit_metrics`; the result is ([B,] n_bits, 2), row k holding
+    the two costs of coded bit k.  ``n_bits`` defaults to every coded
+    bit; a smaller count drops the trailing pad bits without gathering
+    them.
     """
-    flat = np.asarray(metrics).reshape(interleaver.n_coded, 2)
-    return flat[interleaver.positions]
+    metrics = np.asarray(metrics)
+    flat = metrics.reshape(metrics.shape[:-4] + (interleaver.n_coded, 2))
+    return np.take(flat, interleaver.positions[:n_bits], axis=-2)

@@ -29,6 +29,7 @@ __all__ = [
     "subchannel_matrix",
     "assemble_channel",
     "draw_channel",
+    "draw_channels",
 ]
 
 # Azimuths are confined to a half plane by default: a ULA cannot tell
@@ -171,11 +172,13 @@ def ula_response(phi, geometry: ArrayGeometry) -> np.ndarray:
     """Unit-norm steering vector(s) of a uniform linear array.
 
     Element n carries phase 2*pi*(d/lambda)*n*sin(phi).  Scalar ``phi``
-    gives shape (N,); an array of K azimuths gives (N, K).
+    gives shape (N,); an array of K azimuths gives (N, K), and a stack
+    of shape (..., K) gives (..., N, K).
     """
+    phi = np.asarray(phi)
     n = np.arange(geometry.n_elements)
-    phase = 2j * np.pi * geometry.spacing_over_lambda * np.sin(np.asarray(phi))
-    a = np.exp(np.multiply.outer(n, phase))
+    phase = 2j * np.pi * geometry.spacing_over_lambda * np.sin(phi)
+    a = np.exp(n[:, None] * phase[..., None, :] if phi.ndim else n * phase)
     return a / np.sqrt(geometry.n_elements)
 
 
@@ -196,16 +199,54 @@ def draw_paths(l: int, rng: np.random.Generator,
     return PathSet(gains, aoa, aod)
 
 
+def _pair_matrices(gains, aoa, aod, rx: ArrayGeometry, tx: ArrayGeometry,
+                   out=None) -> np.ndarray:
+    """Pair matrices of path sets stacked on leading axes.
+
+    ``gains``, ``aoa`` and ``aod`` have shape (..., L); the result has
+    shape (..., N_r, N_t) and is written into ``out`` when given.
+    """
+    gains = np.asarray(gains)
+    a_r = ula_response(aoa, rx)
+    a_t = ula_response(aod, tx)
+    scale = np.sqrt(rx.n_elements * tx.n_elements / gains.shape[-1])
+    out = np.matmul(a_r * gains[..., None, :], a_t.conj().swapaxes(-1, -2),
+                    out=out)
+    return np.multiply(scale, out, out=out)
+
+
 def subchannel_matrix(paths: PathSet, rx: ArrayGeometry, tx: ArrayGeometry) -> np.ndarray:
     """One subarray pair's matrix: scaled sum of rank-one path terms.
 
     The sqrt(N_t * N_r / L) factor keeps the expected squared Frobenius
     norm equal to N_t * N_r independent of the path count.
     """
-    a_r = ula_response(paths.aoa, rx)
-    a_t = ula_response(paths.aod, tx)
-    scale = np.sqrt(rx.n_elements * tx.n_elements / paths.n_paths)
-    return scale * ((a_r * paths.gains) @ a_t.conj().T)
+    return _pair_matrices(paths.gains, paths.aoa, paths.aod, rx, tx)
+
+
+def _composite(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
+               paths, batch: tuple = ()) -> np.ndarray:
+    """Composite channel matrices from per-block path arrays.
+
+    ``paths[i][j]`` is a (gains, aoa, aod) triple of arrays of shape
+    batch + (L_ij,); block (i, j) of each result is sqrt(beta_ij) times
+    its pair matrix, written in place.
+    """
+    m_r, m_t = profile.m_r, profile.m_t
+    n_r, n_t = rx.n_elements, tx.n_elements
+    h = np.zeros(batch + (m_r * n_r, m_t * n_t), dtype=complex)
+    for i in range(m_r):
+        for j in range(m_t):
+            if profile.beta[i, j] == 0.0:
+                continue
+            block = h[..., i * n_r:(i + 1) * n_r, j * n_t:(j + 1) * n_t]
+            # A stack is formed in place, so no block-sized temporary
+            # exists; one matrix is formed contiguous, which is faster for
+            # a single small block.  The arithmetic is the same either way.
+            pair = _pair_matrices(*paths[i][j], rx, tx,
+                                  out=block if batch else None)
+            np.multiply(np.sqrt(profile.beta[i, j]), pair, out=block)
+    return h
 
 
 def assemble_channel(blocks, profile: FadingProfile, rx: ArrayGeometry,
@@ -219,20 +260,14 @@ def assemble_channel(blocks, profile: FadingProfile, rx: ArrayGeometry,
     if len(blocks) != m_r or any(len(row) != m_t for row in blocks):
         raise ConfigurationError(
             f"path grid must be {m_r} x {m_t} to match the fading profile")
-    n_r, n_t = rx.n_elements, tx.n_elements
-
-    h = np.zeros((m_r * n_r, m_t * n_t), dtype=complex)
     for i in range(m_r):
         for j in range(m_t):
-            ps = blocks[i][j]
-            if ps.n_paths != profile.paths[i, j]:
+            if blocks[i][j].n_paths != profile.paths[i, j]:
                 raise ConfigurationError(
-                    f"block ({i},{j}) has {ps.n_paths} paths, profile says "
-                    f"{profile.paths[i, j]}")
-            if profile.beta[i, j] == 0.0:
-                continue
-            h[i * n_r:(i + 1) * n_r, j * n_t:(j + 1) * n_t] = \
-                np.sqrt(profile.beta[i, j]) * subchannel_matrix(ps, rx, tx)
+                    f"block ({i},{j}) has {blocks[i][j].n_paths} paths, "
+                    f"profile says {profile.paths[i, j]}")
+    paths = [[(ps.gains, ps.aoa, ps.aod) for ps in row] for row in blocks]
+    h = _composite(profile, rx, tx, paths)
     return ChannelRealization(h, blocks, profile, rx, tx, seed)
 
 
@@ -247,3 +282,23 @@ def draw_channel(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
         for i in range(profile.m_r)
     ]
     return assemble_channel(blocks, profile, rx, tx, seed)
+
+
+def draw_channels(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
+                  rngs, angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE
+                  ) -> np.ndarray:
+    """Composite matrices of a batch of draws, stacked (B, M_r N_r, M_t N_t).
+
+    Draw b takes its path sets from ``rngs[b]`` in the order
+    :func:`draw_channel` uses, so entry b equals
+    ``draw_channel(profile, rx, tx, rngs[b], angle_range).h`` bit for bit.
+    """
+    batch = len(rngs)
+    paths = [[(np.empty((batch, l), dtype=complex), np.empty((batch, l)),
+               np.empty((batch, l))) for l in row] for row in profile.paths]
+    for b, rng in enumerate(rngs):
+        for row in paths:
+            for gains, aoa, aod in row:
+                ps = draw_paths(gains.shape[1], rng, angle_range)
+                gains[b], aoa[b], aod[b] = ps.gains, ps.aoa, ps.aod
+    return _composite(profile, rx, tx, paths, (batch,))

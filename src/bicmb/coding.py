@@ -172,26 +172,33 @@ def build_trellis(spec: CodeSpec) -> Trellis:
 def encode(trellis: Trellis, message: np.ndarray, terminate: bool = True) -> np.ndarray:
     """Encode a binary message, flushing the register when ``terminate``.
 
-    Returns the coded bits interleaved first-generator-first: shape
-    ``(n * (len(message) + K - 1),)`` when terminated, ``(n * len(message),)``
-    otherwise.
+    ``message`` is one message (L,) or a batch (B, L).  Returns the coded
+    bits interleaved first-generator-first: ``n * (L + K - 1)`` per
+    message when terminated, ``n * L`` otherwise, with the batch axis
+    kept.
     """
     msg = np.asarray(message)
-    if msg.ndim != 1 or msg.size == 0:
-        raise ValueError("message must be a non-empty 1-D bit array")
+    if msg.ndim not in (1, 2) or msg.size == 0:
+        raise ValueError("message must be a non-empty (L,) or (B, L) bit array")
     if not np.all((msg == 0) | (msg == 1)):
         raise ValueError("message must be binary")
-    msg = msg.astype(np.int64)
+    bits = msg.astype(np.uint8)
 
     n = trellis.n_out
     K = trellis.spec.constraint_length
-    steps = msg.size + K - 1 if terminate else msg.size
-    out = np.empty((steps, n), dtype=np.uint8)
+    length = bits.shape[-1]
+    steps = length + K - 1 if terminate else length
+    out = np.empty(bits.shape[:-1] + (steps, n), dtype=np.uint8)
+    acc = np.empty(bits.shape[:-1] + (steps,), dtype=np.uint8)
     for j in range(n):
-        # Full convolution covers the K - 1 flush steps exactly.
-        c = np.convolve(msg, trellis.taps[j].astype(np.int64)) & 1
-        out[:, j] = c[:steps]
-    return out.reshape(-1)
+        # Output j at step t is the XOR of the inputs u[t - i] over taps i;
+        # the K - 1 flush steps see only the zero-padded tail.
+        acc[:] = 0
+        for i in np.flatnonzero(trellis.taps[j]):
+            span = min(length, steps - i)
+            acc[..., i:i + span] ^= bits[..., :span]
+        out[..., j] = acc
+    return out.reshape(bits.shape[:-1] + (steps * n,))
 
 
 def _pattern_bits(n: int) -> np.ndarray:
@@ -235,19 +242,31 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray,
     return bits[0] if single else bits
 
 
-def _viterbi_batch(trellis: Trellis, costs: np.ndarray, terminated: bool) -> np.ndarray:
+def _pattern_costs(costs: np.ndarray) -> np.ndarray:
+    """Cost of each packed output pattern at each step, shape (T, P, B).
+
+    ``costs`` is (B, T, n, 2).  The state-major layout makes every
+    per-step gather of the decoder a copy of whole contiguous batch rows.
+    The n bit costs are added left to right, the order of numpy's sum
+    over that axis, so the sums are bitwise those of the reduce form.
+    """
     B, T, n, _ = costs.shape
-    n_states = trellis.n_states
-    P = 1 << n
-
-    # Cost of each packed output pattern at each step, stored (T, P, B):
-    # state-major arrays make every per-step gather below a copy of whole
-    # contiguous batch rows.
     pb = _pattern_bits(n)
-    jidx = np.broadcast_to(np.arange(n), (P, n))
-    pattern_costs = np.ascontiguousarray(
-        costs[:, :, jidx, pb].sum(axis=3).transpose(1, 2, 0))
+    bit_costs = np.ascontiguousarray(costs.transpose(1, 2, 3, 0))
+    out = np.empty((T, 1 << n, B))
+    for p, bits in enumerate(pb):
+        acc = out[:, p]
+        np.add(bit_costs[:, 0, bits[0]], bit_costs[:, 1, bits[1]], out=acc)
+        for j in range(2, n):
+            acc += bit_costs[:, j, bits[j]]
+    return out
 
+
+def _viterbi_batch(trellis: Trellis, costs: np.ndarray, terminated: bool) -> np.ndarray:
+    B, T, _, _ = costs.shape
+    n_states = trellis.n_states
+
+    pattern_costs = _pattern_costs(costs)
     pred_state = trellis.pred_state
     ps0, ps1 = pred_state[:, 0], pred_state[:, 1]
     pp0, pp1 = trellis.pred_pattern[:, 0], trellis.pred_pattern[:, 1]

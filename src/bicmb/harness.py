@@ -21,8 +21,8 @@ import numpy as np
 
 from . import bicm
 from .beamforming import singular_values
-from .channel import (DEFAULT_ANGLE_RANGE, ArrayGeometry, FadingProfile,
-                      draw_channel, linear_to_db)
+from .channel import (ArrayGeometry, FadingProfile, draw_channel,
+                      draw_channels, linear_to_db)
 from .coding import CodeSpec, build_trellis, encode, free_distance, viterbi_decode
 from .errors import ConfigurationError, NumericalError
 
@@ -101,6 +101,11 @@ class SimConfig:
             raise ConfigurationError(f"unknown modulation {self.modulation!r}")
         if self.interleaver not in _INTERLEAVERS:
             raise ConfigurationError(f"unknown interleaver {self.interleaver!r}")
+        if (self.interleaver == "structured" and self.n_s == 1 and self.depth < 2
+                and bicm.make_constellation(self.modulation).bits_per_symbol > 1):
+            raise ConfigurationError(
+                "the structured interleaver needs depth >= 2 for a single "
+                "stream of multi-bit symbols")
         grid = tuple(float(v) for v in self.snr_grid_db)
         if len(grid) == 0:
             raise ConfigurationError("snr_db grid is empty")
@@ -353,9 +358,22 @@ def build_runtime(config: SimConfig) -> Runtime:
 
 
 def _frame_seed(config: SimConfig, snr_idx: int, frame_idx: int):
-    """Root seed of one frame; spawns (channel stream, frame stream)."""
+    """Root seed of one frame; its children 0 and 1 seed the channel
+    stream and the frame stream."""
     return np.random.SeedSequence(config.master_seed,
                                   spawn_key=(_NS_FRAME, snr_idx, frame_idx))
+
+
+def _frame_rngs(config: SimConfig, snr_idx: int, frames: range,
+                child: int) -> list:
+    """One generator per frame from child ``child`` of the frame's root.
+
+    Building the child seed directly is state-identical to
+    ``_frame_seed(...).spawn(2)[child]`` and skips the root.
+    """
+    return [np.random.default_rng(np.random.SeedSequence(
+        config.master_seed, spawn_key=(_NS_FRAME, snr_idx, f, child)))
+        for f in frames]
 
 
 def _simulate_frames(rt: Runtime, gains: np.ndarray, noise_var: float,
@@ -363,45 +381,33 @@ def _simulate_frames(rt: Runtime, gains: np.ndarray, noise_var: float,
     """Run a batch of frames and return per-frame info-bit error counts.
 
     ``gains`` is (B, n_s) subchannel amplitudes, one row per frame;
-    ``rngs`` holds each frame's private generator.  All per-frame
-    quantities are computed lane-separated, so results do not depend on
-    how frames are grouped into batches.
+    ``rngs`` holds each frame's private generator, which draws the
+    message, then the real and the imaginary noise parts.  Every stage
+    runs once on the whole batch and treats frames independently, so
+    results do not depend on how frames are grouped into batches.
     """
     cfg = rt.config
     itl = rt.interleaver
     B = gains.shape[0]
-    n_out = cfg.code.n_out
-    n_total = itl.n_coded
     n_sym, n_s = itl.n_symbols, itl.n_substreams
-    m = rt.constellation.bits_per_symbol
 
     messages = np.empty((B, cfg.frame_bits), dtype=np.int64)
-    buf = np.zeros((B, n_total), dtype=np.int64)
-    noise = np.empty((B, n_sym, n_s), dtype=complex)
-    scale = np.sqrt(noise_var / 2.0)
+    noise_re = np.empty((B, n_sym, n_s))
+    noise_im = np.empty((B, n_sym, n_s))
     for b, rng in enumerate(rngs):
         messages[b] = rng.integers(0, 2, cfg.frame_bits)
-        buf[b, :rt.n_coded] = encode(rt.trellis, messages[b])
-        noise[b] = scale * (rng.standard_normal((n_sym, n_s))
-                            + 1j * rng.standard_normal((n_sym, n_s)))
+        rng.standard_normal(out=noise_re[b])
+        rng.standard_normal(out=noise_im[b])
+    noise = np.sqrt(noise_var / 2.0) * (noise_re + 1j * noise_im)
 
-    # interleave + map (pad bits are zeros and get dropped after demap)
-    filled = np.empty_like(buf)
-    filled[:, itl.positions] = buf
-    weights = 1 << (m - 1 - np.arange(m))
-    labels = filled.reshape(B, n_sym * n_s, m) @ weights
-    x = rt.constellation.points[labels].reshape(B, n_sym, n_s)
-
+    # pad bits past the code's output are zeros and get dropped after demap
+    coded = np.zeros((B, itl.n_coded), dtype=np.uint8)
+    coded[:, :rt.n_coded] = encode(rt.trellis, messages)
+    x = bicm.map_frame(coded, itl, rt.constellation)
     y = gains[:, None, :] * x + noise
-
-    # max-log bit metrics, lane-batched
-    d2 = np.abs(y[..., None]
-                - gains[:, None, :, None] * rt.constellation.points) ** 2
-    idx = rt.constellation.subsets()
-    metrics = d2[:, :, :, idx].min(axis=5)
-
-    costs = metrics.reshape(B, n_total, 2)[:, itl.positions]
-    costs = costs[:, :rt.n_coded].reshape(B, rt.n_steps, n_out, 2)
+    metrics = bicm.bit_metrics(y, gains, rt.constellation)
+    costs = bicm.deinterleave_metrics(metrics, itl, rt.n_coded)
+    costs = costs.reshape(B, rt.n_steps, cfg.code.n_out, 2)
     decoded = viterbi_decode(rt.trellis, costs, terminated=True)
     return (decoded != messages).sum(axis=1)
 
@@ -431,33 +437,24 @@ def _simulate_span(config: SimConfig, rt: Runtime, snr_idx: int,
     if hi <= lo:
         return 0
     snr = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0)
-    B = hi - lo
-    gains = np.empty((B, config.n_s))
-    hmats = np.empty((B, config.m_r * config.n_r, config.m_t * config.n_t),
-                     dtype=complex)
-    frame_rngs = []
-    seeds = []
-    for b in range(B):
-        root = _frame_seed(config, snr_idx, lo + b)
-        ch_seed, frame_seed = root.spawn(2)
-        seeds.append(root)
-        chan = draw_channel(config.profile, rt.rx_geometry, rt.tx_geometry,
-                            np.random.default_rng(ch_seed), rt.angle_range)
-        hmats[b] = chan.h
-        frame_rngs.append(np.random.default_rng(frame_seed))
+    frames = range(lo, hi)
+    hmats = draw_channels(config.profile, rt.rx_geometry, rt.tx_geometry,
+                          _frame_rngs(config, snr_idx, frames, 0),
+                          rt.angle_range)
     try:
-        sv = np.linalg.svd(hmats, compute_uv=False)
-    except np.linalg.LinAlgError:
+        sv = singular_values(hmats)
+    except NumericalError:
         # find the offending realization to report a reproducible seed
-        for b in range(B):
+        for f, h in zip(frames, hmats):
             try:
-                np.linalg.svd(hmats[b], compute_uv=False)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("SVD failed to converge during sweep",
-                                     seed=seeds[b]) from exc
+                singular_values(h)
+            except NumericalError as exc:
+                raise NumericalError(
+                    "SVD failed to converge during sweep",
+                    seed=_frame_seed(config, snr_idx, f)) from exc
         raise
-    gains[:] = sv[:, :config.n_s]
-    return int(_simulate_frames(rt, gains, config.n_t / snr, frame_rngs).sum())
+    return int(_simulate_frames(rt, sv[:, :config.n_s], config.n_t / snr,
+                                _frame_rngs(config, snr_idx, frames, 1)).sum())
 
 
 # cache: one runtime per config hash per process (workers rebuild once)

@@ -172,6 +172,8 @@ class TestMapFrame:
             map_frame(np.zeros(63, dtype=int), itl, c)
         with pytest.raises(ValueError):
             map_frame(np.zeros(64, dtype=int), itl, make_constellation("16qam"))
+        with pytest.raises(ValueError):
+            map_frame(np.zeros((1, 2, 64), dtype=int), itl, c)
 
     @pytest.mark.parametrize("name,n_s", [("qpsk", 2), ("16qam", 3)])
     def test_noiseless_round_trip(self, name, n_s):
@@ -195,18 +197,19 @@ class TestBitMetrics:
     def test_matches_brute_force_16qam(self):
         c = make_constellation("16qam")
         rng = np.random.default_rng(303)
-        y = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-        gains = rng.uniform(0.2, 1.5, 3)
+        y = rng.normal(size=(2, 6, 3)) + 1j * rng.normal(size=(2, 6, 3))
+        gains = rng.uniform(0.2, 1.5, (2, 3))
         got = bit_metrics(y, gains, c)
-        assert got.shape == (6, 3, 4, 2)
+        assert got.shape == (2, 6, 3, 4, 2)
         bits = c.label_bits()
-        for t in range(6):
-            for s in range(3):
-                d2 = np.abs(y[t, s] - gains[s] * c.points) ** 2
-                for i in range(4):
-                    for b in (0, 1):
-                        want = d2[bits[:, i] == b].min()
-                        assert got[t, s, i, b] == pytest.approx(want)
+        for f in range(2):
+            for t in range(6):
+                for s in range(3):
+                    d2 = np.abs(y[f, t, s] - gains[f, s] * c.points) ** 2
+                    for i in range(4):
+                        for b in (0, 1):
+                            want = d2[bits[:, i] == b].min()
+                            assert got[f, t, s, i, b] == pytest.approx(want)
 
     def test_shape_validation(self):
         c = make_constellation("bpsk")
@@ -214,6 +217,8 @@ class TestBitMetrics:
             bit_metrics(np.zeros(8, dtype=complex), np.ones(1), c)
         with pytest.raises(ValueError):
             bit_metrics(np.zeros((8, 2), dtype=complex), np.ones(3), c)
+        with pytest.raises(ValueError):
+            bit_metrics(np.zeros((2, 8, 2), dtype=complex), np.ones((3, 2)), c)
 
     def test_deinterleave_orders_by_coded_index(self):
         itl = structured_interleaver(48, 2, 2, depth=2)
@@ -222,3 +227,35 @@ class TestBitMetrics:
         out = deinterleave_metrics(flat, itl)
         np.testing.assert_array_equal(out[:, 0], 2.0 * itl.positions)
         np.testing.assert_array_equal(out[:, 1], 2.0 * itl.positions + 1.0)
+
+
+class TestBatchedStages:
+    @pytest.mark.parametrize("name,n_s", [("bpsk", 3), ("qpsk", 2), ("16qam", 3)])
+    def test_batch_equals_per_frame(self, name, n_s):
+        c = make_constellation(name)
+        m = c.bits_per_symbol
+        itl = random_interleaver(n_s * m * 24, n_s, m, np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        frames = 6
+        bits = rng.integers(0, 2, (frames, itl.n_coded))
+        gains = rng.uniform(0.2, 2.0, (frames, n_s))
+        x = map_frame(bits, itl, c)
+        assert x.shape == (frames, itl.n_symbols, n_s)
+        y = gains[:, None, :] * x + rng.normal(size=x.shape) \
+            + 1j * rng.normal(size=x.shape)
+        metrics = bit_metrics(y, gains, c)
+        costs = deinterleave_metrics(metrics, itl)
+        assert costs.shape == (frames, itl.n_coded, 2)
+        for f in range(frames):
+            assert map_frame(bits[f], itl, c).tobytes() == x[f].tobytes()
+            single = bit_metrics(y[f], gains[f], c)
+            assert single.tobytes() == metrics[f].tobytes()
+            assert deinterleave_metrics(single, itl).tobytes() == \
+                costs[f].tobytes()
+
+    def test_deinterleave_drops_trailing_pad_bits(self):
+        itl = structured_interleaver(48, 2, 2, depth=2)
+        metrics = np.random.default_rng(8).normal(size=(3, 12, 2, 2, 2))
+        full = deinterleave_metrics(metrics, itl)
+        np.testing.assert_array_equal(
+            deinterleave_metrics(metrics, itl, n_bits=41), full[:, :41])

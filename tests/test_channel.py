@@ -15,6 +15,7 @@ from bicmb.channel import (
     assemble_channel,
     db_to_linear,
     draw_channel,
+    draw_channels,
     draw_paths,
     linear_to_db,
     subchannel_matrix,
@@ -56,6 +57,9 @@ class TestSteeringVectors:
         batch = ula_response(np.array([-0.5, 0.0, 0.9]), g)
         assert batch.shape == (8, 3)
         np.testing.assert_allclose(np.linalg.norm(batch, axis=0), 1.0)
+        stack = ula_response(np.array([[-0.5, 0.0, 0.9], [0.1, 0.2, 0.3]]), g)
+        assert stack.shape == (2, 8, 3)
+        np.testing.assert_array_equal(stack[0], batch)
 
     def test_broadside_is_constant_phase(self):
         g = ArrayGeometry(5)
@@ -201,6 +205,25 @@ class TestCompositeChannel:
         assert np.all(sv[l_t:] < 1e-10 * sv[0])
         again = draw_channel(profile, rx, tx, np.random.default_rng(77))
         np.testing.assert_array_equal(ch.h, again.h)
+
+    def test_batched_draw_equals_stacked_draw_channel(self):
+        # a zero-power block and a different path count in every block
+        profile = FadingProfile(np.array([[1.0, 0.0], [0.25, 4.0]]),
+                                np.array([[1, 2], [3, 4]]))
+        rx, tx = ArrayGeometry(3), ArrayGeometry(5, spacing_over_lambda=0.4)
+        angles = (-1.0, 1.2)
+        stacked = np.stack([
+            draw_channel(profile, rx, tx, np.random.default_rng(s), angles).h
+            for s in range(6)])
+        batch = draw_channels(profile, rx, tx,
+                              [np.random.default_rng(s) for s in range(6)],
+                              angles)
+        assert batch.shape == (6, 6, 10)
+        assert batch.tobytes() == stacked.tobytes()
+        assert not batch[:, 0:3, 5:10].any()
+        with pytest.raises(ValueError):
+            draw_channels(profile, rx, tx, [np.random.default_rng(0)],
+                          (1.0, 1.0))
 
     def test_mean_composite_energy_tracks_fading_sum(self):
         profile = FadingProfile.from_db([[0.0, -3.0], [-10.0, 0.0]], 2)

@@ -116,6 +116,16 @@ class TestArgumentHandling:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_single_stream_qam_at_depth_one_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(TINY_CFG.replace("modulation = bpsk",
+                                      "modulation = 16qam\ndepth = 1"))
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--config", str(p),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "depth" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum_preset_cannot_simulate(self, tmp_path, capsys):
         assert cli.main(["simulate", "--preset", "fig2_spectrum",
                          "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG

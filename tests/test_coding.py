@@ -15,6 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 from bicmb.coding import (
     CodeSpec,
+    _pattern_bits,
+    _pattern_costs,
     build_trellis,
     distance_spectrum,
     encode,
@@ -225,6 +227,19 @@ class TestEncoder:
         with pytest.raises(ValueError):
             encode(trellis4, np.array([0, 2, 1]))
 
+    @pytest.mark.parametrize("octal", ["5,7", "133,171", "25,33,37"])
+    @pytest.mark.parametrize("terminate", [True, False])
+    def test_batch_equals_per_row(self, octal, terminate):
+        trellis = build_trellis(CodeSpec.from_octal(octal))
+        msgs = np.random.default_rng(11).integers(0, 2, (9, 37))
+        batch = encode(trellis, msgs, terminate=terminate)
+        assert batch.dtype == np.uint8
+        for row, msg in zip(batch, msgs):
+            np.testing.assert_array_equal(
+                row, encode(trellis, msg, terminate=terminate))
+        with pytest.raises(ValueError):
+            encode(trellis, msgs[None])
+
 
 class TestViterbi:
     def test_zero_noise_identity(self, trellis64):
@@ -301,6 +316,23 @@ class TestViterbi:
             np.testing.assert_array_equal(
                 batch[b], viterbi_decode(trellis, costs[b],
                                          terminated=terminated))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("frames", [1, 7, 300])
+    def test_pattern_costs_equal_reduce_form(self, n, frames):
+        # magnitudes over six decades make any change of summation order
+        # show up in the last bits
+        rng = np.random.default_rng(100 * n + frames)
+        shape = (frames, 40, n, 2)
+        costs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        pb = _pattern_bits(n)
+        jidx = np.broadcast_to(np.arange(n), pb.shape)
+        reduce_form = np.ascontiguousarray(
+            costs[:, :, jidx, pb].sum(axis=3).transpose(1, 2, 0))
+        got = _pattern_costs(costs)
+        assert got.shape == (40, 1 << n, frames)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      reduce_form.view(np.uint64))
 
     def test_rejects_short_terminated_block(self, trellis64):
         with pytest.raises(ValueError):

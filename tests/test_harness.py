@@ -12,7 +12,7 @@ import pytest
 
 from bicmb import harness
 from bicmb.channel import FadingProfile
-from bicmb.errors import ConfigurationError
+from bicmb.errors import ConfigurationError, NumericalError
 from bicmb.harness import (
     BerCurve,
     SimConfig,
@@ -104,6 +104,7 @@ class TestParseConfig:
         ("spacing = 0", "spacing"),
         ("angle_min_deg = -inf", "finite"),
         ("angle_max_deg = nan", "finite"),
+        ("modulation = 16qam\ndepth = 1", "depth"),
     ])
     def test_rejects_malformed_input(self, mutation, needle):
         key = mutation.split(" = ")[0].split("\n")[0].split()[0]
@@ -214,6 +215,28 @@ class TestSpanDecomposition:
         parts = sum(harness._simulate_span(cfg, rt, 1, lo, hi)
                     for lo, hi in [(0, 5), (5, 6), (6, 12)])
         assert whole == parts
+
+    def test_svd_failure_reports_the_failing_frame_seed(self, monkeypatch):
+        cfg = tiny_config()
+        rt = build_runtime(cfg)
+        real_svd = np.linalg.svd
+        single_calls = []
+
+        def flaky_svd(a, *args, **kwargs):
+            # the batched call fails, and so does the fourth frame alone
+            if a.ndim == 2:
+                single_calls.append(a)
+            if a.ndim == 3 or len(single_calls) == 4:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+        with pytest.raises(NumericalError, match="during sweep") as info:
+            harness._simulate_span(cfg, rt, 2, 10, 18)
+        seed = info.value.seed
+        assert seed.entropy == cfg.master_seed
+        assert seed.spawn_key == (0, 2, 13)
+        assert len(single_calls) == 4
 
     def test_empty_span_is_zero(self):
         cfg = tiny_config()
