@@ -3,9 +3,7 @@ multiple beamforming over distributed mmWave massive MIMO channels."""
 
 from .analysis import (BoundReport, GammaFit, diversity_gain, estimate_slope,
                        gamma_fit, pep_bound, sample_theta, union_bound_ber)
-from .beamforming import (BeamformingDecomposition, StreamGains, decompose,
-                          numerical_rank, predicted_gains, singular_values,
-                          stream_gains)
+from .beamforming import predicted_gains, singular_values
 from .bicm import (Constellation, Interleaver, adversarial_interleaver,
                    bit_metrics, check_criteria, deinterleave_metrics,
                    make_constellation, map_frame, random_interleaver,

@@ -183,14 +183,13 @@ class BoundReport:
 
 def union_bound_ber(spectrum: DistanceSpectrum, interleaver: bicm.Interleaver,
                     fit: GammaFit, constellation: bicm.Constellation,
-                    n_t: int, l_t: int, snr_grid,
-                    k_c: int = 1, d_free_only: bool = False) -> BoundReport:
+                    n_t: int, l_t: int, snr_grid) -> BoundReport:
     """Truncated union bound on the coded bit error probability.
 
     Every stored error event is mapped through the interleaver at every
     start offset to find its worst-case per-subchannel usage; the
     pairwise Chernoff bounds, weighted by event input weights, sum to
-    the bound (divided by k_c input bits per trellis step).  Events
+    the bound (rate-1/n codes take one input bit per trellis step).  Events
     beyond a distance's storage cap reuse the worst alpha_min seen at
     that distance, keeping the result an upper bound of the truncated
     sum.
@@ -206,7 +205,7 @@ def union_bound_ber(spectrum: DistanceSpectrum, interleaver: bicm.Interleaver,
     subs = interleaver.subchannels()
     period = _sequence_period(subs)
 
-    distances = [spectrum.d_free] if d_free_only else spectrum.distances()
+    distances = spectrum.distances()
     truncated = any(spectrum.entries[d].storage_truncated for d in distances)
 
     if not coverage.coverage_ok:
@@ -234,11 +233,9 @@ def union_bound_ber(spectrum: DistanceSpectrum, interleaver: bicm.Interleaver,
             weight_at_alpha[worst_alpha] = weight_at_alpha.get(worst_alpha, 0) + rest
 
     union = np.zeros_like(snr)
-    pep = pep_high = None
     for alpha, weight in sorted(weight_at_alpha.items()):
         exact, _ = pep_bound(fit, d_min, alpha, n_s, n_t, l_t, snr)
         union += weight * exact
-    union /= k_c
     pep, pep_high = pep_bound(fit, d_min, alpha_min_leading, n_s, n_t, l_t, snr)
 
     return BoundReport(snr, pep, pep_high, union, diversity,

@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import gamma_fit, union_bound_ber
 from .coding import CodeSpec, build_trellis, distance_spectrum, free_distance
 from .errors import ConfigurationError, NumericalError
-from .harness import (SPECTRUM_CSV_HEADER, Preset, SimConfig, SpectrumJob,
+from .harness import (SPECTRUM_CSV_HEADER, SimConfig, SpectrumJob,
                       build_runtime, load_config, preset, preset_names,
                       spectrum_stats, sweep)
 
@@ -134,8 +134,11 @@ def _cmd_simulate(args) -> int:
 
 def _write_bound_csv(path: Path, cfg: SimConfig) -> None:
     rt = build_runtime(cfg)
-    spectrum = distance_spectrum(rt.trellis,
-                                 free_distance(rt.trellis) + _SPECTRUM_MARGIN)
+    try:
+        spectrum = distance_spectrum(
+            rt.trellis, free_distance(rt.trellis) + _SPECTRUM_MARGIN)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
     fit = gamma_fit(cfg.profile)
     grid = np.asarray(cfg.snr_grid_db)
     report = union_bound_ber(spectrum, rt.interleaver, fit, rt.constellation,
@@ -163,16 +166,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_channel_stats(args) -> int:
-    if args.preset is not None:
-        p: Preset = preset(args.preset, master_seed=args.seed)
-        if p.spectrum is not None:
-            job = p.spectrum
-        else:
-            cfg = next(iter(p.variants.values()))
-            job = _job_from_config(cfg)
-    else:
-        variants = _selected_configs(args)
-        job = _job_from_config(next(iter(variants.values())))
+    job = (preset(args.preset, master_seed=args.seed).spectrum
+           if args.preset is not None else None)
+    if job is None:
+        job = _job_from_config(next(iter(_selected_configs(args).values())))
     sv, pred = spectrum_stats(job, args.draws)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SPECTRUM_CSV_HEADER + "\n")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bicm
-from .beamforming import singular_values
+from .beamforming import predicted_gains, singular_values
 from .channel import (ArrayGeometry, FadingProfile, draw_channel,
                       draw_channels, linear_to_db)
 from .coding import CodeSpec, build_trellis, encode, free_distance, viterbi_decode
@@ -612,8 +612,6 @@ def spectrum_stats(job: SpectrumJob, draws: int) -> tuple[np.ndarray, np.ndarray
     """
     if draws < 1:
         raise ConfigurationError("draws must be positive")
-    from .beamforming import predicted_gains
-
     rx = ArrayGeometry(job.n_r, job.spacing)
     tx = ArrayGeometry(job.n_t, job.spacing)
     lo, hi = np.deg2rad(job.angle_range_deg[0]), np.deg2rad(job.angle_range_deg[1])
@@ -622,10 +620,15 @@ def spectrum_stats(job: SpectrumJob, draws: int) -> tuple[np.ndarray, np.ndarray
     n_vals = min(job.profile.m_r * job.n_r, job.profile.m_t * job.n_t)
     sv_acc = np.zeros(n_vals)
     pred_acc = np.zeros(n_vals)
-    for _ in range(draws):
+    for k in range(draws):
         chan = draw_channel(job.profile, rx, tx, rng, (lo, hi))
-        sv_acc += singular_values(chan)
-        pred = predicted_gains(chan.blocks, job.profile, job.n_r, job.n_t)
+        try:
+            sv_acc += singular_values(chan)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"SVD failed to converge on spectrum draw {k}",
+                seed=job.master_seed) from exc
+        pred = predicted_gains(chan)
         pred_acc[:min(pred.size, n_vals)] += pred[:n_vals]
     return sv_acc / draws, pred_acc / draws
 

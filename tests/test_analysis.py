@@ -229,24 +229,6 @@ class TestUnionBound:
         assert rep.union_bound[0] == pytest.approx(lead_weight * rep.pep[0],
                                                    rel=0.05)
 
-    def test_d_free_only_is_smaller(self, bound_inputs):
-        spectrum, itl, fit, c = bound_inputs
-        snr = np.array([10.0, 100.0])
-        full = union_bound_ber(spectrum, itl, fit, c, n_t=16, l_t=8,
-                               snr_grid=snr)
-        lead = union_bound_ber(spectrum, itl, fit, c, n_t=16, l_t=8,
-                               snr_grid=snr, d_free_only=True)
-        assert np.all(lead.union_bound < full.union_bound)
-
-    def test_k_c_divides_the_bound(self, bound_inputs):
-        spectrum, itl, fit, c = bound_inputs
-        snr = np.array([10.0])
-        one = union_bound_ber(spectrum, itl, fit, c, n_t=16, l_t=8,
-                              snr_grid=snr)
-        two = union_bound_ber(spectrum, itl, fit, c, n_t=16, l_t=8,
-                              snr_grid=snr, k_c=2)
-        assert two.union_bound[0] == pytest.approx(one.union_bound[0] / 2.0)
-
     def test_coverage_failure_voids_the_bound(self, bound_inputs):
         spectrum, _, fit, c = bound_inputs
         bad = adversarial_interleaver(240, 2, 1, run=spectrum.d_free)

@@ -7,6 +7,8 @@ the position tables.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicmb.bicm import (
     adversarial_interleaver,
@@ -153,6 +155,28 @@ class TestAdversarialInterleaver:
     def test_rejects_bad_run(self):
         with pytest.raises(ValueError):
             adversarial_interleaver(120, 2, 1, run=0)
+
+
+class TestInterleaverProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(n_s=st.integers(1, 6), m=st.sampled_from([1, 2, 4]),
+           depth=st.integers(1, 8), blocks=st.integers(1, 4),
+           run=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_bijection_and_criteria(self, n_s, m, depth, blocks, run, seed):
+        if n_s == 1 and m > 1:
+            depth = max(depth, 2)
+        n_coded = n_s * m * depth * blocks
+        structured = structured_interleaver(n_coded, n_s, m, depth=depth)
+        rand = random_interleaver(n_coded, n_s, m, np.random.default_rng(seed),
+                                  max_tries=1000)
+        adversarial = adversarial_interleaver(n_s * m * run * blocks, n_s, m,
+                                              run=run)
+        for itl in (structured, rand, adversarial):
+            assert_bijection(itl)
+        assert check_criteria(structured).ok
+        assert check_criteria(rand).ok
+        if n_s > 1 and run >= n_s:
+            assert not check_criteria(adversarial).coverage_ok
 
 
 class TestMapFrame:

@@ -9,7 +9,7 @@ import pytest
 
 from bicmb import cli
 from bicmb.errors import NumericalError
-from bicmb.harness import BerCurve, parse_config
+from bicmb.harness import BerCurve, parse_config, preset, spectrum_stats
 
 TINY_CFG = """\
 m_r = 1
@@ -240,6 +240,16 @@ class TestAnalyze:
         assert "inf" in content
 
 
+    def test_catastrophic_code_exits_1(self, cfg_file, tmp_path, capsys):
+        p = tmp_path / "cat.cfg"
+        p.write_text(TINY_CFG.replace("generators = 5,7", "generators = 3,5"))
+        out = tmp_path / "bounds.csv"
+        assert cli.main(["analyze", "--config", str(p),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "catastrophic" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestChannelStats:
     def test_spectrum_preset(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"
@@ -268,3 +278,21 @@ class TestChannelStats:
                          "--draws", "3", "--out", str(out)]) == cli.EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 16        # min(1*16, 3*32) modes
+
+    def test_unknown_variant_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        assert cli.main(["channel-stats", "--preset", "fig4_streams",
+                         "--variant", "nope", "--draws", "2",
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "unknown variant" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_variant_selects_its_config(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert cli.main(["channel-stats", "--preset", "fig4_streams",
+                         "--variant", "ns4", "--draws", "3",
+                         "--out", str(out)]) == cli.EXIT_OK
+        sv, pred = spectrum_stats(
+            cli._job_from_config(preset("fig4_streams").variants["ns4"]), 3)
+        want = [f"{k + 1},{sv[k]:.12e},{pred[k]:.12e}" for k in range(sv.size)]
+        assert out.read_text().strip().splitlines()[1:] == want

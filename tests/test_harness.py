@@ -320,6 +320,24 @@ class TestSpectrumStats:
         np.testing.assert_array_equal(sv, sv2)
         np.testing.assert_array_equal(pred, pred2)
 
+    def test_svd_failure_reports_job_seed_and_draw(self, monkeypatch):
+        job = SpectrumJob(FadingProfile.homogeneous(1, 1, 0.0, 2), 4, 4,
+                          master_seed=11)
+        real_svd = np.linalg.svd
+        calls = []
+
+        def flaky_svd(a, *args, **kwargs):
+            calls.append(a)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+        with pytest.raises(NumericalError, match="draw 2") as info:
+            spectrum_stats(job, draws=5)
+        assert info.value.seed == 11
+        assert "seed=11" in str(info.value)
+
     def test_rejects_bad_draw_count(self):
         job = SpectrumJob(FadingProfile.homogeneous(1, 1, 0.0, 2), 4, 4)
         with pytest.raises(ConfigurationError):
