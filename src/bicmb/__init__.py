@@ -9,9 +9,9 @@ from .bicm import (Constellation, Interleaver, adversarial_interleaver,
                    make_constellation, map_frame, random_interleaver,
                    structured_interleaver)
 from .channel import (ArrayGeometry, ChannelRealization, FadingProfile,
-                      PathSet, assemble_channel, db_to_linear, draw_channel,
-                      draw_channels, draw_paths, linear_to_db,
-                      subchannel_matrix, ula_response)
+                      PathSet, db_to_linear, draw_channel, draw_channels,
+                      draw_paths, linear_to_db, subchannel_matrix,
+                      ula_response)
 from .coding import (CodeSpec, DistanceSpectrum, Trellis, build_trellis,
                      distance_spectrum, encode, free_distance, viterbi_decode)
 from .errors import ConfigurationError, NumericalError

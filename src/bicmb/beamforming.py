@@ -37,7 +37,8 @@ def predicted_gains(channel: ChannelRealization) -> np.ndarray:
 
     As both arrays grow, steering vectors become orthogonal and each path
     contributes one singular value sqrt(beta_ij * N_r * N_t / L_ij) * |gain|.
-    Returns the predictions sorted in decreasing order (zero-power blocks
+    Returns the predictions sorted in decreasing order on the last axis,
+    one row per draw of a batched realization (zero-power blocks
     contribute zeros).
     """
     profile = channel.profile
@@ -48,4 +49,4 @@ def predicted_gains(channel: ChannelRealization) -> np.ndarray:
             ps = channel.blocks[i][j]
             scale = np.sqrt(profile.beta[i, j] * n_r * n_t / ps.n_paths)
             vals.append(scale * np.abs(ps.gains))
-    return np.sort(np.concatenate(vals))[::-1]
+    return np.sort(np.concatenate(vals, axis=-1), axis=-1)[..., ::-1]

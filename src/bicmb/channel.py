@@ -11,7 +11,7 @@ L_t = sum of all L_ij regardless of antenna counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "ula_response",
     "draw_paths",
     "subchannel_matrix",
-    "assemble_channel",
     "draw_channel",
     "draw_channels",
 ]
@@ -66,7 +65,8 @@ class PathSet:
     """Gains and azimuths of the discrete paths of one subarray pair.
 
     gains are complex with unit second moment (variance 1/2 per real
-    dimension); aoa/aod are arrival/departure azimuths in radians.
+    dimension); aoa/aod are arrival/departure azimuths in radians.  The
+    last axis runs over paths; leading axes, if any, over draws.
     """
 
     gains: np.ndarray
@@ -74,14 +74,14 @@ class PathSet:
     aod: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.gains) == len(self.aoa) == len(self.aod)):
-            raise ValueError("gains, aoa, and aod must share a length")
-        if len(self.gains) < 1:
+        if not (self.gains.shape == self.aoa.shape == self.aod.shape):
+            raise ValueError("gains, aoa, and aod must share a shape")
+        if self.n_paths < 1:
             raise ValueError("a path set needs at least one path")
 
     @property
     def n_paths(self) -> int:
-        return len(self.gains)
+        return self.gains.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,12 @@ class FadingProfile:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One drawn composite channel with its generating path sets."""
+    """Drawn composite channel(s) with their generating path sets.
+
+    ``h`` is one matrix (M_r N_r, M_t N_t), or a stack of them with the
+    draws on a leading axis; ``blocks[i][j]`` is the PathSet of pair
+    (i, j), with the same leading axes.
+    """
 
     h: np.ndarray
     blocks: list
@@ -224,81 +229,45 @@ def subchannel_matrix(paths: PathSet, rx: ArrayGeometry, tx: ArrayGeometry) -> n
     return _pair_matrices(paths.gains, paths.aoa, paths.aod, rx, tx)
 
 
-def _composite(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
-               paths, batch: tuple = ()) -> np.ndarray:
-    """Composite channel matrices from per-block path arrays.
-
-    ``paths[i][j]`` is a (gains, aoa, aod) triple of arrays of shape
-    batch + (L_ij,); block (i, j) of each result is sqrt(beta_ij) times
-    its pair matrix, written in place.
-    """
-    m_r, m_t = profile.m_r, profile.m_t
-    n_r, n_t = rx.n_elements, tx.n_elements
-    h = np.zeros(batch + (m_r * n_r, m_t * n_t), dtype=complex)
-    for i in range(m_r):
-        for j in range(m_t):
-            if profile.beta[i, j] == 0.0:
-                continue
-            block = h[..., i * n_r:(i + 1) * n_r, j * n_t:(j + 1) * n_t]
-            # A stack is formed in place, so no block-sized temporary
-            # exists; one matrix is formed contiguous, which is faster for
-            # a single small block.  The arithmetic is the same either way.
-            pair = _pair_matrices(*paths[i][j], rx, tx,
-                                  out=block if batch else None)
-            np.multiply(np.sqrt(profile.beta[i, j]), pair, out=block)
-    return h
-
-
-def assemble_channel(blocks, profile: FadingProfile, rx: ArrayGeometry,
-                     tx: ArrayGeometry, seed=None) -> ChannelRealization:
-    """Stack per-pair matrices into the composite block channel.
-
-    ``blocks`` is an M_r x M_t nested list of PathSet; block (i, j) of the
-    result is sqrt(beta_ij) times the pair matrix.
-    """
-    m_r, m_t = profile.m_r, profile.m_t
-    if len(blocks) != m_r or any(len(row) != m_t for row in blocks):
-        raise ConfigurationError(
-            f"path grid must be {m_r} x {m_t} to match the fading profile")
-    for i in range(m_r):
-        for j in range(m_t):
-            if blocks[i][j].n_paths != profile.paths[i, j]:
-                raise ConfigurationError(
-                    f"block ({i},{j}) has {blocks[i][j].n_paths} paths, "
-                    f"profile says {profile.paths[i, j]}")
-    paths = [[(ps.gains, ps.aoa, ps.aod) for ps in row] for row in blocks]
-    h = _composite(profile, rx, tx, paths)
-    return ChannelRealization(h, blocks, profile, rx, tx, seed)
-
-
 def draw_channel(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
                  rng: np.random.Generator,
                  angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE,
                  seed=None) -> ChannelRealization:
-    """Draw all path sets (row-major over the block grid) and assemble."""
-    blocks = [
-        [draw_paths(int(profile.paths[i, j]), rng, angle_range)
-         for j in range(profile.m_t)]
-        for i in range(profile.m_r)
-    ]
-    return assemble_channel(blocks, profile, rx, tx, seed)
+    """One draw: :func:`draw_channels` of the single generator ``rng``."""
+    batch = draw_channels(profile, rx, tx, [rng], angle_range)
+    blocks = [[PathSet(ps.gains[0], ps.aoa[0], ps.aod[0]) for ps in row]
+              for row in batch.blocks]
+    return replace(batch, h=batch.h[0], blocks=blocks, seed=seed)
 
 
 def draw_channels(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
                   rngs, angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE
-                  ) -> np.ndarray:
-    """Composite matrices of a batch of draws, stacked (B, M_r N_r, M_t N_t).
+                  ) -> ChannelRealization:
+    """A batch of draws: ``h`` is (B, M_r N_r, M_t N_t) and each block a
+    PathSet of (B, L_ij) arrays.
 
-    Draw b takes its path sets from ``rngs[b]`` in the order
-    :func:`draw_channel` uses, so entry b equals
-    ``draw_channel(profile, rx, tx, rngs[b], angle_range).h`` bit for bit.
+    Draw b takes its path sets from ``rngs[b]``, one :func:`draw_paths`
+    per block in row-major order over the block grid.  Block (i, j) of
+    each matrix is sqrt(beta_ij) times its pair matrix.
     """
     batch = len(rngs)
-    paths = [[(np.empty((batch, l), dtype=complex), np.empty((batch, l)),
-               np.empty((batch, l))) for l in row] for row in profile.paths]
+    blocks = [[PathSet(np.empty((batch, l), dtype=complex),
+                       np.empty((batch, l)), np.empty((batch, l)))
+               for l in row] for row in profile.paths]
     for b, rng in enumerate(rngs):
-        for row in paths:
-            for gains, aoa, aod in row:
-                ps = draw_paths(gains.shape[1], rng, angle_range)
-                gains[b], aoa[b], aod[b] = ps.gains, ps.aoa, ps.aod
-    return _composite(profile, rx, tx, paths, (batch,))
+        for row in blocks:
+            for ps in row:
+                drawn = draw_paths(ps.n_paths, rng, angle_range)
+                ps.gains[b], ps.aoa[b], ps.aod[b] = \
+                    drawn.gains, drawn.aoa, drawn.aod
+    n_r, n_t = rx.n_elements, tx.n_elements
+    h = np.zeros((batch, profile.m_r * n_r, profile.m_t * n_t), dtype=complex)
+    for i, row in enumerate(blocks):
+        for j, ps in enumerate(row):
+            if profile.beta[i, j] == 0.0:
+                continue
+            # formed in place, so no block-sized temporary exists
+            block = h[:, i * n_r:(i + 1) * n_r, j * n_t:(j + 1) * n_t]
+            _pair_matrices(ps.gains, ps.aoa, ps.aod, rx, tx, out=block)
+            np.multiply(np.sqrt(profile.beta[i, j]), block, out=block)
+    return ChannelRealization(h, blocks, profile, rx, tx)

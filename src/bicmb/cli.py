@@ -170,6 +170,11 @@ def _cmd_channel_stats(args) -> int:
            if args.preset is not None else None)
     if job is None:
         job = _job_from_config(next(iter(_selected_configs(args).values())))
+    elif args.config is not None:
+        raise ConfigurationError("give exactly one of --config or --preset")
+    elif args.variant is not None:
+        raise ConfigurationError(
+            f"unknown variant {args.variant!r}; preset {args.preset!r} has none")
     sv, pred = spectrum_stats(job, args.draws)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SPECTRUM_CSV_HEADER + "\n")

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import bicm
 from .beamforming import predicted_gains, singular_values
-from .channel import (ArrayGeometry, FadingProfile, draw_channel,
-                      draw_channels, linear_to_db)
+from .channel import ArrayGeometry, FadingProfile, draw_channels, linear_to_db
 from .coding import CodeSpec, build_trellis, encode, free_distance, viterbi_decode
 from .errors import ConfigurationError, NumericalError
 
@@ -48,6 +47,11 @@ SPECTRUM_CSV_HEADER = "index,singular_value,predicted_value"
 _NS_FRAME = 0
 _NS_INTERLEAVER = 1
 _NS_SPECTRUM = 2
+
+# Draws per stacked SVD in spectrum_stats.  A chunk of 32 fig2 matrices
+# is 1 MiB.  Over 2000 fig2 draws, chunks of 64 and 128 ran no faster
+# and raised peak memory by 2 and 6 MiB; one chunk of all draws by 65 MiB.
+_SPECTRUM_CHUNK = 32
 
 _MODULATIONS = ("bpsk", "qpsk", "16qam")
 _INTERLEAVERS = ("structured", "random", "adversarial")
@@ -115,6 +119,11 @@ class SimConfig:
             raise ConfigurationError("snr_db grid must be strictly increasing")
         if self.adversarial_run < 0:
             raise ConfigurationError("adversarial_run cannot be negative")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed cannot be negative")
+        if not np.any(self.profile.beta > 0):
+            raise ConfigurationError(
+                "fading profile has no power in any subarray pair")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ConfigurationError("spacing must be a positive finite number")
         lo, hi = self.angle_range_deg
@@ -150,14 +159,14 @@ class SimConfig:
             ("depth", self.depth),
             ("adversarial_run", self.adversarial_run),
             ("frame_bits", self.frame_bits),
-            ("snr_db", ",".join(f"{v:g}" for v in self.snr_grid_db)),
+            ("snr_db", ",".join(_number_text(v) for v in self.snr_grid_db)),
             ("min_errors", self.min_errors),
             ("max_frames", self.max_frames),
             ("master_seed", self.master_seed),
             ("batch_frames", self.batch_frames),
-            ("spacing", f"{self.spacing:g}"),
-            ("angle_min_deg", f"{self.angle_range_deg[0]:g}"),
-            ("angle_max_deg", f"{self.angle_range_deg[1]:g}"),
+            ("spacing", _number_text(self.spacing)),
+            ("angle_min_deg", _number_text(self.angle_range_deg[0])),
+            ("angle_max_deg", _number_text(self.angle_range_deg[1])),
             ("rf_chains_per_stream", self.rf_chains_per_stream),
         ]
         return "".join(f"{k} = {v}\n" for k, v in items)
@@ -165,6 +174,12 @@ class SimConfig:
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+
+
+def _number_text(v) -> str:
+    """``:g`` form when it reads back exactly, else the shortest exact repr."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(float(v))
 
 
 def _matrix_text(mat) -> str:
@@ -253,7 +268,10 @@ def parse_config(text: str) -> SimConfig:
             vals[key] = value
 
     beta_db = _parse_matrix(str(vals.pop("beta_db")))
-    paths = _parse_matrix(str(vals.pop("paths"))).astype(np.int64)
+    paths = _parse_matrix(str(vals.pop("paths")))
+    if not np.all(np.isfinite(paths) & (paths == np.floor(paths))):
+        raise ConfigurationError("paths must be whole numbers")
+    paths = paths.astype(np.int64)
     m_r, m_t = int(vals.pop("m_r")), int(vals.pop("m_t"))
     if beta_db.size == 1:
         beta_db = np.full((m_r, m_t), float(beta_db.flat[0]))
@@ -431,6 +449,24 @@ def run_frame(config: SimConfig, channel, snr: float, frame_seed,
     return int(errs[0]), config.frame_bits
 
 
+def _stack_singular_values(h: np.ndarray, error) -> np.ndarray:
+    """Singular values of a stack of matrices, one row per matrix.
+
+    When the stacked SVD fails, the first matrix whose SVD also fails on
+    its own is reported by raising ``error(k)`` with its index k, so the
+    caller can attach the seed that reproduces it.
+    """
+    try:
+        return singular_values(h)
+    except NumericalError:
+        for k, mat in enumerate(h):
+            try:
+                singular_values(mat)
+            except NumericalError as exc:
+                raise error(k) from exc
+        raise
+
+
 def _simulate_span(config: SimConfig, rt: Runtime, snr_idx: int,
                    lo: int, hi: int) -> int:
     """Total bit errors over frames [lo, hi) of one SNR point."""
@@ -438,38 +474,14 @@ def _simulate_span(config: SimConfig, rt: Runtime, snr_idx: int,
         return 0
     snr = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0)
     frames = range(lo, hi)
-    hmats = draw_channels(config.profile, rt.rx_geometry, rt.tx_geometry,
-                          _frame_rngs(config, snr_idx, frames, 0),
-                          rt.angle_range)
-    try:
-        sv = singular_values(hmats)
-    except NumericalError:
-        # find the offending realization to report a reproducible seed
-        for f, h in zip(frames, hmats):
-            try:
-                singular_values(h)
-            except NumericalError as exc:
-                raise NumericalError(
-                    "SVD failed to converge during sweep",
-                    seed=_frame_seed(config, snr_idx, f)) from exc
-        raise
+    chan = draw_channels(config.profile, rt.rx_geometry, rt.tx_geometry,
+                         _frame_rngs(config, snr_idx, frames, 0),
+                         rt.angle_range)
+    sv = _stack_singular_values(chan.h, lambda k: NumericalError(
+        "SVD failed to converge during sweep",
+        seed=_frame_seed(config, snr_idx, lo + k)))
     return int(_simulate_frames(rt, sv[:, :config.n_s], config.n_t / snr,
                                 _frame_rngs(config, snr_idx, frames, 1)).sum())
-
-
-# cache: one runtime per config hash per process (workers rebuild once)
-_RUNTIME_CACHE: dict[str, Runtime] = {}
-
-
-def _worker_span(config: SimConfig, snr_idx: int, lo: int, hi: int) -> int:
-    key = config.config_hash
-    rt = _RUNTIME_CACHE.get(key)
-    if rt is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rt = build_runtime(config)
-        _RUNTIME_CACHE[key] = rt
-    return _simulate_span(config, rt, snr_idx, lo, hi)
 
 
 def _run_span(config: SimConfig, rt: Runtime, pool, snr_idx: int,
@@ -480,7 +492,7 @@ def _run_span(config: SimConfig, rt: Runtime, pool, snr_idx: int,
     w = config.workers
     chunk = (n + w - 1) // w
     futures = [
-        pool.submit(_worker_span, config, snr_idx,
+        pool.submit(_simulate_span, config, rt, snr_idx,
                     lo + k * chunk, min(lo + (k + 1) * chunk, hi))
         for k in range(w) if lo + k * chunk < hi
     ]
@@ -602,6 +614,10 @@ class SpectrumJob:
     angle_range_deg: tuple = (-90.0, 90.0)
     master_seed: int = 1
 
+    def __post_init__(self):
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed cannot be negative")
+
 
 def spectrum_stats(job: SpectrumJob, draws: int) -> tuple[np.ndarray, np.ndarray]:
     """Average sorted singular values and their large-array predictions.
@@ -620,16 +636,19 @@ def spectrum_stats(job: SpectrumJob, draws: int) -> tuple[np.ndarray, np.ndarray
     n_vals = min(job.profile.m_r * job.n_r, job.profile.m_t * job.n_t)
     sv_acc = np.zeros(n_vals)
     pred_acc = np.zeros(n_vals)
-    for k in range(draws):
-        chan = draw_channel(job.profile, rx, tx, rng, (lo, hi))
-        try:
-            sv_acc += singular_values(chan)
-        except NumericalError as exc:
-            raise NumericalError(
-                f"SVD failed to converge on spectrum draw {k}",
-                seed=job.master_seed) from exc
-        pred = predicted_gains(chan)
-        pred_acc[:min(pred.size, n_vals)] += pred[:n_vals]
+    for start in range(0, draws, _SPECTRUM_CHUNK):
+        n = min(_SPECTRUM_CHUNK, draws - start)
+        # one generator repeated n times draws what n single draws would
+        chan = draw_channels(job.profile, rx, tx, [rng] * n, (lo, hi))
+        sv = _stack_singular_values(chan.h, lambda k: NumericalError(
+            f"SVD failed to converge on spectrum draw {start + k}",
+            seed=job.master_seed))
+        pred = predicted_gains(chan)[:, :n_vals]
+        # one row at a time, in draw order, so the sums are those of a
+        # per-draw loop bit for bit
+        for k in range(n):
+            sv_acc += sv[k]
+            pred_acc[:pred.shape[1]] += pred[k]
     return sv_acc / draws, pred_acc / draws
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bicmb.beamforming import predicted_gains, singular_values
-from bicmb.channel import ArrayGeometry, FadingProfile, draw_channel
+from bicmb.channel import (ArrayGeometry, FadingProfile, draw_channel,
+                           draw_channels)
 from bicmb.errors import NumericalError
 
 
@@ -56,6 +57,18 @@ class TestPredictedGains:
                         * np.abs(ps.gains))
         np.testing.assert_allclose(pred, np.sort(want)[::-1])
         assert np.all(np.diff(pred) <= 0.0)
+
+    def test_batch_rows_equal_single_draws(self):
+        profile = FadingProfile(np.array([[0.5, 0.0], [2.0, 1.0]]),
+                                np.array([[2, 1], [3, 1]]))
+        rx, tx = ArrayGeometry(4), ArrayGeometry(8)
+        batch = draw_channels(profile, rx, tx,
+                              [np.random.default_rng(s) for s in range(5)])
+        pred = predicted_gains(batch)
+        assert pred.shape == (5, 7)
+        for b in range(5):
+            single = draw_channel(profile, rx, tx, np.random.default_rng(b))
+            assert pred[b].tobytes() == predicted_gains(single).tobytes()
 
     def test_large_arrays_approach_prediction(self):
         # steering vectors decorrelate as the arrays grow, so measured

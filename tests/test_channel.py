@@ -12,7 +12,6 @@ from bicmb.channel import (
     ArrayGeometry,
     FadingProfile,
     PathSet,
-    assemble_channel,
     db_to_linear,
     draw_channel,
     draw_channels,
@@ -165,32 +164,27 @@ class TestFadingProfile:
 
 class TestCompositeChannel:
     def test_block_layout_and_scaling(self):
-        rng = np.random.default_rng(9)
         profile = FadingProfile(np.array([[1.0, 0.25], [0.0, 4.0]]),
                                 np.array([[1, 2], [1, 3]]))
         rx, tx = ArrayGeometry(3), ArrayGeometry(4)
-        blocks = [[draw_paths(int(profile.paths[i, j]), rng) for j in range(2)]
-                  for i in range(2)]
-        ch = assemble_channel(blocks, profile, rx, tx)
+        ch = draw_channel(profile, rx, tx, np.random.default_rng(9))
         assert ch.h.shape == (6, 8)
+        # blocks are drawn row-major, each with draw_paths
+        rng = np.random.default_rng(9)
         for i in range(2):
             for j in range(2):
+                ps = ch.blocks[i][j]
+                assert ps.n_paths == profile.paths[i, j]
+                want_ps = draw_paths(int(profile.paths[i, j]), rng)
+                np.testing.assert_array_equal(ps.gains, want_ps.gains)
+                np.testing.assert_array_equal(ps.aoa, want_ps.aoa)
+                np.testing.assert_array_equal(ps.aod, want_ps.aod)
                 got = ch.h[3 * i:3 * i + 3, 4 * j:4 * j + 4]
                 want = np.sqrt(profile.beta[i, j]) * \
-                    subchannel_matrix(blocks[i][j], rx, tx)
+                    subchannel_matrix(ps, rx, tx)
                 np.testing.assert_allclose(got, want)
         # the beta = 0 block is exactly zero
         assert not ch.h[3:6, 0:4].any()
-
-    def test_grid_shape_and_path_count_validation(self):
-        rng = np.random.default_rng(2)
-        profile = FadingProfile.homogeneous(2, 1, 0.0, 2)
-        rx = tx = ArrayGeometry(2)
-        with pytest.raises(ConfigurationError):
-            assemble_channel([[draw_paths(2, rng)]], profile, rx, tx)
-        bad = [[draw_paths(3, rng)], [draw_paths(2, rng)]]
-        with pytest.raises(ConfigurationError):
-            assemble_channel(bad, profile, rx, tx)
 
     def test_draw_channel_shape_rank_and_determinism(self):
         profile = FadingProfile.homogeneous(2, 2, -10.0, 2)
@@ -218,9 +212,11 @@ class TestCompositeChannel:
         batch = draw_channels(profile, rx, tx,
                               [np.random.default_rng(s) for s in range(6)],
                               angles)
-        assert batch.shape == (6, 6, 10)
-        assert batch.tobytes() == stacked.tobytes()
-        assert not batch[:, 0:3, 5:10].any()
+        assert batch.h.shape == (6, 6, 10)
+        assert batch.h.tobytes() == stacked.tobytes()
+        assert not batch.h[:, 0:3, 5:10].any()
+        assert batch.blocks[1][1].gains.shape == (6, 4)
+        assert batch.blocks[1][1].n_paths == 4
         with pytest.raises(ValueError):
             draw_channels(profile, rx, tx, [np.random.default_rng(0)],
                           (1.0, 1.0))

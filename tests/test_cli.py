@@ -126,6 +126,36 @@ class TestArgumentHandling:
         assert "depth" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old,new,needle", [
+        ("master_seed = 7", "master_seed = -1", "master_seed"),
+        ("beta_db = -20", "beta_db = -inf", "no power"),
+        ("paths = 2", "paths = 2.5", "whole numbers"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "analyze",
+                                         "channel-stats"])
+    def test_rejected_config_value_exits_1(self, tmp_path, capsys, command,
+                                           old, new, needle):
+        p = tmp_path / "bad.cfg"
+        p.write_text(TINY_CFG.replace(old, new))
+        out = tmp_path / "x.csv"
+        assert cli.main([command, "--config", str(p),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "fig4_streams"],
+        ["channel-stats", "--preset", "fig2_spectrum", "--draws", "2"],
+        ["simulate", "--config", "{cfg}"],
+    ])
+    def test_negative_seed_exits_1(self, cfg_file, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        argv = [a.replace("{cfg}", str(cfg_file)) for a in argv]
+        assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) \
+            == cli.EXIT_CONFIG
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum_preset_cannot_simulate(self, tmp_path, capsys):
         assert cli.main(["simulate", "--preset", "fig2_spectrum",
                          "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
@@ -278,6 +308,17 @@ class TestChannelStats:
                          "--draws", "3", "--out", str(out)]) == cli.EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 16        # min(1*16, 3*32) modes
+
+    def test_spectrum_preset_rejects_config_and_variant(self, cfg_file,
+                                                        tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        base = ["channel-stats", "--preset", "fig2_spectrum", "--draws", "2",
+                "--out", str(out)]
+        assert cli.main(base + ["--config", str(cfg_file)]) == cli.EXIT_CONFIG
+        assert "exactly one" in capsys.readouterr().err
+        assert cli.main(base + ["--variant", "nope"]) == cli.EXIT_CONFIG
+        assert "unknown variant" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_variant_exits_1(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"

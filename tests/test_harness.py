@@ -9,9 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicmb import harness
-from bicmb.channel import FadingProfile
+from bicmb.beamforming import predicted_gains, singular_values
+from bicmb.channel import ArrayGeometry, FadingProfile, draw_channel
 from bicmb.errors import ConfigurationError, NumericalError
 from bicmb.harness import (
     BerCurve,
@@ -105,6 +108,9 @@ class TestParseConfig:
         ("angle_min_deg = -inf", "finite"),
         ("angle_max_deg = nan", "finite"),
         ("modulation = 16qam\ndepth = 1", "depth"),
+        ("master_seed = -1", "master_seed"),
+        ("beta_db = -inf", "no power"),
+        ("paths = 2.5", "whole numbers"),
     ])
     def test_rejects_malformed_input(self, mutation, needle):
         key = mutation.split(" = ")[0].split("\n")[0].split()[0]
@@ -130,6 +136,33 @@ class TestConfigHash:
         again = parse_config(cfg.canonical_text())
         assert again.config_hash == cfg.config_hash
         assert again == cfg
+
+    @pytest.mark.parametrize("field,a,b", [
+        ("snr_grid_db", (1.0000001,), (1.0000002,)),
+        ("spacing", 0.50000001, 0.50000002),
+        ("angle_range_deg", (-60.0000001, 90.0), (-60.0000002, 90.0)),
+    ])
+    def test_values_past_six_digits_change_the_hash(self, field, a, b):
+        assert tiny_config(**{field: a}).config_hash != \
+            tiny_config(**{field: b}).config_hash
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=4, unique=True).map(sorted),
+           spacing=st.floats(min_value=0.0, exclude_min=True,
+                             allow_infinity=False),
+           angles=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=2, max_size=2, unique=True).map(sorted))
+    def test_canonical_text_is_a_parse_fixed_point(self, grid, spacing,
+                                                   angles):
+        cfg = tiny_config(snr_grid_db=tuple(grid), spacing=spacing,
+                          angle_range_deg=tuple(angles))
+        text = cfg.canonical_text()
+        again = parse_config(text)
+        assert again.canonical_text() == text
+        assert again.snr_grid_db == cfg.snr_grid_db
+        assert again.spacing == cfg.spacing
+        assert again.angle_range_deg == cfg.angle_range_deg
 
     def test_execution_knobs_do_not_change_the_hash(self):
         cfg = tiny_config()
@@ -184,7 +217,6 @@ class TestRunFrame:
     def test_deterministic_and_error_free_at_extreme_snr(self):
         cfg = tiny_config()
         rt = build_runtime(cfg)
-        from bicmb.channel import draw_channel
         chan = draw_channel(cfg.profile, rt.rx_geometry, rt.tx_geometry,
                             np.random.default_rng(5))
         seed = np.random.SeedSequence(42)
@@ -305,7 +337,36 @@ class TestSweep:
         assert back.provenance["config_hash"] == curve.provenance["config_hash"]
 
 
+def _spectrum_draws(job: SpectrumJob, draws: int) -> list:
+    """The channels of a spectrum study, drawn one at a time."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(job.master_seed,
+                               spawn_key=(harness._NS_SPECTRUM,)))
+    rx = ArrayGeometry(job.n_r, job.spacing)
+    tx = ArrayGeometry(job.n_t, job.spacing)
+    angles = tuple(np.deg2rad(job.angle_range_deg))
+    return [draw_channel(job.profile, rx, tx, rng, angles)
+            for _ in range(draws)]
+
+
 class TestSpectrumStats:
+    @pytest.mark.parametrize("draws", [1, 31, 32, 33, 70])
+    @pytest.mark.parametrize("paths", [[[2, 3]], [[4, 3]]])
+    def test_equals_a_per_draw_loop_bitwise(self, draws, paths):
+        # 6 modes: 5 paths leave predictions short, 7 paths truncate them
+        job = SpectrumJob(FadingProfile.from_db([[-20.0, -26.0]], paths),
+                          n_r=6, n_t=4, spacing=0.4,
+                          angle_range_deg=(-70.0, 80.0), master_seed=5)
+        sv_acc = np.zeros(6)
+        pred_acc = np.zeros(6)
+        for chan in _spectrum_draws(job, draws):
+            sv_acc += singular_values(chan)
+            pred = predicted_gains(chan)
+            pred_acc[:min(pred.size, 6)] += pred[:6]
+        sv, pred = spectrum_stats(job, draws)
+        assert sv.tobytes() == (sv_acc / draws).tobytes()
+        assert pred.tobytes() == (pred_acc / draws).tobytes()
+
     def test_shapes_rank_and_determinism(self):
         job = SpectrumJob(FadingProfile.homogeneous(2, 2, -20.0, 2),
                           n_r=8, n_t=8, master_seed=3)
@@ -324,19 +385,23 @@ class TestSpectrumStats:
         job = SpectrumJob(FadingProfile.homogeneous(1, 1, 0.0, 2), 4, 4,
                           master_seed=11)
         real_svd = np.linalg.svd
-        calls = []
+        # draw 35 sits in the second chunk of draws
+        for draws, bad in ((5, 2), (40, 35)):
+            bad_h = _spectrum_draws(job, bad + 1)[bad].h
 
-        def flaky_svd(a, *args, **kwargs):
-            calls.append(a)
-            if len(calls) == 3:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return real_svd(a, *args, **kwargs)
+            def flaky_svd(a, *args, **kwargs):
+                # the stack holding the bad draw fails, and so does that
+                # draw alone
+                if any(np.array_equal(m, bad_h)
+                       for m in a.reshape(-1, 4, 4)):
+                    raise np.linalg.LinAlgError("SVD did not converge")
+                return real_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", flaky_svd)
-        with pytest.raises(NumericalError, match="draw 2") as info:
-            spectrum_stats(job, draws=5)
-        assert info.value.seed == 11
-        assert "seed=11" in str(info.value)
+            monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+            with pytest.raises(NumericalError, match=f"draw {bad}") as info:
+                spectrum_stats(job, draws=draws)
+            assert info.value.seed == 11
+            assert "seed=11" in str(info.value)
 
     def test_rejects_bad_draw_count(self):
         job = SpectrumJob(FadingProfile.homogeneous(1, 1, 0.0, 2), 4, 4)
