@@ -10,13 +10,13 @@ from .bicm import (Constellation, Interleaver, adversarial_interleaver,
                    structured_interleaver)
 from .channel import (ArrayGeometry, ChannelRealization, FadingProfile,
                       PathSet, db_to_linear, draw_channel, draw_channels,
-                      draw_paths, linear_to_db, subchannel_matrix,
-                      ula_response)
+                      draw_path_sets, draw_paths, linear_to_db,
+                      subchannel_matrix, ula_response)
 from .coding import (CodeSpec, DistanceSpectrum, Trellis, build_trellis,
                      distance_spectrum, encode, free_distance, viterbi_decode)
 from .errors import ConfigurationError, NumericalError
 from .harness import (BerCurve, Preset, SimConfig, SpectrumJob, build_runtime,
                       load_config, parse_config, preset, preset_names,
-                      run_frame, spectrum_stats, sweep)
+                      spectrum_stats, sweep)
 
 __version__ = "0.1.0"

@@ -4,14 +4,15 @@ Decomposing the channel and transmitting each stream along a right
 singular vector turns the matrix channel into independent scalar
 subchannels y_s = lambda_s * x_s + n_s, one per retained mode.  Only the
 singular values matter for the coded link, so the simulator works on
-them directly.
+them directly, and the sweep takes them from the path factors of the
+channel without forming it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, ula_response
 from .errors import NumericalError
 
 __all__ = ["singular_values", "predicted_gains"]
@@ -50,3 +51,40 @@ def predicted_gains(channel: ChannelRealization) -> np.ndarray:
             scale = np.sqrt(profile.beta[i, j] * n_r * n_t / ps.n_paths)
             vals.append(scale * np.abs(ps.gains))
     return np.sort(np.concatenate(vals, axis=-1), axis=-1)[..., ::-1]
+
+
+def _path_singular_values(profile, blocks, rx, tx, n_s: int,
+                          svd=singular_values) -> np.ndarray:
+    """The top ``n_s`` singular values of a batch of channels, one row
+    per draw, from their path sets alone.
+
+    The channel is H = U diag(d) V^H.  Column p of U (V) is path p's
+    receive (transmit) steering vector in its pair's row (column) block,
+    and d_p is sqrt(beta_ij N_r N_t / L_ij) times its gain.  With the
+    thin QR factors U = Q_U R_U and V = Q_V R_V, the nonzero singular
+    values of H are those of the at most L_t x L_t core
+    R_U diag(d) R_V^H.  ``svd`` maps the stack of cores to their
+    values; rows are zero-padded past them.
+    """
+    n_r, n_t = rx.n_elements, tx.n_elements
+    batch = blocks[0][0].gains.shape[0]
+    l_t = profile.total_paths
+    u = np.zeros((batch, profile.m_r * n_r, l_t), dtype=complex)
+    v = np.zeros((batch, profile.m_t * n_t, l_t), dtype=complex)
+    d = np.empty((batch, l_t), dtype=complex)
+    col = 0
+    for i, row in enumerate(blocks):
+        for j, ps in enumerate(row):
+            cols = slice(col, col + ps.n_paths)
+            u[:, i * n_r:(i + 1) * n_r, cols] = ula_response(ps.aoa, rx)
+            v[:, j * n_t:(j + 1) * n_t, cols] = ula_response(ps.aod, tx)
+            d[:, cols] = np.sqrt(profile.beta[i, j] * n_r * n_t
+                                 / ps.n_paths) * ps.gains
+            col += ps.n_paths
+    r_u = np.linalg.qr(u, mode="r")
+    r_v = np.linalg.qr(v, mode="r")
+    sv = svd((r_u * d[:, None, :]) @ r_v.conj().swapaxes(-1, -2))
+    out = np.zeros((batch, n_s))
+    k = min(n_s, sv.shape[-1])
+    out[:, :k] = sv[:, :k]
+    return out

@@ -11,7 +11,7 @@ L_t = sum of all L_ij regardless of antenna counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "draw_paths",
     "subchannel_matrix",
     "draw_channel",
+    "draw_path_sets",
     "draw_channels",
 ]
 
@@ -89,11 +90,16 @@ class FadingProfile:
     """Large-scale fading powers and path counts for every subarray pair.
 
     ``beta`` is linear scale (convert from dB at the config boundary) and
-    ``paths`` holds the per-pair path counts L_ij.
+    ``paths`` holds the per-pair path counts L_ij.  ``beta_db`` keeps the
+    decibel values ``beta`` was converted from, when it was, so that a
+    config can be written back exactly (dB -> linear -> dB does not
+    round-trip).
     """
 
     beta: np.ndarray
     paths: np.ndarray
+    beta_db: np.ndarray | None = field(default=None, compare=False,
+                                       repr=False)
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=np.float64)
@@ -107,6 +113,11 @@ class FadingProfile:
             raise ConfigurationError("beta coefficients must be nonnegative")
         if np.any(paths < 1):
             raise ConfigurationError("every subarray pair needs at least one path")
+        if self.beta_db is not None:
+            beta_db = np.asarray(self.beta_db, dtype=np.float64)
+            if beta_db.shape != beta.shape:
+                raise ConfigurationError("beta_db must match the beta matrix")
+            object.__setattr__(self, "beta_db", beta_db)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "paths", paths)
 
@@ -119,12 +130,12 @@ class FadingProfile:
                 paths = np.full(beta_db.shape, int(paths.flat[0]))
             else:
                 raise ConfigurationError("paths does not match the beta matrix")
-        return cls(db_to_linear(beta_db), paths)
+        return cls(db_to_linear(beta_db), paths, beta_db)
 
     @classmethod
     def homogeneous(cls, m_r: int, m_t: int, beta_db: float, l: int) -> "FadingProfile":
         return cls(np.full((m_r, m_t), float(db_to_linear(beta_db))),
-                   np.full((m_r, m_t), l))
+                   np.full((m_r, m_t), l), np.full((m_r, m_t), float(beta_db)))
 
     @property
     def m_r(self) -> int:
@@ -240,15 +251,14 @@ def draw_channel(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
     return replace(batch, h=batch.h[0], blocks=blocks, seed=seed)
 
 
-def draw_channels(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
-                  rngs, angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE
-                  ) -> ChannelRealization:
-    """A batch of draws: ``h`` is (B, M_r N_r, M_t N_t) and each block a
-    PathSet of (B, L_ij) arrays.
+def draw_path_sets(profile: FadingProfile, rngs,
+                   angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE
+                   ) -> list:
+    """The path sets of a batch of draws: ``blocks[i][j]`` is the PathSet
+    of pair (i, j), with (B, L_ij) arrays.
 
     Draw b takes its path sets from ``rngs[b]``, one :func:`draw_paths`
-    per block in row-major order over the block grid.  Block (i, j) of
-    each matrix is sqrt(beta_ij) times its pair matrix.
+    per block in row-major order over the block grid.
     """
     batch = len(rngs)
     blocks = [[PathSet(np.empty((batch, l), dtype=complex),
@@ -260,8 +270,21 @@ def draw_channels(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
                 drawn = draw_paths(ps.n_paths, rng, angle_range)
                 ps.gains[b], ps.aoa[b], ps.aod[b] = \
                     drawn.gains, drawn.aoa, drawn.aod
+    return blocks
+
+
+def draw_channels(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
+                  rngs, angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE
+                  ) -> ChannelRealization:
+    """A batch of draws: the path sets of :func:`draw_path_sets` and their
+    matrices, ``h`` of shape (B, M_r N_r, M_t N_t).
+
+    Block (i, j) of each matrix is sqrt(beta_ij) times its pair matrix.
+    """
+    blocks = draw_path_sets(profile, rngs, angle_range)
     n_r, n_t = rx.n_elements, tx.n_elements
-    h = np.zeros((batch, profile.m_r * n_r, profile.m_t * n_t), dtype=complex)
+    h = np.zeros((len(rngs), profile.m_r * n_r, profile.m_t * n_t),
+                 dtype=complex)
     for i, row in enumerate(blocks):
         for j, ps in enumerate(row):
             if profile.beta[i, j] == 0.0:

@@ -20,8 +20,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bicm
-from .beamforming import predicted_gains, singular_values
-from .channel import ArrayGeometry, FadingProfile, draw_channels, linear_to_db
+from .beamforming import (_path_singular_values, predicted_gains,
+                          singular_values)
+from .channel import (ArrayGeometry, FadingProfile, draw_channels,
+                      draw_path_sets, linear_to_db)
 from .coding import CodeSpec, build_trellis, encode, free_distance, viterbi_decode
 from .errors import ConfigurationError, NumericalError
 
@@ -33,7 +35,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "build_runtime",
-    "run_frame",
     "sweep",
     "spectrum_stats",
     "preset",
@@ -124,8 +125,7 @@ class SimConfig:
         if not np.any(self.profile.beta > 0):
             raise ConfigurationError(
                 "fading profile has no power in any subarray pair")
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise ConfigurationError("spacing must be a positive finite number")
+        _check_spacing(self.spacing, self.n_r, self.n_t)
         lo, hi = self.angle_range_deg
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigurationError("azimuth bounds must be finite")
@@ -145,7 +145,9 @@ class SimConfig:
         knobs that cannot (worker count, display label) are left out so
         reruns of the same experiment hash identically.
         """
-        beta_db = linear_to_db(np.maximum(self.profile.beta, 1e-300))
+        beta_db = self.profile.beta_db
+        if beta_db is None:
+            beta_db = linear_to_db(np.maximum(self.profile.beta, 1e-300))
         items = [
             ("m_r", self.m_r), ("m_t", self.m_t),
             ("n_r", self.n_r), ("n_t", self.n_t),
@@ -176,6 +178,15 @@ class SimConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
+def _check_spacing(spacing: float, n_r: int, n_t: int) -> None:
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ConfigurationError("spacing must be a positive finite number")
+    # the largest steering phase is below 2 pi * spacing * N
+    if not math.isfinite(2 * math.pi * spacing * max(n_r, n_t)):
+        raise ConfigurationError(
+            f"spacing {spacing!r} is too large: steering phases overflow")
+
+
 def _number_text(v) -> str:
     """``:g`` form when it reads back exactly, else the shortest exact repr."""
     text = f"{v:g}"
@@ -184,7 +195,7 @@ def _number_text(v) -> str:
 
 def _matrix_text(mat) -> str:
     mat = np.atleast_2d(mat)
-    return "; ".join(" ".join(f"{v:g}" for v in row) for row in mat)
+    return "; ".join(" ".join(_number_text(v) for v in row) for row in mat)
 
 
 def _parse_matrix(value: str) -> np.ndarray:
@@ -430,25 +441,6 @@ def _simulate_frames(rt: Runtime, gains: np.ndarray, noise_var: float,
     return (decoded != messages).sum(axis=1)
 
 
-def run_frame(config: SimConfig, channel, snr: float, frame_seed,
-              runtime: Runtime | None = None) -> tuple[int, int]:
-    """Simulate one coded frame over one channel realization.
-
-    ``snr`` is linear; noise variance is n_t / snr so per-antenna
-    transmit power stays SNR-independent.  Returns (bit_errors, bits).
-    Fully determined by (config, channel, frame_seed).
-    """
-    rt = runtime if runtime is not None else build_runtime(config)
-    sv = singular_values(channel)
-    if config.n_s > sv.size:
-        raise ConfigurationError(
-            f"n_s={config.n_s} exceeds the channel dimension {sv.size}")
-    gains = sv[:config.n_s]
-    rng = np.random.default_rng(frame_seed)
-    errs = _simulate_frames(rt, gains[None, :], config.n_t / snr, [rng])
-    return int(errs[0]), config.frame_bits
-
-
 def _stack_singular_values(h: np.ndarray, error) -> np.ndarray:
     """Singular values of a stack of matrices, one row per matrix.
 
@@ -474,13 +466,19 @@ def _simulate_span(config: SimConfig, rt: Runtime, snr_idx: int,
         return 0
     snr = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0)
     frames = range(lo, hi)
-    chan = draw_channels(config.profile, rt.rx_geometry, rt.tx_geometry,
-                         _frame_rngs(config, snr_idx, frames, 0),
-                         rt.angle_range)
-    sv = _stack_singular_values(chan.h, lambda k: NumericalError(
-        "SVD failed to converge during sweep",
-        seed=_frame_seed(config, snr_idx, lo + k)))
-    return int(_simulate_frames(rt, sv[:, :config.n_s], config.n_t / snr,
+    blocks = draw_path_sets(config.profile,
+                            _frame_rngs(config, snr_idx, frames, 0),
+                            rt.angle_range)
+
+    def failed(k):
+        return NumericalError("SVD failed to converge during sweep",
+                              seed=_frame_seed(config, snr_idx, lo + k))
+
+    gains = _path_singular_values(
+        config.profile, blocks, rt.rx_geometry, rt.tx_geometry, config.n_s,
+        svd=lambda core: _stack_singular_values(core, failed))
+    # noise variance n_t / snr keeps the per-antenna transmit power fixed
+    return int(_simulate_frames(rt, gains, config.n_t / snr,
                                 _frame_rngs(config, snr_idx, frames, 1)).sum())
 
 
@@ -617,6 +615,7 @@ class SpectrumJob:
     def __post_init__(self):
         if self.master_seed < 0:
             raise ConfigurationError("master_seed cannot be negative")
+        _check_spacing(self.spacing, self.n_r, self.n_t)
 
 
 def spectrum_stats(job: SpectrumJob, draws: int) -> tuple[np.ndarray, np.ndarray]:

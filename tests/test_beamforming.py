@@ -1,12 +1,17 @@
 """SVD beamforming tests: the singular values the link uses, the
-channel's rank, and the large-array gain prediction."""
+channel's rank, the large-array gain prediction, and the sweep's
+singular values from the path factors."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicmb.beamforming import predicted_gains, singular_values
-from bicmb.channel import (ArrayGeometry, FadingProfile, draw_channel,
-                           draw_channels)
+from bicmb.beamforming import (_path_singular_values, predicted_gains,
+                               singular_values)
+from bicmb.channel import (ArrayGeometry, ChannelRealization, FadingProfile,
+                           PathSet, draw_channel, draw_channels,
+                           draw_path_sets, subchannel_matrix)
 from bicmb.errors import NumericalError
 
 
@@ -83,3 +88,85 @@ class TestPredictedGains:
             errs.append(np.max(np.abs(sv - pred) / pred.max()))
         assert errs[1] < 0.05
         assert errs[1] < errs[0]
+
+
+def _assembled(profile, blocks, rx, tx):
+    """The composite matrices of batched path sets, built block by block
+    from the public pair-matrix function."""
+    batch = blocks[0][0].gains.shape[0]
+    n_r, n_t = rx.n_elements, tx.n_elements
+    h = np.zeros((batch, profile.m_r * n_r, profile.m_t * n_t), complex)
+    for i, row in enumerate(blocks):
+        for j, ps in enumerate(row):
+            for b in range(batch):
+                one = PathSet(ps.gains[b], ps.aoa[b], ps.aod[b])
+                h[b, i * n_r:(i + 1) * n_r, j * n_t:(j + 1) * n_t] = \
+                    np.sqrt(profile.beta[i, j]) * subchannel_matrix(one, rx, tx)
+    return h
+
+
+@st.composite
+def path_draws(draw):
+    """Random profiles with zero-power blocks, single-element arrays,
+    more paths than elements, and optionally exactly colliding angles."""
+    m_r, m_t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_r, n_t = draw(st.integers(1, 19)), draw(st.integers(1, 19))
+    paths = draw(st.lists(st.integers(1, 5), min_size=m_r * m_t,
+                          max_size=m_r * m_t))
+    beta = draw(st.lists(st.sampled_from([0.0, 0.003, 0.1, 1.0, 7.0]),
+                         min_size=m_r * m_t, max_size=m_r * m_t))
+    beta[draw(st.integers(0, m_r * m_t - 1))] = 1.0
+    profile = FadingProfile(np.reshape(beta, (m_r, m_t)),
+                            np.reshape(paths, (m_r, m_t)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    blocks = draw_path_sets(profile, [np.random.default_rng([seed, b])
+                                      for b in range(3)])
+    if draw(st.booleans()):
+        # every path of every block leaves and arrives at one azimuth
+        for row in blocks:
+            for ps in row:
+                ps.aoa[:] = blocks[0][0].aoa[:, :1]
+                ps.aod[:] = blocks[0][0].aod[:, :1]
+    return profile, blocks, ArrayGeometry(n_r), ArrayGeometry(n_t)
+
+
+class TestPathFactors:
+    @settings(max_examples=200, deadline=None)
+    @given(path_draws())
+    def test_equal_the_full_svd(self, drawn):
+        profile, blocks, rx, tx = drawn
+        full = singular_values(_assembled(profile, blocks, rx, tx))
+        k = min(profile.total_paths, full.shape[1])
+        fac = _path_singular_values(profile, blocks, rx, tx, k)
+        top = full[:, :1]
+        assert np.all(np.abs(fac - full[:, :k]) <= 1e-12 * top)
+        assert np.all(full[:, k:] <= 1e-12 * top)
+
+    def test_streams_beyond_the_paths_are_exact_zeros(self):
+        profile = FadingProfile.from_db([[-20.0, -26.0]], [[1, 2]])
+        rx, tx = ArrayGeometry(8), ArrayGeometry(4)
+        rngs = [np.random.default_rng(s) for s in range(5)]
+        blocks = draw_path_sets(profile, rngs)
+        fac = _path_singular_values(profile, blocks, rx, tx, 6)
+        assert fac.shape == (5, 6)
+        assert np.all(fac[:, :3] > 0.0)
+        assert not fac[:, 3:].any()
+
+    def test_large_arrays_reach_the_prediction(self):
+        # the paper's N -> infinity result on a heterogeneous 2 x 2 grid:
+        # steering vectors decorrelate and each path's gain becomes one
+        # singular value
+        profile = FadingProfile.from_db([[-20.0, -35.0], [-35.0, -20.0]], 2)
+        medians = []
+        for n in (8, 64, 512):
+            rx = tx = ArrayGeometry(n)
+            blocks = draw_path_sets(
+                profile, [np.random.default_rng([n, b]) for b in range(200)])
+            fac = _path_singular_values(profile, blocks, rx, tx,
+                                        profile.total_paths)
+            pred = predicted_gains(
+                ChannelRealization(None, blocks, profile, rx, tx))
+            medians.append(np.median(np.max(np.abs(fac - pred) / pred,
+                                             axis=1)))
+        assert medians[0] > medians[1] > medians[2]
+        assert medians[2] < 5e-3

@@ -15,6 +15,7 @@ from bicmb.channel import (
     db_to_linear,
     draw_channel,
     draw_channels,
+    draw_path_sets,
     draw_paths,
     linear_to_db,
     subchannel_matrix,
@@ -151,6 +152,17 @@ class TestFadingProfile:
         np.testing.assert_allclose(p.beta, [[1.0, 0.1]])
         np.testing.assert_array_equal(p.paths, [[2, 2]])
 
+    def test_keeps_the_decibels_it_was_built_from(self):
+        p = FadingProfile.from_db([[2.3, -20.0000001]], 2)
+        assert p.beta_db.tolist() == [[2.3, -20.0000001]]
+        assert FadingProfile.homogeneous(1, 2, -7.5, 1).beta_db.tolist() \
+            == [[-7.5, -7.5]]
+        assert FadingProfile(np.ones((1, 1)), np.ones((1, 1), int)).beta_db \
+            is None
+        with pytest.raises(ConfigurationError, match="beta_db"):
+            FadingProfile(np.ones((1, 2)), np.ones((1, 2), int),
+                          beta_db=np.zeros((2, 1)))
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             FadingProfile(np.ones((2, 2)), np.ones((2, 3), dtype=int))
@@ -220,6 +232,23 @@ class TestCompositeChannel:
         with pytest.raises(ValueError):
             draw_channels(profile, rx, tx, [np.random.default_rng(0)],
                           (1.0, 1.0))
+
+    def test_path_draw_is_the_channel_draws_path_sets(self):
+        profile = FadingProfile(np.array([[1.0, 0.0], [0.25, 4.0]]),
+                                np.array([[1, 2], [3, 4]]))
+        rx, tx = ArrayGeometry(3), ArrayGeometry(5)
+        rngs_a = [np.random.default_rng(s) for s in range(4)]
+        rngs_b = [np.random.default_rng(s) for s in range(4)]
+        blocks = draw_path_sets(profile, rngs_a, (-1.0, 1.2))
+        batch = draw_channels(profile, rx, tx, rngs_b, (-1.0, 1.2))
+        for row, want_row in zip(blocks, batch.blocks):
+            for ps, want in zip(row, want_row):
+                assert ps.gains.tobytes() == want.gains.tobytes()
+                assert ps.aoa.tobytes() == want.aoa.tobytes()
+                assert ps.aod.tobytes() == want.aod.tobytes()
+        # each generator is left where the channel draw leaves it
+        for a, b in zip(rngs_a, rngs_b):
+            assert a.bit_generator.state == b.bit_generator.state
 
     def test_mean_composite_energy_tracks_fading_sum(self):
         profile = FadingProfile.from_db([[0.0, -3.0], [-10.0, 0.0]], 2)

@@ -130,6 +130,7 @@ class TestArgumentHandling:
         ("master_seed = 7", "master_seed = -1", "master_seed"),
         ("beta_db = -20", "beta_db = -inf", "no power"),
         ("paths = 2", "paths = 2.5", "whole numbers"),
+        ("label = tiny", "spacing = 1e308", "too large"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "analyze",
                                          "channel-stats"])
@@ -140,7 +141,9 @@ class TestArgumentHandling:
         out = tmp_path / "x.csv"
         assert cli.main([command, "--config", str(p),
                          "--out", str(out)]) == cli.EXIT_CONFIG
-        assert needle in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Warning" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

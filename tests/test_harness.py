@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicmb import harness
+from bicmb import channel, harness
 from bicmb.beamforming import predicted_gains, singular_values
 from bicmb.channel import ArrayGeometry, FadingProfile, draw_channel
 from bicmb.errors import ConfigurationError, NumericalError
@@ -25,7 +25,6 @@ from bicmb.harness import (
     parse_config,
     preset,
     preset_names,
-    run_frame,
     spectrum_stats,
     sweep,
 )
@@ -105,6 +104,7 @@ class TestParseConfig:
         ("spacing = nan", "spacing"),
         ("spacing = inf", "spacing"),
         ("spacing = 0", "spacing"),
+        ("spacing = 1e308", "too large"),
         ("angle_min_deg = -inf", "finite"),
         ("angle_max_deg = nan", "finite"),
         ("modulation = 16qam\ndepth = 1", "depth"),
@@ -119,6 +119,23 @@ class TestParseConfig:
         text = "\n".join(lines) + "\n" + mutation + "\n"
         with pytest.raises(ConfigurationError, match=needle):
             parse_config(text)
+
+    def test_stream_count_is_bounded_by_the_channel_dimensions(self):
+        # a 2 x 1 grid of 4-element subarrays is an 8 x 4 channel
+        wide = dict(m_r=2, profile=FadingProfile.homogeneous(2, 1, -20.0, 2))
+        assert tiny_config(n_s=4, **wide).n_s == 4
+        with pytest.raises(ConfigurationError, match="n_s"):
+            tiny_config(n_s=5, **wide)
+
+    def test_largest_spacing_with_finite_phases_is_accepted(self):
+        # just inside the bound 2 pi * spacing * max(n_r, n_t) < inf
+        spacing = np.nextafter(np.finfo(float).max / (8 * np.pi), 0.0)
+        cfg = tiny_config(spacing=float(spacing))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            harness._simulate_span(cfg, build_runtime(cfg), 0, 0, 4)
+        with pytest.raises(ConfigurationError, match="too large"):
+            tiny_config(spacing=float(spacing) * 2)
 
     def test_missing_required_keys(self):
         with pytest.raises(ConfigurationError, match="missing"):
@@ -141,6 +158,8 @@ class TestConfigHash:
         ("snr_grid_db", (1.0000001,), (1.0000002,)),
         ("spacing", 0.50000001, 0.50000002),
         ("angle_range_deg", (-60.0000001, 90.0), (-60.0000002, 90.0)),
+        ("profile", FadingProfile.from_db(-20.0000001, 2),
+         FadingProfile.from_db(-20.0000002, 2)),
     ])
     def test_values_past_six_digits_change_the_hash(self, field, a, b):
         assert tiny_config(**{field: a}).config_hash != \
@@ -150,19 +169,24 @@ class TestConfigHash:
     @given(grid=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                          min_size=1, max_size=4, unique=True).map(sorted),
            spacing=st.floats(min_value=0.0, exclude_min=True,
-                             allow_infinity=False),
+                             max_value=1e306),
            angles=st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                           min_size=2, max_size=2, unique=True).map(sorted))
+                           min_size=2, max_size=2, unique=True).map(sorted),
+           beta_db=st.lists(st.floats(min_value=-3000.0, max_value=3000.0),
+                            min_size=2, max_size=2))
     def test_canonical_text_is_a_parse_fixed_point(self, grid, spacing,
-                                                   angles):
+                                                   angles, beta_db):
         cfg = tiny_config(snr_grid_db=tuple(grid), spacing=spacing,
-                          angle_range_deg=tuple(angles))
+                          angle_range_deg=tuple(angles), m_t=2,
+                          profile=FadingProfile.from_db([beta_db], 2))
         text = cfg.canonical_text()
         again = parse_config(text)
         assert again.canonical_text() == text
         assert again.snr_grid_db == cfg.snr_grid_db
         assert again.spacing == cfg.spacing
         assert again.angle_range_deg == cfg.angle_range_deg
+        assert again.profile.beta_db.tolist() == [beta_db]
+        assert again.profile.beta.tobytes() == cfg.profile.beta.tobytes()
 
     def test_execution_knobs_do_not_change_the_hash(self):
         cfg = tiny_config()
@@ -213,32 +237,6 @@ class TestBuildRuntime:
             build_runtime(cfg)
 
 
-class TestRunFrame:
-    def test_deterministic_and_error_free_at_extreme_snr(self):
-        cfg = tiny_config()
-        rt = build_runtime(cfg)
-        chan = draw_channel(cfg.profile, rt.rx_geometry, rt.tx_geometry,
-                            np.random.default_rng(5))
-        seed = np.random.SeedSequence(42)
-        errs, bits = run_frame(cfg, chan, 1e9, seed, runtime=rt)
-        assert bits == cfg.frame_bits
-        assert errs == 0
-        again, _ = run_frame(cfg, chan, 1e9, np.random.SeedSequence(42),
-                             runtime=rt)
-        assert again == errs
-
-    def test_accepts_plain_matrix_and_checks_dimensions(self):
-        cfg = tiny_config()
-        h = np.eye(4, dtype=complex)
-        errs, bits = run_frame(cfg, 5.0 * h, 1e9, np.random.SeedSequence(1))
-        assert errs == 0
-        wide = tiny_config(m_r=2, n_s=2,
-                           profile=FadingProfile.homogeneous(2, 1, -20.0, 2))
-        with pytest.raises(ConfigurationError, match="n_s"):
-            run_frame(wide, np.ones((1, 4), dtype=complex), 10.0,
-                      np.random.SeedSequence(1))
-
-
 class TestSpanDecomposition:
     def test_batches_do_not_change_per_frame_results(self):
         cfg = tiny_config()
@@ -269,6 +267,38 @@ class TestSpanDecomposition:
         assert seed.entropy == cfg.master_seed
         assert seed.spawn_key == (0, 2, 13)
         assert len(single_calls) == 4
+
+    def test_error_free_at_extreme_snr_and_reproducible(self):
+        cfg = tiny_config(snr_grid_db=(0.0, 90.0))
+        rt = build_runtime(cfg)
+        assert harness._simulate_span(cfg, rt, 1, 0, 8) == 0
+        errs = harness._simulate_span(cfg, rt, 0, 0, 8)
+        assert errs > 0
+        assert harness._simulate_span(cfg, rt, 0, 0, 8) == errs
+
+    def test_never_forms_a_channel_matrix(self, monkeypatch):
+        cfg = tiny_config(m_t=2, n_s=2,
+                          profile=FadingProfile.from_db([[-20.0, -30.0]],
+                                                        [[2, 3]]))
+        rt = build_runtime(cfg)
+        want = harness._simulate_span(cfg, rt, 1, 0, 8)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep assembled a channel matrix")
+
+        real_svd = np.linalg.svd
+        shapes = []
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "draw_channels", forbidden)
+        monkeypatch.setattr(channel, "draw_channels", forbidden)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        assert harness._simulate_span(cfg, rt, 1, 0, 8) == want
+        # one stack of 4 x 5 cores: 4 receive elements, 5 paths
+        assert shapes == [(8, 4, 5)]
 
     def test_empty_span_is_zero(self):
         cfg = tiny_config()
@@ -402,6 +432,11 @@ class TestSpectrumStats:
                 spectrum_stats(job, draws=draws)
             assert info.value.seed == 11
             assert "seed=11" in str(info.value)
+
+    def test_rejects_overflowing_spacing(self):
+        with pytest.raises(ConfigurationError, match="too large"):
+            SpectrumJob(FadingProfile.homogeneous(1, 1, 0.0, 2), 4, 4,
+                        spacing=1e308)
 
     def test_rejects_bad_draw_count(self):
         job = SpectrumJob(FadingProfile.homogeneous(1, 1, 0.0, 2), 4, 4)
