@@ -12,49 +12,63 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization, ula_response
+from .channel import ula_response
 from .errors import NumericalError
 
 __all__ = ["singular_values", "predicted_gains"]
 
 
-def singular_values(channel) -> np.ndarray:
-    """Singular values only; the fast path used by the Monte Carlo loop.
+def singular_values(h) -> np.ndarray:
+    """Singular values of a complex matrix, or of each matrix of a stack
+    (B, m, n) as one row per matrix.
 
-    Accepts a ChannelRealization or a plain complex matrix.  A stack of
-    matrices (..., m, n) gives one row of values per matrix.
+    When the SVD of a stack fails, the matrices are decomposed one at a
+    time, and the first one that fails on its own is named by the
+    ``index`` of the NumericalError raised.
     """
-    h = channel.h if isinstance(channel, ChannelRealization) else np.asarray(channel)
+    h = np.asarray(h)
     try:
         return np.linalg.svd(h, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "SVD failed to converge on a channel realization",
-            seed=getattr(channel, "seed", None)) from exc
+        if h.ndim == 2:
+            raise NumericalError("SVD failed to converge") from exc
+    rows = []
+    for k, mat in enumerate(h):
+        try:
+            rows.append(np.linalg.svd(mat, compute_uv=False))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"SVD failed to converge on matrix {k} of a stack",
+                index=k) from exc
+    return np.stack(rows)
 
 
-def predicted_gains(channel: ChannelRealization) -> np.ndarray:
+def _path_amplitudes(profile, rx, tx) -> np.ndarray:
+    """sqrt(beta_ij N_r N_t / L_ij) of every path, in row-major block
+    order: the order in which a draw's path columns are concatenated."""
+    amp = np.sqrt(profile.beta * rx.n_elements * tx.n_elements
+                  / profile.paths)
+    return np.repeat(amp.ravel(), profile.paths.ravel())
+
+
+def _path_gains(blocks) -> np.ndarray:
+    return np.concatenate([ps.gains for row in blocks for ps in row], axis=-1)
+
+
+def predicted_gains(profile, blocks, rx, tx) -> np.ndarray:
     """Large-array prediction of the composite singular values.
 
     As both arrays grow, steering vectors become orthogonal and each path
     contributes one singular value sqrt(beta_ij * N_r * N_t / L_ij) * |gain|.
-    Returns the predictions sorted in decreasing order on the last axis,
-    one row per draw of a batched realization (zero-power blocks
-    contribute zeros).
+    ``blocks`` are the path sets of one draw or of a batch; returns the
+    predictions sorted in decreasing order on the last axis, one row per
+    draw of a batch (zero-power blocks contribute zeros).
     """
-    profile = channel.profile
-    n_r, n_t = channel.n_r, channel.n_t
-    vals = []
-    for i in range(profile.m_r):
-        for j in range(profile.m_t):
-            ps = channel.blocks[i][j]
-            scale = np.sqrt(profile.beta[i, j] * n_r * n_t / ps.n_paths)
-            vals.append(scale * np.abs(ps.gains))
-    return np.sort(np.concatenate(vals, axis=-1), axis=-1)[..., ::-1]
+    pred = _path_amplitudes(profile, rx, tx) * np.abs(_path_gains(blocks))
+    return np.sort(pred, axis=-1)[..., ::-1]
 
 
-def _path_singular_values(profile, blocks, rx, tx, n_s: int,
-                          svd=singular_values) -> np.ndarray:
+def _path_singular_values(profile, blocks, rx, tx, n_s: int) -> np.ndarray:
     """The top ``n_s`` singular values of a batch of channels, one row
     per draw, from their path sets alone.
 
@@ -63,27 +77,23 @@ def _path_singular_values(profile, blocks, rx, tx, n_s: int,
     and d_p is sqrt(beta_ij N_r N_t / L_ij) times its gain.  With the
     thin QR factors U = Q_U R_U and V = Q_V R_V, the nonzero singular
     values of H are those of the at most L_t x L_t core
-    R_U diag(d) R_V^H.  ``svd`` maps the stack of cores to their
-    values; rows are zero-padded past them.
+    R_U diag(d) R_V^H.  Rows are zero-padded past them.
     """
     n_r, n_t = rx.n_elements, tx.n_elements
-    batch = blocks[0][0].gains.shape[0]
-    l_t = profile.total_paths
+    d = _path_amplitudes(profile, rx, tx) * _path_gains(blocks)
+    batch, l_t = d.shape
     u = np.zeros((batch, profile.m_r * n_r, l_t), dtype=complex)
     v = np.zeros((batch, profile.m_t * n_t, l_t), dtype=complex)
-    d = np.empty((batch, l_t), dtype=complex)
     col = 0
     for i, row in enumerate(blocks):
         for j, ps in enumerate(row):
             cols = slice(col, col + ps.n_paths)
             u[:, i * n_r:(i + 1) * n_r, cols] = ula_response(ps.aoa, rx)
             v[:, j * n_t:(j + 1) * n_t, cols] = ula_response(ps.aod, tx)
-            d[:, cols] = np.sqrt(profile.beta[i, j] * n_r * n_t
-                                 / ps.n_paths) * ps.gains
             col += ps.n_paths
     r_u = np.linalg.qr(u, mode="r")
     r_v = np.linalg.qr(v, mode="r")
-    sv = svd((r_u * d[:, None, :]) @ r_v.conj().swapaxes(-1, -2))
+    sv = singular_values((r_u * d[:, None, :]) @ r_v.conj().swapaxes(-1, -2))
     out = np.zeros((batch, n_s))
     k = min(n_s, sv.shape[-1])
     out[:, :k] = sv[:, :k]

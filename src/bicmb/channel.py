@@ -11,7 +11,7 @@ L_t = sum of all L_ij regardless of antenna counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -162,26 +162,6 @@ class ChannelRealization:
 
     h: np.ndarray
     blocks: list
-    profile: FadingProfile
-    rx_geometry: ArrayGeometry
-    tx_geometry: ArrayGeometry
-    seed: object = None
-
-    @property
-    def m_r(self) -> int:
-        return self.profile.m_r
-
-    @property
-    def m_t(self) -> int:
-        return self.profile.m_t
-
-    @property
-    def n_r(self) -> int:
-        return self.rx_geometry.n_elements
-
-    @property
-    def n_t(self) -> int:
-        return self.tx_geometry.n_elements
 
 
 def ula_response(phi, geometry: ArrayGeometry) -> np.ndarray:
@@ -198,21 +178,26 @@ def ula_response(phi, geometry: ArrayGeometry) -> np.ndarray:
     return a / np.sqrt(geometry.n_elements)
 
 
-def draw_paths(l: int, rng: np.random.Generator,
-               angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE) -> PathSet:
-    """Draw one path set: CN(0,1) gains and uniform azimuths.
-
-    Draw order (gains, aoa, aod) is part of the reproducibility contract.
-    """
-    if l < 1:
-        raise ValueError("path count must be at least 1")
-    lo, hi = angle_range
+def _draw_block(l: int, rng: np.random.Generator, lo: float, hi: float):
+    """Real and imaginary gain parts, then arrival and departure
+    azimuths, of one path set; this draw order is part of the
+    reproducibility contract."""
     if not lo < hi:
         raise ValueError("empty azimuth interval")
-    gains = (rng.standard_normal(l) + 1j * rng.standard_normal(l)) / np.sqrt(2.0)
-    aoa = rng.uniform(lo, hi, l)
-    aod = rng.uniform(lo, hi, l)
-    return PathSet(gains, aoa, aod)
+    return (rng.standard_normal(l), rng.standard_normal(l),
+            rng.uniform(lo, hi, l), rng.uniform(lo, hi, l))
+
+
+def _path_set(re, im, aoa, aod) -> PathSet:
+    return PathSet((re + 1j * im) / np.sqrt(2.0), aoa, aod)
+
+
+def draw_paths(l: int, rng: np.random.Generator,
+               angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE) -> PathSet:
+    """Draw one path set: CN(0,1) gains and uniform azimuths."""
+    if l < 1:
+        raise ValueError("path count must be at least 1")
+    return _path_set(*_draw_block(l, rng, *angle_range))
 
 
 def _pair_matrices(gains, aoa, aod, rx: ArrayGeometry, tx: ArrayGeometry,
@@ -242,13 +227,13 @@ def subchannel_matrix(paths: PathSet, rx: ArrayGeometry, tx: ArrayGeometry) -> n
 
 def draw_channel(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
                  rng: np.random.Generator,
-                 angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE,
-                 seed=None) -> ChannelRealization:
+                 angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE
+                 ) -> ChannelRealization:
     """One draw: :func:`draw_channels` of the single generator ``rng``."""
     batch = draw_channels(profile, rx, tx, [rng], angle_range)
     blocks = [[PathSet(ps.gains[0], ps.aoa[0], ps.aod[0]) for ps in row]
               for row in batch.blocks]
-    return replace(batch, h=batch.h[0], blocks=blocks, seed=seed)
+    return ChannelRealization(batch.h[0], blocks)
 
 
 def draw_path_sets(profile: FadingProfile, rngs,
@@ -257,20 +242,16 @@ def draw_path_sets(profile: FadingProfile, rngs,
     """The path sets of a batch of draws: ``blocks[i][j]`` is the PathSet
     of pair (i, j), with (B, L_ij) arrays.
 
-    Draw b takes its path sets from ``rngs[b]``, one :func:`draw_paths`
-    per block in row-major order over the block grid.
+    Draw b takes its path sets from ``rngs[b]``, block by block in
+    row-major order over the block grid, with the draws of
+    :func:`draw_paths`.
     """
-    batch = len(rngs)
-    blocks = [[PathSet(np.empty((batch, l), dtype=complex),
-                       np.empty((batch, l)), np.empty((batch, l)))
-               for l in row] for row in profile.paths]
+    parts = [[np.empty((4, len(rngs), l)) for l in row] for row in profile.paths]
     for b, rng in enumerate(rngs):
-        for row in blocks:
-            for ps in row:
-                drawn = draw_paths(ps.n_paths, rng, angle_range)
-                ps.gains[b], ps.aoa[b], ps.aod[b] = \
-                    drawn.gains, drawn.aoa, drawn.aod
-    return blocks
+        for row in parts:
+            for block in row:
+                block[:, b] = _draw_block(block.shape[2], rng, *angle_range)
+    return [[_path_set(*block) for block in row] for row in parts]
 
 
 def draw_channels(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
@@ -293,4 +274,4 @@ def draw_channels(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
             block = h[:, i * n_r:(i + 1) * n_r, j * n_t:(j + 1) * n_t]
             _pair_matrices(ps.gains, ps.aoa, ps.aod, rx, tx, out=block)
             np.multiply(np.sqrt(profile.beta[i, j]), block, out=block)
-    return ChannelRealization(h, blocks, profile, rx, tx)
+    return ChannelRealization(h, blocks)

@@ -39,6 +39,10 @@ __all__ = [
 # Events kept per distance in the spectrum; counts stay exact beyond it.
 EVENT_STORAGE_CAP = 10_000
 
+# Trellis tables and decoder survivors grow as 2**(K - 1) states (K = 40
+# would ask for terabytes); the cap admits every shipped code (K <= 9).
+_MAX_CONSTRAINT_LENGTH = 10
+
 # Paths longer than this many branches without remerging indicate a
 # zero-weight loop (catastrophic encoder), so the search aborts.
 _MAX_EVENT_SPAN_FACTOR = 4
@@ -65,6 +69,9 @@ class CodeSpec:
             raise ValueError("need at least two generator polynomials")
         if self.constraint_length < 2:
             raise ValueError("constraint length must be at least 2")
+        if self.constraint_length > _MAX_CONSTRAINT_LENGTH:
+            raise ValueError(f"constraint length cannot exceed "
+                             f"{_MAX_CONSTRAINT_LENGTH}")
         for g in self.generators:
             if not 0 < g < (1 << self.constraint_length):
                 raise ValueError(

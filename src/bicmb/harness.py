@@ -54,6 +54,10 @@ _NS_SPECTRUM = 2
 # and raised peak memory by 2 and 6 MiB; one chunk of all draws by 65 MiB.
 _SPECTRUM_CHUNK = 32
 
+# Each worker is a forked process, and the pool starts all of them at
+# its first task, so the count is bounded whatever the core count.
+_MAX_WORKERS = 64
+
 _MODULATIONS = ("bpsk", "qpsk", "16qam")
 _INTERLEAVERS = ("structured", "random", "adversarial")
 
@@ -99,6 +103,8 @@ class SimConfig:
                      "workers"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be a positive integer")
+        if self.workers > _MAX_WORKERS:
+            raise ConfigurationError(f"workers cannot exceed {_MAX_WORKERS}")
         if self.n_s > min(self.m_r * self.n_r, self.m_t * self.n_t):
             raise ConfigurationError(
                 "n_s cannot exceed the composite channel dimensions")
@@ -441,24 +447,6 @@ def _simulate_frames(rt: Runtime, gains: np.ndarray, noise_var: float,
     return (decoded != messages).sum(axis=1)
 
 
-def _stack_singular_values(h: np.ndarray, error) -> np.ndarray:
-    """Singular values of a stack of matrices, one row per matrix.
-
-    When the stacked SVD fails, the first matrix whose SVD also fails on
-    its own is reported by raising ``error(k)`` with its index k, so the
-    caller can attach the seed that reproduces it.
-    """
-    try:
-        return singular_values(h)
-    except NumericalError:
-        for k, mat in enumerate(h):
-            try:
-                singular_values(mat)
-            except NumericalError as exc:
-                raise error(k) from exc
-        raise
-
-
 def _simulate_span(config: SimConfig, rt: Runtime, snr_idx: int,
                    lo: int, hi: int) -> int:
     """Total bit errors over frames [lo, hi) of one SNR point."""
@@ -469,14 +457,13 @@ def _simulate_span(config: SimConfig, rt: Runtime, snr_idx: int,
     blocks = draw_path_sets(config.profile,
                             _frame_rngs(config, snr_idx, frames, 0),
                             rt.angle_range)
-
-    def failed(k):
-        return NumericalError("SVD failed to converge during sweep",
-                              seed=_frame_seed(config, snr_idx, lo + k))
-
-    gains = _path_singular_values(
-        config.profile, blocks, rt.rx_geometry, rt.tx_geometry, config.n_s,
-        svd=lambda core: _stack_singular_values(core, failed))
+    try:
+        gains = _path_singular_values(config.profile, blocks, rt.rx_geometry,
+                                      rt.tx_geometry, config.n_s)
+    except NumericalError as exc:
+        raise NumericalError(
+            "SVD failed to converge during sweep",
+            seed=_frame_seed(config, snr_idx, lo + exc.index)) from exc
     # noise variance n_t / snr keeps the per-antenna transmit power fixed
     return int(_simulate_frames(rt, gains, config.n_t / snr,
                                 _frame_rngs(config, snr_idx, frames, 1)).sum())
@@ -639,10 +626,13 @@ def spectrum_stats(job: SpectrumJob, draws: int) -> tuple[np.ndarray, np.ndarray
         n = min(_SPECTRUM_CHUNK, draws - start)
         # one generator repeated n times draws what n single draws would
         chan = draw_channels(job.profile, rx, tx, [rng] * n, (lo, hi))
-        sv = _stack_singular_values(chan.h, lambda k: NumericalError(
-            f"SVD failed to converge on spectrum draw {start + k}",
-            seed=job.master_seed))
-        pred = predicted_gains(chan)[:, :n_vals]
+        try:
+            sv = singular_values(chan.h)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"SVD failed to converge on spectrum draw {start + exc.index}",
+                seed=job.master_seed) from exc
+        pred = predicted_gains(job.profile, chan.blocks, rx, tx)[:, :n_vals]
         # one row at a time, in draw order, so the sums are those of a
         # per-draw loop bit for bit
         for k in range(n):

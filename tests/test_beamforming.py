@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from bicmb.beamforming import (_path_singular_values, predicted_gains,
                                singular_values)
-from bicmb.channel import (ArrayGeometry, ChannelRealization, FadingProfile,
-                           PathSet, draw_channel, draw_channels,
-                           draw_path_sets, subchannel_matrix)
+from bicmb.channel import (ArrayGeometry, FadingProfile, PathSet,
+                           draw_channel, draw_channels, draw_path_sets,
+                           subchannel_matrix)
 from bicmb.errors import NumericalError
 
 
@@ -19,12 +19,12 @@ from bicmb.errors import NumericalError
 def channel():
     profile = FadingProfile.homogeneous(2, 2, -10.0, 2)
     rx, tx = ArrayGeometry(8), ArrayGeometry(8)
-    return draw_channel(profile, rx, tx, np.random.default_rng(314), seed=314)
+    return draw_channel(profile, rx, tx, np.random.default_rng(314))
 
 
 class TestSingularValues:
     def test_matches_plain_svd_values(self, channel):
-        s = singular_values(channel)
+        s = singular_values(channel.h)
         np.testing.assert_array_equal(
             s, np.linalg.svd(channel.h, compute_uv=False))
         assert np.all(np.diff(s) <= 0.0)
@@ -34,18 +34,38 @@ class TestSingularValues:
         h = np.array([[3.0, 0.0], [0.0, 1.0]], dtype=complex)
         np.testing.assert_allclose(singular_values(h), [3.0, 1.0])
 
-    def test_svd_failure_carries_seed(self, monkeypatch, channel):
-        def boom(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-        monkeypatch.setattr(np.linalg, "svd", boom)
-        with pytest.raises(NumericalError, match="seed=314"):
-            singular_values(channel)
+    def test_svd_failure_names_the_failing_matrix(self, monkeypatch):
+        stack = np.random.default_rng(3).standard_normal((5, 4, 3))
+        real_svd = np.linalg.svd
+        fail_alone = [2, 4]
+        calls = []
+
+        def flaky_svd(a, *args, **kwargs):
+            # a stack fails, and so do the matrices listed in fail_alone
+            calls.append(a.shape)
+            if a.ndim == 3 or any(np.array_equal(a, stack[k])
+                                  for k in fail_alone):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+        with pytest.raises(NumericalError, match="matrix 2") as info:
+            singular_values(stack)
+        assert info.value.index == 2 and info.value.seed is None
+        assert calls == [(5, 4, 3)] + [(4, 3)] * 3
+        with pytest.raises(NumericalError) as info:
+            singular_values(stack[2])
+        assert info.value.index is None
+        # when every matrix converges alone, their values are returned
+        fail_alone.clear()
+        assert singular_values(stack).tobytes() == np.stack(
+            [real_svd(m, compute_uv=False) for m in stack]).tobytes()
 
 
 class TestNumericalRank:
     def test_channel_rank_is_total_paths(self, channel):
         # 4 subarray pairs x 2 paths: every other mode is at roundoff level
-        s = singular_values(channel)
+        s = singular_values(channel.h)
         assert np.count_nonzero(s > 1e-8 * s[0]) == 8
 
 
@@ -54,7 +74,7 @@ class TestPredictedGains:
         profile = FadingProfile(np.array([[0.5, 2.0]]), np.array([[2, 1]]))
         rx, tx = ArrayGeometry(4), ArrayGeometry(8)
         ch = draw_channel(profile, rx, tx, np.random.default_rng(6))
-        pred = predicted_gains(ch)
+        pred = predicted_gains(profile, ch.blocks, rx, tx)
         want = []
         for j in range(2):
             ps = ch.blocks[0][j]
@@ -69,11 +89,12 @@ class TestPredictedGains:
         rx, tx = ArrayGeometry(4), ArrayGeometry(8)
         batch = draw_channels(profile, rx, tx,
                               [np.random.default_rng(s) for s in range(5)])
-        pred = predicted_gains(batch)
+        pred = predicted_gains(profile, batch.blocks, rx, tx)
         assert pred.shape == (5, 7)
         for b in range(5):
             single = draw_channel(profile, rx, tx, np.random.default_rng(b))
-            assert pred[b].tobytes() == predicted_gains(single).tobytes()
+            assert pred[b].tobytes() == predicted_gains(
+                profile, single.blocks, rx, tx).tobytes()
 
     def test_large_arrays_approach_prediction(self):
         # steering vectors decorrelate as the arrays grow, so measured
@@ -82,9 +103,10 @@ class TestPredictedGains:
         rng = np.random.default_rng(21)
         errs = []
         for n in (8, 256):
-            ch = draw_channel(profile, ArrayGeometry(n), ArrayGeometry(n), rng)
-            sv = singular_values(ch)[:4]
-            pred = predicted_gains(ch)
+            rx = tx = ArrayGeometry(n)
+            ch = draw_channel(profile, rx, tx, rng)
+            sv = singular_values(ch.h)[:4]
+            pred = predicted_gains(profile, ch.blocks, rx, tx)
             errs.append(np.max(np.abs(sv - pred) / pred.max()))
         assert errs[1] < 0.05
         assert errs[1] < errs[0]
@@ -164,8 +186,7 @@ class TestPathFactors:
                 profile, [np.random.default_rng([n, b]) for b in range(200)])
             fac = _path_singular_values(profile, blocks, rx, tx,
                                         profile.total_paths)
-            pred = predicted_gains(
-                ChannelRealization(None, blocks, profile, rx, tx))
+            pred = predicted_gains(profile, blocks, rx, tx)
             medians.append(np.median(np.max(np.abs(fac - pred) / pred,
                                              axis=1)))
         assert medians[0] > medians[1] > medians[2]

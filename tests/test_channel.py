@@ -201,11 +201,10 @@ class TestCompositeChannel:
     def test_draw_channel_shape_rank_and_determinism(self):
         profile = FadingProfile.homogeneous(2, 2, -10.0, 2)
         rx, tx = ArrayGeometry(8), ArrayGeometry(16)
-        ch = draw_channel(profile, rx, tx, np.random.default_rng(77), seed=77)
+        ch = draw_channel(profile, rx, tx, np.random.default_rng(77))
         assert ch.h.shape == (16, 32)
-        assert ch.m_r == ch.m_t == 2
-        assert ch.n_r == 8 and ch.n_t == 16
-        assert ch.seed == 77
+        assert [[ps.gains.shape for ps in row] for row in ch.blocks] \
+            == [[(2,), (2,)], [(2,), (2,)]]
         sv = np.linalg.svd(ch.h, compute_uv=False)
         l_t = profile.total_paths
         assert np.all(sv[l_t:] < 1e-10 * sv[0])
@@ -233,20 +232,23 @@ class TestCompositeChannel:
             draw_channels(profile, rx, tx, [np.random.default_rng(0)],
                           (1.0, 1.0))
 
-    def test_path_draw_is_the_channel_draws_path_sets(self):
+    def test_path_draw_equals_a_per_frame_draw_paths_loop(self):
         profile = FadingProfile(np.array([[1.0, 0.0], [0.25, 4.0]]),
                                 np.array([[1, 2], [3, 4]]))
-        rx, tx = ArrayGeometry(3), ArrayGeometry(5)
+        angles = (-1.0, 1.2)
         rngs_a = [np.random.default_rng(s) for s in range(4)]
         rngs_b = [np.random.default_rng(s) for s in range(4)]
-        blocks = draw_path_sets(profile, rngs_a, (-1.0, 1.2))
-        batch = draw_channels(profile, rx, tx, rngs_b, (-1.0, 1.2))
-        for row, want_row in zip(blocks, batch.blocks):
-            for ps, want in zip(row, want_row):
-                assert ps.gains.tobytes() == want.gains.tobytes()
-                assert ps.aoa.tobytes() == want.aoa.tobytes()
-                assert ps.aod.tobytes() == want.aod.tobytes()
-        # each generator is left where the channel draw leaves it
+        blocks = draw_path_sets(profile, rngs_a, angles)
+        # frame by frame, then block by block in row-major order
+        want = [[draw_paths(int(l), rng, angles) for row in profile.paths
+                 for l in row] for rng in rngs_b]
+        for k, ps in enumerate(ps for row in blocks for ps in row):
+            assert ps.gains.shape == (4, profile.paths.flat[k])
+            for b in range(4):
+                assert ps.gains[b].tobytes() == want[b][k].gains.tobytes()
+                assert ps.aoa[b].tobytes() == want[b][k].aoa.tobytes()
+                assert ps.aod[b].tobytes() == want[b][k].aod.tobytes()
+        # each generator is left where the per-frame loop leaves it
         for a, b in zip(rngs_a, rngs_b):
             assert a.bit_generator.state == b.bit_generator.state
 

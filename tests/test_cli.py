@@ -80,6 +80,14 @@ class TestCodeInfo:
         assert cli.main(["code-info", "--generators", "xyz"]) == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--generators", "5,7", "--constraint-length", "40"],
+        ["--generators", "3777777777777,2777777777777"],
+    ])
+    def test_oversized_code_exits_1(self, capsys, argv):
+        assert cli.main(["code-info"] + argv) == cli.EXIT_CONFIG
+        assert "constraint length cannot exceed" in capsys.readouterr().err
+
 
 class TestArgumentHandling:
     def test_help_exits_zero(self):
@@ -131,6 +139,7 @@ class TestArgumentHandling:
         ("beta_db = -20", "beta_db = -inf", "no power"),
         ("paths = 2", "paths = 2.5", "whole numbers"),
         ("label = tiny", "spacing = 1e308", "too large"),
+        ("label = tiny", "constraint_length = 40", "constraint length"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "analyze",
                                          "channel-stats"])
@@ -200,6 +209,21 @@ class TestSimulate:
                          "--out", str(tmp_path / "x.csv")]) == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical error" in err and "seed=123" in err
+
+    @pytest.mark.parametrize("source", [["--config", "{cfg}"],
+                                        ["--preset", "fig3_interleaver"]])
+    def test_worker_count_above_the_cap_exits_1(self, cfg_file, tmp_path,
+                                                monkeypatch, capsys, source):
+        def forbidden(cfg):
+            raise AssertionError("a sweep started")
+        monkeypatch.setattr(cli, "sweep", forbidden)
+        out = tmp_path / "x.csv"
+        argv = [a.replace("{cfg}", str(cfg_file)) for a in source]
+        assert cli.main(["simulate"] + argv + ["--workers", "100000",
+                                               "--out", str(out)]) \
+            == cli.EXIT_CONFIG
+        assert "workers cannot exceed 64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_preset_writes_one_file_per_variant(self, tmp_path, monkeypatch):
         seen = []

@@ -111,6 +111,9 @@ class TestParseConfig:
         ("master_seed = -1", "master_seed"),
         ("beta_db = -inf", "no power"),
         ("paths = 2.5", "whole numbers"),
+        ("workers = 65", "workers"),
+        ("constraint_length = 40", "constraint length"),
+        ("generators = 3777777777777,2777777777777", "constraint length"),
     ])
     def test_rejects_malformed_input(self, mutation, needle):
         key = mutation.split(" = ")[0].split("\n")[0].split()[0]
@@ -136,6 +139,13 @@ class TestParseConfig:
             harness._simulate_span(cfg, build_runtime(cfg), 0, 0, 4)
         with pytest.raises(ConfigurationError, match="too large"):
             tiny_config(spacing=float(spacing) * 2)
+
+    def test_worker_count_is_bounded(self):
+        assert tiny_config(workers=harness._MAX_WORKERS).workers == 64
+        with pytest.raises(ConfigurationError, match="workers"):
+            tiny_config(workers=harness._MAX_WORKERS + 1)
+        with pytest.raises(ConfigurationError, match="workers"):
+            preset("fig3_interleaver", workers=100_000)
 
     def test_missing_required_keys(self):
         with pytest.raises(ConfigurationError, match="missing"):
@@ -387,11 +397,12 @@ class TestSpectrumStats:
         job = SpectrumJob(FadingProfile.from_db([[-20.0, -26.0]], paths),
                           n_r=6, n_t=4, spacing=0.4,
                           angle_range_deg=(-70.0, 80.0), master_seed=5)
+        rx, tx = ArrayGeometry(6, 0.4), ArrayGeometry(4, 0.4)
         sv_acc = np.zeros(6)
         pred_acc = np.zeros(6)
         for chan in _spectrum_draws(job, draws):
-            sv_acc += singular_values(chan)
-            pred = predicted_gains(chan)
+            sv_acc += singular_values(chan.h)
+            pred = predicted_gains(job.profile, chan.blocks, rx, tx)
             pred_acc[:min(pred.size, 6)] += pred[:6]
         sv, pred = spectrum_stats(job, draws)
         assert sv.tobytes() == (sv_acc / draws).tobytes()
