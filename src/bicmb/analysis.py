@@ -136,26 +136,42 @@ def _sequence_period(seq: np.ndarray) -> int:
 
 
 def event_usage_counts(subs: np.ndarray, n_substreams: int,
-                       positions: np.ndarray,
-                       period: int | None = None) -> tuple[int, bool]:
-    """Worst-case subchannel usage of one error event under all placements.
+                       positions: np.ndarray, period: int | None = None):
+    """Worst-case subchannel usage of error events under all placements.
 
-    ``subs`` maps coded-bit index to subchannel; ``positions`` are the
-    event's differing-bit offsets relative to its start.  The event may
-    start anywhere, so every start offset (modulo the subchannel
-    sequence's period) is tried.  Returns (alpha_min, missed) where
-    alpha_min is the smallest usage count among subchannels the event
-    actually touches, minimized over offsets, and ``missed`` says whether
-    some offset leaves a subchannel unused entirely.
+    ``subs`` maps coded-bit index to subchannel; ``positions`` are an
+    event's differing-bit offsets relative to its start, shape (d,), or a
+    stack of events of one distance, shape (..., d).  An event may start
+    anywhere, so every start offset (modulo the subchannel sequence's
+    period) is tried.  Returns (alpha_min, missed) where alpha_min is the
+    smallest usage count among subchannels the event actually touches,
+    minimized over offsets, and ``missed`` says whether some offset
+    leaves a subchannel unused entirely: two scalars for one event,
+    else two arrays of shape ``positions.shape[:-1]``.
     """
-    n = subs.size
+    positions = np.asarray(positions)
     if period is None:
         period = _sequence_period(subs)
-    offsets = np.arange(period)
-    smat = subs[(offsets[:, None] + positions[None, :]) % n]
-    counts = (smat[:, :, None] == np.arange(n_substreams)).sum(axis=1)
-    used = np.where(counts > 0, counts, np.iinfo(np.int64).max)
-    return int(used.min()), bool((counts == 0).any())
+    events = positions.reshape(-1, positions.shape[-1])
+    n_events = events.shape[0]
+    # subs repeated far enough that offset + position never wraps
+    ext = np.resize(subs, period + int(events.max(initial=0)))
+    rows = np.arange(n_events)[:, None] * n_substreams
+    never = np.iinfo(np.int64).max
+    alpha = np.full(n_events, never)
+    missed = np.zeros(n_events, dtype=bool)
+    for offset in range(period):
+        cells = ext[offset:][events]
+        cells += rows
+        counts = np.bincount(cells.ravel(), minlength=n_events * n_substreams)
+        counts = counts.reshape(n_events, n_substreams)
+        np.minimum(alpha, np.where(counts > 0, counts, never).min(axis=1),
+                   out=alpha)
+        missed |= (counts == 0).any(axis=1)
+    if positions.ndim == 1:
+        return int(alpha[0]), bool(missed[0])
+    shape = positions.shape[:-1]
+    return alpha.reshape(shape), missed.reshape(shape)
 
 
 @dataclass
@@ -213,22 +229,21 @@ def union_bound_ber(spectrum: DistanceSpectrum, interleaver: bicm.Interleaver,
         return BoundReport(snr, exact, high, np.full_like(snr, np.inf),
                            diversity, 0, False, truncated)
 
-    # total input weight per distinct alpha_min value
-    weight_at_alpha: dict[int, float] = {}
+    # total input weight per distinct alpha_min value, as exact ints
+    weight_at_alpha: dict[int, int] = {}
     alpha_min_leading = None
     for d in distances:
         entry = spectrum.entries[d]
-        worst_alpha = None
-        stored_weight = 0
-        for pos, w_in in zip(entry.positions, entry.input_weights):
-            alpha, _ = event_usage_counts(subs, n_s, pos, period)
-            weight_at_alpha[alpha] = weight_at_alpha.get(alpha, 0) + w_in
-            stored_weight += w_in
-            worst_alpha = alpha if worst_alpha is None else min(worst_alpha, alpha)
-            if d == spectrum.d_free:
-                alpha_min_leading = (alpha if alpha_min_leading is None
-                                     else min(alpha_min_leading, alpha))
-        rest = entry.total_input_weight - stored_weight
+        alpha, _ = event_usage_counts(subs, n_s, entry.positions, period)
+        values, which = np.unique(alpha, return_inverse=True)
+        sums = np.zeros(values.size, dtype=np.int64)
+        np.add.at(sums, which, entry.input_weights)
+        for a, w_in in zip(values.tolist(), sums.tolist()):
+            weight_at_alpha[a] = weight_at_alpha.get(a, 0) + w_in
+        worst_alpha = int(values[0])
+        if d == spectrum.d_free:
+            alpha_min_leading = worst_alpha
+        rest = entry.total_input_weight - int(entry.input_weights.sum())
         if rest > 0:
             weight_at_alpha[worst_alpha] = weight_at_alpha.get(worst_alpha, 0) + rest
 

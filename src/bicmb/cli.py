@@ -52,10 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="built-in experiment preset")
         p.add_argument("--variant", help="single preset variant to run")
         p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--workers", type=int, help="override the worker count")
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo BER sweep")
     add_source(p_sim)
+    p_sim.add_argument("--workers", type=int, help="override the worker count")
     p_sim.add_argument("--out", type=Path, required=True,
                        help="output CSV file (directory for multi-variant presets)")
 
@@ -78,8 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _selected_configs(args) -> dict[str, SimConfig]:
-    """Resolve --config/--preset/--variant into named run configs."""
+def _selected_configs(args, workers: int | None = None) -> dict[str, SimConfig]:
+    """Resolve --config/--preset/--variant (and simulate's --workers)
+    into named run configs."""
     if (args.config is None) == (args.preset is None):
         raise ConfigurationError("give exactly one of --config or --preset")
     if args.config is not None:
@@ -88,7 +89,7 @@ def _selected_configs(args) -> dict[str, SimConfig]:
         cfg = load_config(args.config)
         variants = {cfg.label or "run": cfg}
     else:
-        p = preset(args.preset, master_seed=args.seed, workers=args.workers)
+        p = preset(args.preset, master_seed=args.seed, workers=workers)
         if not p.variants:
             raise ConfigurationError(
                 f"preset {p.name!r} is a spectrum study; use channel-stats")
@@ -102,8 +103,8 @@ def _selected_configs(args) -> dict[str, SimConfig]:
         if args.seed is not None:
             variants = {k: replace(v, master_seed=args.seed)
                         for k, v in variants.items()}
-        if args.workers is not None:
-            variants = {k: replace(v, workers=args.workers)
+        if workers is not None:
+            variants = {k: replace(v, workers=workers)
                         for k, v in variants.items()}
     return variants
 
@@ -119,7 +120,7 @@ def _out_paths(out: Path, names) -> dict[str, Path]:
 
 
 def _cmd_simulate(args) -> int:
-    variants = _selected_configs(args)
+    variants = _selected_configs(args, args.workers)
     paths = _out_paths(args.out, variants)
     warned = False
     for name, cfg in variants.items():
@@ -132,13 +133,17 @@ def _cmd_simulate(args) -> int:
     return EXIT_WARNINGS if warned else EXIT_OK
 
 
-def _write_bound_csv(path: Path, cfg: SimConfig) -> None:
+def _write_bound_csv(path: Path, cfg: SimConfig, spectra: dict) -> None:
+    """Write one config's bound CSV; ``spectra`` caches each code's
+    spectrum across the configs of one call."""
     rt = build_runtime(cfg)
-    try:
-        spectrum = distance_spectrum(
-            rt.trellis, free_distance(rt.trellis) + _SPECTRUM_MARGIN)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    if cfg.code not in spectra:
+        try:
+            spectra[cfg.code] = distance_spectrum(
+                rt.trellis, free_distance(rt.trellis) + _SPECTRUM_MARGIN)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+    spectrum = spectra[cfg.code]
     fit = gamma_fit(cfg.profile)
     grid = np.asarray(cfg.snr_grid_db)
     report = union_bound_ber(spectrum, rt.interleaver, fit, rt.constellation,
@@ -159,8 +164,9 @@ def _write_bound_csv(path: Path, cfg: SimConfig) -> None:
 def _cmd_analyze(args) -> int:
     variants = _selected_configs(args)
     paths = _out_paths(args.out, variants)
+    spectra = {}
     for name, cfg in variants.items():
-        _write_bound_csv(paths[name], cfg)
+        _write_bound_csv(paths[name], cfg, spectra)
         print(f"{name}: wrote {paths[name]}")
     return EXIT_OK
 

@@ -20,7 +20,7 @@ to the all-zero message.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +43,14 @@ EVENT_STORAGE_CAP = 10_000
 # would ask for terabytes); the cap admits every shipped code (K <= 9).
 _MAX_CONSTRAINT_LENGTH = 10
 
-# Paths longer than this many branches without remerging indicate a
-# zero-weight loop (catastrophic encoder), so the search aborts.
-_MAX_EVENT_SPAN_FACTOR = 4
+# Events whose bit positions are expanded at once in ``distance_spectrum``.
+_POSITION_ROWS = 512
+
+# Paths the error-event search may hold, counting the next level's
+# candidates: the frontier grows exponentially with d_max, so a large
+# d_max must fail before it allocates.  133,171 and 561,753 at d_max 22
+# keep 1.8 M and 0.6 M.
+_MAX_SPECTRUM_PATHS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -369,18 +374,21 @@ def free_distance(trellis: Trellis, d_max: int = 64) -> int:
 class SpectrumEntry:
     """All error events of one Hamming distance.
 
-    ``positions`` stores, for up to ``EVENT_STORAGE_CAP`` events, the
-    coded-bit indices (relative to the event start) where the event
-    differs from the all-zero path.  ``event_count`` and
-    ``total_input_weight`` stay exact even when storage is truncated.
+    ``positions`` holds, for up to ``EVENT_STORAGE_CAP`` events, one
+    (E, d) row per event: the coded-bit indices (relative to the event
+    start, ascending) where it differs from the all-zero path.
+    ``input_weights`` holds their (E,) message-bit weights.  Stored events
+    come in depth-first order of the search tree (1-branch before
+    0-branch).  ``event_count`` and ``total_input_weight`` stay exact
+    even when storage is truncated.
     """
 
     distance: int
-    event_count: int = 0
-    total_input_weight: int = 0
-    positions: list[np.ndarray] = field(default_factory=list)
-    input_weights: list[int] = field(default_factory=list)
-    storage_truncated: bool = False
+    event_count: int
+    total_input_weight: int
+    positions: np.ndarray
+    input_weights: np.ndarray
+    storage_truncated: bool
 
 
 @dataclass
@@ -402,59 +410,156 @@ class DistanceSpectrum:
         return self.entries[d].total_input_weight if d in self.entries else 0
 
 
+def _has_zero_weight_loop(w_branch: np.ndarray, next_state: np.ndarray) -> bool:
+    """Whether some loop of zero-weight branches avoids state 0.
+
+    Peels off nonzero states with no zero-weight branch into a state
+    still standing; whatever stands at the end lies on or feeds such a
+    loop.
+    """
+    standing = np.ones(next_state.shape[0], dtype=bool)
+    standing[0] = False
+    while True:
+        keep = standing & ((w_branch == 0) & standing[next_state]).any(axis=1)
+        if np.array_equal(keep, standing):
+            return bool(standing.any())
+        standing = keep
+
+
+def _walk_back(parents: list, level: np.ndarray, node: np.ndarray):
+    """Trace paths from their last node up to the root.
+
+    ``level[e]`` and ``node[e]`` give the level and the index within it of
+    path e's last node; ``parents[t - 1]`` maps a level-t node to its
+    parent in level t - 1.  Yields (t, rows, idx) from the deepest level
+    up: the paths ``rows`` that reach level t pass through its nodes
+    ``idx``.
+    """
+    node = node.copy()
+    for t in range(int(level.max()), 0, -1):
+        rows = np.flatnonzero(level >= t)
+        idx = node[rows]
+        yield t, rows, idx
+        node[rows] = parents[t - 1][idx]
+
+
 def distance_spectrum(trellis: Trellis, d_max: int,
                       event_cap: int = EVENT_STORAGE_CAP) -> DistanceSpectrum:
     """Enumerate every error event of output weight <= d_max.
 
-    Depth-first search over paths leaving state 0, pruned with the exact
-    minimum remaining weight to remerge, so only paths that can still
-    finish within ``d_max`` are expanded.
+    Breadth-first search over paths leaving state 0, one trellis step per
+    level.  A path is pruned as soon as its weight plus the exact minimum
+    remaining weight to remerge exceeds ``d_max``; a path that remerges
+    is an event.  Each level keeps only its paths' parent index, last
+    input bit and last output pattern, from which the stored events are
+    rebuilt.  A catastrophic code (a zero-weight loop off state 0) and a
+    search past ``_MAX_SPECTRUM_PATHS`` paths raise ``ValueError``.
     """
+    if event_cap < 1:
+        raise ValueError("event_cap must keep at least one event per distance")
     d_free_val = free_distance(trellis, d_max=max(d_max, 1))
     if d_max < d_free_val:
         raise ValueError(f"d_max={d_max} is below the free distance {d_free_val}")
 
     n = trellis.spec.n_out
-    w_branch = _popcount_table(n)[trellis.out_pattern]
-    to_zero = _min_weight_to_zero(trellis)
-    max_span = _MAX_EVENT_SPAN_FACTOR * trellis.n_states * (d_max + 1)
+    next_state = trellis.next_state
+    out_pattern = trellis.out_pattern
+    w_branch = _popcount_table(n)[out_pattern]
+    # With every loop off state 0 costing weight, no path survives
+    # n_states * (d_max + 1) levels, so the search below always ends.
+    if _has_zero_weight_loop(w_branch, next_state):
+        raise ValueError(
+            "error events have no length bound: the code has a zero-weight "
+            "loop (catastrophic generator set)")
+    # ``w > slack[s]`` is ``w + to_zero[s] > d_max`` for integer weights
+    slack = d_max - _min_weight_to_zero(trellis)
+    pattern_dtype = np.min_scalar_type(out_pattern.max())
 
-    bit_lists = [
-        np.flatnonzero([(p >> (n - 1 - j)) & 1 for j in range(n)])
-        for p in range(1 << n)
-    ]
-    entries: dict[int, SpectrumEntry] = {}
-
-    # Stack frames: (state, accumulated weight, input weight, step index,
-    # list of 1-bit positions so far).  Events always begin with input 1.
-    first = int(trellis.next_state[0, 1])
-    w0 = int(w_branch[0, 1])
-    stack = [(first, w0, 1, 1, [bit_lists[int(trellis.out_pattern[0, 1])]])]
-    while stack:
-        state, weight, in_w, step, pos = stack.pop()
-        if step > max_span:
+    # Level t (list entry t - 1) holds the paths of t branches that have
+    # not remerged.  Events always begin with input 1.
+    parents = [np.full(1, -1, dtype=np.int32)]
+    bits = [np.ones(1, dtype=np.uint8)]
+    patterns = [out_pattern[0, 1:].astype(pattern_dtype)]
+    state = next_state[0, 1:]
+    weight = w_branch[0, 1:]
+    in_w = np.ones(1, dtype=np.int64)
+    n_paths = 1
+    # per level: distance, input weight, parent node, final pattern
+    found = []
+    while state.size:
+        # checked before the level's 2 * state.size candidates exist
+        if n_paths + 2 * state.size > _MAX_SPECTRUM_PATHS:
             raise ValueError(
-                "error-event search exceeded the span bound; the code has "
-                "a zero-weight loop (catastrophic generator set)"
-            )
-        for u in (0, 1):
-            w_new = weight + int(w_branch[state, u])
-            ns = int(trellis.next_state[state, u])
-            if w_new + to_zero[ns] > d_max:
-                continue
-            p = int(trellis.out_pattern[state, u])
-            pos_new = pos if p == 0 else pos + [bit_lists[p] + step * n]
-            if ns == 0:
-                entry = entries.setdefault(w_new, SpectrumEntry(distance=w_new))
-                entry.event_count += 1
-                entry.total_input_weight += in_w + u
-                if len(entry.positions) < event_cap:
-                    entry.positions.append(
-                        np.concatenate(pos_new).astype(np.int64))
-                    entry.input_weights.append(in_w + u)
-                else:
-                    entry.storage_truncated = True
-            else:
-                stack.append((ns, w_new, in_w + u, step + 1, pos_new))
+                f"the error-event search to d_max={d_max} needs more than "
+                f"{_MAX_SPECTRUM_PATHS} paths; lower d_max")
+        succ = next_state[state]
+        w = weight[:, None] + w_branch[state]
+        keep = w <= slack[succ]
+        remerge = succ == 0
+        rows, u = np.nonzero(keep & remerge)
+        if rows.size:
+            found.append((len(parents), w[rows, u].astype(np.int32),
+                          (in_w[rows] + u).astype(np.int32),
+                          rows.astype(np.int32),
+                          out_pattern[state[rows], u].astype(pattern_dtype)))
+        rows, u = np.nonzero(keep & ~remerge)
+        n_paths += rows.size
+        parents.append(rows.astype(np.int32))
+        bits.append(u.astype(np.uint8))
+        patterns.append(out_pattern[state[rows], u].astype(pattern_dtype))
+        state, weight, in_w = succ[rows, u], w[rows, u], in_w[rows] + u
+
+    level = np.concatenate([np.full(f[1].size, f[0], dtype=np.int32)
+                            for f in found])
+    dist, ev_in_w, node, final = (np.concatenate([f[k] for f in found])
+                                  for k in range(1, 5))
+    del found
+
+    # Depth-first order (the order of a recursive search taking input 1
+    # before input 0) is the lexicographic order of the input bits with
+    # 1 < 0 and a prefix first: flip the bits, pack them MSB-first into
+    # zero-padded words, and break ties by length.
+    words = np.zeros((-(-int(level.max()) // 64), dist.size), dtype=np.uint64)
+    for lv, rows, idx in _walk_back(parents, level, node):
+        flip = (bits[lv - 1][idx] == 0).astype(np.uint64)
+        words[(lv - 1) // 64, rows] |= flip << np.uint64(63 - (lv - 1) % 64)
+    order = np.lexsort((level, *words[::-1], dist))
+    del words
+
+    # Each distance's events in that order; the first event_cap are stored.
+    bounds = np.flatnonzero(np.diff(dist[order], prepend=-1, append=-1))
+    groups = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    stored = np.concatenate([g[:event_cap] for g in groups])
+    # Output pattern of every branch of each stored event, zero past its end.
+    steps = np.zeros((stored.size, int(level[stored].max()) + 1),
+                     dtype=pattern_dtype)
+    steps[np.arange(stored.size), level[stored]] = final[stored]
+    for lv, rows, idx in _walk_back(parents, level[stored], node[stored]):
+        steps[rows, lv - 1] = patterns[lv - 1][idx]
+    del parents, bits, patterns
+
+    entries: dict[int, SpectrumEntry] = {}
+    pattern_bits = _pattern_bits(n).astype(bool)
+    start = 0
+    for group in groups:
+        d = int(dist[group[0]])
+        kept = group[:event_cap]
+        span = steps[start:start + kept.size, :int(level[kept].max()) + 1]
+        start += kept.size
+        width = span.shape[1] * n
+        positions = np.empty((kept.size, d), dtype=np.int64)
+        # a block of rows at a time keeps the bit expansion small
+        for lo in range(0, kept.size, _POSITION_ROWS):
+            block = pattern_bits[span[lo:lo + _POSITION_ROWS]]
+            at = np.flatnonzero(block).reshape(-1, d)
+            at -= np.arange(block.shape[0])[:, None] * width
+            positions[lo:lo + block.shape[0]] = at
+        entries[d] = SpectrumEntry(
+            distance=d,
+            event_count=int(group.size),
+            total_input_weight=int(ev_in_w[group].sum(dtype=np.int64)),
+            positions=positions,
+            input_weights=ev_in_w[kept].astype(np.int64),
+            storage_truncated=bool(group.size > event_cap))
 
     return DistanceSpectrum(d_free=d_free_val, d_max=d_max, entries=entries)

@@ -21,8 +21,10 @@ from bicmb.analysis import (
     union_bound_ber,
 )
 from bicmb.bicm import (
+    Interleaver,
     adversarial_interleaver,
     make_constellation,
+    random_interleaver,
     structured_interleaver,
 )
 from bicmb.channel import FadingProfile
@@ -181,6 +183,28 @@ class TestEventUsageCounts:
         alpha, missed = event_usage_counts(subs, 2, np.array([0, 1]))
         assert (alpha, missed) == (1, True)
 
+    def test_stack_equals_row_by_row_calls(self):
+        rng = np.random.default_rng(5)
+        subs = rng.integers(0, 3, 60)
+        pos = np.sort(rng.choice(40, size=(4, 5, 6)), axis=-1)
+        alpha, missed = event_usage_counts(subs, 3, pos)
+        assert alpha.shape == missed.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            assert (alpha[idx], missed[idx]) == \
+                event_usage_counts(subs, 3, pos[idx])
+
+    def test_matches_a_scan_of_every_offset(self):
+        # all n offsets, one 3-D compare: no period, bincount or tiling
+        rng = np.random.default_rng(6)
+        subs = rng.integers(0, 3, 48)
+        for _ in range(20):
+            pos = np.unique(rng.integers(0, 70, 7))
+            smat = subs[(np.arange(48)[:, None] + pos[None, :]) % 48]
+            counts = (smat[:, :, None] == np.arange(3)).sum(axis=1)
+            want = (int(np.where(counts > 0, counts, 10 ** 9).min()),
+                    bool((counts == 0).any()))
+            assert event_usage_counts(subs, 3, pos) == want
+
 
 @pytest.fixture(scope="module")
 def bound_inputs():
@@ -244,6 +268,67 @@ class TestUnionBound:
             with pytest.raises(ValueError):
                 union_bound_ber(spectrum, itl, fit, c, n_t=16, l_t=8,
                                 snr_grid=bad)
+
+
+def block_shuffled_interleaver(n_coded, rng):
+    """Three substreams, each block of three bits on a fresh permutation
+    of them: coverage holds at window 5 and the subchannel sequence has
+    no short period."""
+    perms = np.array([rng.permutation(3) for _ in range(n_coded // 3)])
+    positions = (3 * np.arange(n_coded // 3)[:, None] + perms).reshape(-1)
+    return Interleaver("random", 3, 1, positions)
+
+
+def per_event_union_bound(spectrum, itl, fit, c, n_t, l_t, snr):
+    """The union bound from one 1-D event_usage_counts call per event:
+    exact input weights per alpha, summed in ascending alpha."""
+    subs = itl.subchannels()
+    n_s = itl.n_substreams
+    weight_at_alpha = {}
+    leading = None
+    for d in spectrum.distances():
+        entry = spectrum.entries[d]
+        worst = None
+        for pos, w in zip(entry.positions, entry.input_weights.tolist()):
+            alpha, _ = event_usage_counts(subs, n_s, pos)
+            weight_at_alpha[alpha] = weight_at_alpha.get(alpha, 0) + w
+            worst = alpha if worst is None else min(worst, alpha)
+        if d == spectrum.d_free:
+            leading = worst
+        rest = entry.total_input_weight - sum(entry.input_weights.tolist())
+        if rest:
+            weight_at_alpha[worst] += rest
+    union = np.zeros_like(snr)
+    for alpha, weight in sorted(weight_at_alpha.items()):
+        exact, _ = pep_bound(fit, c.min_distance, alpha, n_s, n_t, l_t, snr)
+        union += weight * exact
+    pep, high = pep_bound(fit, c.min_distance, leading, n_s, n_t, l_t, snr)
+    return union, pep, high, leading
+
+
+class TestUnionBoundEqualsPerEventLoop:
+    @pytest.mark.parametrize("kind", ["structured", "random", "shuffled"])
+    @pytest.mark.parametrize("event_cap", [10_000, 3])
+    def test_bytewise(self, kind, event_cap):
+        trellis = build_trellis(CodeSpec.from_octal("5,7"))
+        spectrum = distance_spectrum(trellis, 11, event_cap=event_cap)
+        rng = np.random.default_rng(11)
+        itl = {"structured": lambda: structured_interleaver(240, 3, 1),
+               "random": lambda: random_interleaver(240, 3, 1, rng),
+               "shuffled": lambda: block_shuffled_interleaver(240, rng)}[kind]()
+        fit = gamma_fit(FadingProfile.homogeneous(2, 2, -20.0, 2))
+        c = make_constellation("bpsk")
+        snr = np.logspace(-1, 5, 13)
+        rep = union_bound_ber(spectrum, itl, fit, c, n_t=16, l_t=8,
+                              snr_grid=snr)
+        union, pep, high, leading = per_event_union_bound(
+            spectrum, itl, fit, c, 16, 8, snr)
+        assert rep.coverage_ok
+        assert rep.spectrum_truncated == (event_cap == 3)
+        assert rep.alpha_min_leading == leading
+        assert rep.union_bound.tobytes() == union.tobytes()
+        assert rep.pep.tobytes() == pep.tobytes()
+        assert rep.pep_high_snr.tobytes() == high.tobytes()
 
 
 class TestEstimateSlope:

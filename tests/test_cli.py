@@ -4,10 +4,13 @@ exercised through a stubbed sweep; everything else runs the real chain
 on tiny configs.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from bicmb import cli
+from bicmb.coding import distance_spectrum
 from bicmb.errors import NumericalError
 from bicmb.harness import BerCurve, parse_config, preset, spectrum_stats
 
@@ -88,6 +91,13 @@ class TestCodeInfo:
         assert cli.main(["code-info"] + argv) == cli.EXIT_CONFIG
         assert "constraint length cannot exceed" in capsys.readouterr().err
 
+    def test_runaway_spectrum_exits_1_quickly(self, capsys):
+        start = time.perf_counter()
+        assert cli.main(["code-info", "--generators", "5,7",
+                         "--dmax", "100000"]) == cli.EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        assert "paths; lower d_max" in capsys.readouterr().err
+
 
 class TestArgumentHandling:
     def test_help_exits_zero(self):
@@ -166,6 +176,22 @@ class TestArgumentHandling:
         assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) \
             == cli.EXIT_CONFIG
         assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,source", [
+        ("analyze", ["--config", "{cfg}"]),
+        ("analyze", ["--preset", "fig3_interleaver"]),
+        ("channel-stats", ["--config", "{cfg}"]),
+        ("channel-stats", ["--preset", "fig2_spectrum"]),
+    ])
+    def test_workers_is_simulate_only(self, cfg_file, tmp_path, capsys,
+                                      command, source):
+        out = tmp_path / "x.csv"
+        argv = [a.replace("{cfg}", str(cfg_file)) for a in source]
+        assert cli.main([command] + argv + ["--workers", "2",
+                                            "--out", str(out)]) \
+            == cli.EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_spectrum_preset_cannot_simulate(self, tmp_path, capsys):
@@ -296,6 +322,19 @@ class TestAnalyze:
         assert "# coverage_ok=0" in content
         assert "inf" in content
 
+
+    def test_one_spectrum_per_code_per_call(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting(trellis, d_max):
+            built.append(trellis.spec)
+            return distance_spectrum(trellis, d_max)
+        monkeypatch.setattr(cli, "distance_spectrum", counting)
+        for _ in range(2):
+            assert cli.main(["analyze", "--preset", "fig6_fading",
+                             "--out", str(tmp_path / "fig6")]) == cli.EXIT_OK
+        # four variants share one code; the second call builds it again
+        assert len(built) == 2
 
     def test_catastrophic_code_exits_1(self, cfg_file, tmp_path, capsys):
         p = tmp_path / "cat.cfg"

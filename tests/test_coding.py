@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bicmb import coding
 from bicmb.coding import (
     CodeSpec,
     _pattern_bits,
@@ -90,6 +91,69 @@ def small_codes(draw):
                                min_size=n, max_size=n)))
     assume(non_catastrophic(gens, k))
     return build_trellis(CodeSpec(gens, k))
+
+
+def reference_spectrum(trellis, d_max, event_cap):
+    """Depth-first error-event search in plain Python.
+
+    Pops the 1-branch before the 0-branch and stores each distance's
+    first ``event_cap`` events in the order found.  Returns
+    {d: (count, total input weight, positions, input weights, truncated)}.
+    """
+    n = trellis.spec.n_out
+    nxt = trellis.next_state.tolist()
+    pat = trellis.out_pattern.tolist()
+    ones = [bin(p).count("1") for p in range(1 << n)]
+    n_states = len(nxt)
+    # exact minimum weight from each state back to state 0
+    to_zero = [0] + [math.inf] * (n_states - 1)
+    changed = True
+    while changed:
+        changed = False
+        for s in range(1, n_states):
+            for u in (0, 1):
+                c = ones[pat[s][u]] + to_zero[nxt[s][u]]
+                if c < to_zero[s]:
+                    to_zero[s], changed = c, True
+
+    def positions(pats):
+        return [t * n + j for t, p in enumerate(pats) for j in range(n)
+                if (p >> (n - 1 - j)) & 1]
+
+    found = {}
+    stack = [(nxt[0][1], ones[pat[0][1]], 1, [pat[0][1]])]
+    while stack:
+        state, weight, in_w, pats = stack.pop()
+        for u in (0, 1):
+            w = weight + ones[pat[state][u]]
+            s = nxt[state][u]
+            if w + to_zero[s] > d_max:
+                continue
+            if s == 0:
+                count, total, pos, weights, _ = found.get(w, (0, 0, [], [], False))
+                if len(pos) < event_cap:
+                    pos = pos + [positions(pats + [pat[state][u]])]
+                    weights = weights + [in_w + u]
+                found[w] = (count + 1, total + in_w + u, pos, weights,
+                            count + 1 > event_cap)
+            else:
+                stack.append((s, w, in_w + u, pats + [pat[state][u]]))
+    return found
+
+
+def assert_matches_reference(spectrum, want):
+    assert spectrum.distances() == sorted(want)
+    for d, (count, total, pos, weights, truncated) in want.items():
+        entry = spectrum.entries[d]
+        assert entry.distance == d
+        assert entry.event_count == count
+        assert entry.total_input_weight == total
+        assert entry.storage_truncated == truncated
+        assert entry.positions.dtype == np.int64
+        assert entry.positions.shape == (len(pos), d)
+        assert entry.positions.tolist() == pos
+        assert entry.input_weights.dtype == np.int64
+        assert entry.input_weights.tolist() == weights
 
 
 def tie_costs(trellis, steps, frames=None):
@@ -365,6 +429,62 @@ class TestDistanceSpectrum:
             assert spectrum.multiplicity(d) == count
             assert spectrum.input_weight(d) == weight
 
+    @pytest.mark.parametrize("generators,d_max", [("5,7", 12),
+                                                  ("133,171", 16),
+                                                  ("561,753", 16)])
+    @pytest.mark.parametrize("event_cap", [10_000, 7, 1])
+    def test_matches_depth_first_reference(self, generators, d_max, event_cap):
+        trellis = build_trellis(CodeSpec.from_octal(generators))
+        spectrum = distance_spectrum(trellis, d_max, event_cap=event_cap)
+        assert spectrum.d_free == free_distance(trellis)
+        assert spectrum.d_max == d_max
+        assert_matches_reference(spectrum,
+                                 reference_spectrum(trellis, d_max, event_cap))
+
+    @settings(max_examples=25, deadline=None)
+    @given(trellis=small_codes(), extra=st.integers(0, 4),
+           event_cap=st.integers(1, 5))
+    def test_random_codes_match_depth_first_reference(self, trellis, extra,
+                                                      event_cap):
+        d_max = free_distance(trellis) + extra
+        spectrum = distance_spectrum(trellis, d_max, event_cap=event_cap)
+        assert_matches_reference(spectrum,
+                                 reference_spectrum(trellis, d_max, event_cap))
+
+    def test_path_cap_stops_a_runaway_search(self, trellis4, monkeypatch):
+        # a small cap first, so a search without the check fails here
+        # instead of running the unbounded case below
+        with monkeypatch.context() as m:
+            m.setattr(coding, "_MAX_SPECTRUM_PATHS", 100)
+            with pytest.raises(ValueError, match="more than 100 paths"):
+                distance_spectrum(trellis4, 12)
+        # 5,7 has 2**(d-5) events at each distance d: far more than the cap
+        with pytest.raises(ValueError, match="paths"):
+            distance_spectrum(trellis4, 100_000)
+
+    @pytest.mark.parametrize("generators", ["3,5", "1001,1001", "1777,1777"])
+    def test_catastrophic_codes_are_rejected(self, generators):
+        trellis = build_trellis(CodeSpec.from_octal(generators))
+        with pytest.raises(ValueError, match="catastrophic"):
+            distance_spectrum(trellis, free_distance(trellis) + 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 6), n=st.integers(2, 3), data=st.data())
+    def test_zero_weight_loop_is_the_gcd_criterion(self, k, n, data):
+        gens = tuple(data.draw(st.lists(st.integers(1, (1 << k) - 1),
+                                        min_size=n, max_size=n)))
+        trellis = build_trellis(CodeSpec(gens, k))
+        w_branch = np.array([[bin(p).count("1") for p in row]
+                             for row in trellis.out_pattern.tolist()])
+        assert coding._has_zero_weight_loop(w_branch, trellis.next_state) \
+            == (not non_catastrophic(gens, k))
+
+    @pytest.mark.parametrize("generators", ["133,171", "561,753"])
+    def test_path_cap_admits_depth_22(self, generators):
+        trellis = build_trellis(CodeSpec.from_octal(generators))
+        spectrum = distance_spectrum(trellis, 22)
+        assert spectrum.distances()[-1] == 22
+
     def test_event_positions_are_consistent(self, trellis4):
         spectrum = distance_spectrum(trellis4, 9)
         for d in spectrum.distances():
@@ -391,3 +511,8 @@ class TestDistanceSpectrum:
     def test_rejects_d_max_below_free_distance(self, trellis64):
         with pytest.raises(ValueError):
             distance_spectrum(trellis64, 9)
+
+    def test_rejects_a_cap_that_stores_nothing(self, trellis4):
+        # the union bound needs one stored event per distance
+        with pytest.raises(ValueError, match="event_cap"):
+            distance_spectrum(trellis4, 8, event_cap=0)
