@@ -52,6 +52,8 @@ _POSITION_ROWS = 512
 # keep 1.8 M and 0.6 M.
 _MAX_SPECTRUM_PATHS = 1 << 22
 
+_INPUTS = np.arange(2, dtype=np.int32)
+
 
 @dataclass(frozen=True)
 class CodeSpec:
@@ -471,18 +473,25 @@ def distance_spectrum(trellis: Trellis, d_max: int,
         raise ValueError(
             "error events have no length bound: the code has a zero-weight "
             "loop (catastrophic generator set)")
-    # ``w > slack[s]`` is ``w + to_zero[s] > d_max`` for integer weights
-    slack = d_max - _min_weight_to_zero(trellis)
+    # ``w > slack[s]`` is ``w + to_zero[s] > d_max`` for integer weights.
+    # A state with no way back gets slack -1.  The path cap bounds the
+    # levels, so weights stay far below the int32 ceiling.
+    slack = np.clip(d_max - _min_weight_to_zero(trellis), -1,
+                    np.iinfo(np.int32).max).astype(np.int32)
     pattern_dtype = np.min_scalar_type(out_pattern.max())
+    # Flat per-branch tables: entry 2 * s + u is state s with input u.
+    succ_of = next_state.astype(np.int32).ravel()
+    w_of = w_branch.astype(np.int32).ravel()
+    pat_of = out_pattern.astype(pattern_dtype).ravel()
 
     # Level t (list entry t - 1) holds the paths of t branches that have
     # not remerged.  Events always begin with input 1.
     parents = [np.full(1, -1, dtype=np.int32)]
     bits = [np.ones(1, dtype=np.uint8)]
-    patterns = [out_pattern[0, 1:].astype(pattern_dtype)]
-    state = next_state[0, 1:]
-    weight = w_branch[0, 1:]
-    in_w = np.ones(1, dtype=np.int64)
+    patterns = [pat_of[1:2]]
+    state = succ_of[1:2]
+    weight = w_of[1:2]
+    in_w = np.ones(1, dtype=np.int32)
     n_paths = 1
     # per level: distance, input weight, parent node, final pattern
     found = []
@@ -492,22 +501,32 @@ def distance_spectrum(trellis: Trellis, d_max: int,
             raise ValueError(
                 f"the error-event search to d_max={d_max} needs more than "
                 f"{_MAX_SPECTRUM_PATHS} paths; lower d_max")
-        succ = next_state[state]
-        w = weight[:, None] + w_branch[state]
+        # candidate 2 * i + u extends path i with input u
+        branch = (2 * state[:, None] + _INPUTS).ravel()
+        succ = succ_of[branch]
+        w = w_of[branch]
+        w += np.repeat(weight, 2)
         keep = w <= slack[succ]
         remerge = succ == 0
-        rows, u = np.nonzero(keep & remerge)
-        if rows.size:
-            found.append((len(parents), w[rows, u].astype(np.int32),
-                          (in_w[rows] + u).astype(np.int32),
-                          rows.astype(np.int32),
-                          out_pattern[state[rows], u].astype(pattern_dtype)))
-        rows, u = np.nonzero(keep & ~remerge)
-        n_paths += rows.size
-        parents.append(rows.astype(np.int32))
-        bits.append(u.astype(np.uint8))
-        patterns.append(out_pattern[state[rows], u].astype(pattern_dtype))
-        state, weight, in_w = succ[rows, u], w[rows, u], in_w[rows] + u
+        idx = np.flatnonzero(keep & remerge)
+        if idx.size:
+            rows = (idx >> 1).astype(np.int32)
+            found.append((len(parents), w[idx],
+                          (in_w[rows] + (idx & 1)).astype(np.int32),
+                          rows, pat_of[branch[idx]]))
+        keep &= ~remerge
+        del remerge
+        idx = np.flatnonzero(keep)
+        del keep
+        n_paths += idx.size
+        state, weight = succ[idx], w[idx]
+        patterns.append(pat_of[branch[idx]])
+        u = (idx & 1).astype(np.uint8)
+        bits.append(u)
+        idx >>= 1
+        parents.append(idx.astype(np.int32))
+        in_w = in_w[parents[-1]] + u
+        del branch, succ, w, idx
 
     level = np.concatenate([np.full(f[1].size, f[0], dtype=np.int32)
                             for f in found])

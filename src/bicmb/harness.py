@@ -54,6 +54,16 @@ _NS_SPECTRUM = 2
 # and raised peak memory by 2 and 6 MiB; one chunk of all draws by 65 MiB.
 _SPECTRUM_CHUNK = 32
 
+# Decoder survivor bytes (one bool per step, state and frame) that one
+# sub-batch of a span may hold.  A span runs through the link this many
+# frames at a time, so its working set does not grow with batch_frames:
+# the 64-state desk presets get 254 frames of 1030 steps, and 128-bit
+# frames stay whole up to 1956.  Over the five desk benchmark sweeps
+# (one BLAS thread), 254-frame sub-batches peaked at 88 MiB and whole
+# 1024-frame batches at 204 MiB, at about the same speed; 64-frame
+# sub-batches ran 1.5x slower, as the decoder's per-step calls dominate.
+_SUBBATCH_SURVIVOR_BYTES = 16 << 20
+
 # Each worker is a forked process, and the pool starts all of them at
 # its first task, so the count is bounded whatever the core count.
 _MAX_WORKERS = 64
@@ -132,6 +142,13 @@ class SimConfig:
             raise ConfigurationError(
                 "fading profile has no power in any subarray pair")
         _check_spacing(self.spacing, self.n_r, self.n_t)
+        k = self.code.constraint_length
+        survivors = (self.frame_bits + k - 1) << (k - 1)
+        if survivors > _SUBBATCH_SURVIVOR_BYTES:
+            raise ConfigurationError(
+                f"frame_bits {self.frame_bits} is too large: one frame's "
+                f"decoder survivors take {survivors} bytes, above the "
+                f"{_SUBBATCH_SURVIVOR_BYTES}-byte sub-batch budget")
         lo, hi = self.angle_range_deg
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigurationError("azimuth bounds must be finite")
@@ -327,7 +344,10 @@ def load_config(path) -> SimConfig:
 
 @dataclass
 class Runtime:
-    """Objects derived from a config once and reused across frames."""
+    """Objects derived from a config once and reused across frames.
+
+    ``sub_frames`` is the most frames one sub-batch of a span holds.
+    """
 
     config: SimConfig
     trellis: object
@@ -338,6 +358,7 @@ class Runtime:
     angle_range: tuple
     n_coded: int
     n_steps: int
+    sub_frames: int
 
 
 def build_runtime(config: SimConfig) -> Runtime:
@@ -389,6 +410,8 @@ def build_runtime(config: SimConfig) -> Runtime:
         angle_range=(np.deg2rad(lo), np.deg2rad(hi)),
         n_coded=n_coded,
         n_steps=n_steps,
+        sub_frames=max(1, _SUBBATCH_SURVIVOR_BYTES
+                       // (n_steps * trellis.n_states)),
     )
 
 
@@ -411,49 +434,16 @@ def _frame_rngs(config: SimConfig, snr_idx: int, frames: range,
         for f in frames]
 
 
-def _simulate_frames(rt: Runtime, gains: np.ndarray, noise_var: float,
-                     rngs: list) -> np.ndarray:
-    """Run a batch of frames and return per-frame info-bit error counts.
+def _simulate_frames(config: SimConfig, rt: Runtime, snr_idx: int,
+                     frames: range, noise_var: float) -> int:
+    """Run one sub-batch of frames through the link; return its
+    info-bit error count.
 
-    ``gains`` is (B, n_s) subchannel amplitudes, one row per frame;
-    ``rngs`` holds each frame's private generator, which draws the
-    message, then the real and the imaginary noise parts.  Every stage
-    runs once on the whole batch and treats frames independently, so
-    results do not depend on how frames are grouped into batches.
+    Each frame's channel generator draws its path sets, and its frame
+    generator the message, then the real and the imaginary noise parts.
+    Every stage runs once on the whole sub-batch and treats frames
+    independently, so results do not depend on how frames are grouped.
     """
-    cfg = rt.config
-    itl = rt.interleaver
-    B = gains.shape[0]
-    n_sym, n_s = itl.n_symbols, itl.n_substreams
-
-    messages = np.empty((B, cfg.frame_bits), dtype=np.int64)
-    noise_re = np.empty((B, n_sym, n_s))
-    noise_im = np.empty((B, n_sym, n_s))
-    for b, rng in enumerate(rngs):
-        messages[b] = rng.integers(0, 2, cfg.frame_bits)
-        rng.standard_normal(out=noise_re[b])
-        rng.standard_normal(out=noise_im[b])
-    noise = np.sqrt(noise_var / 2.0) * (noise_re + 1j * noise_im)
-
-    # pad bits past the code's output are zeros and get dropped after demap
-    coded = np.zeros((B, itl.n_coded), dtype=np.uint8)
-    coded[:, :rt.n_coded] = encode(rt.trellis, messages)
-    x = bicm.map_frame(coded, itl, rt.constellation)
-    y = gains[:, None, :] * x + noise
-    metrics = bicm.bit_metrics(y, gains, rt.constellation)
-    costs = bicm.deinterleave_metrics(metrics, itl, rt.n_coded)
-    costs = costs.reshape(B, rt.n_steps, cfg.code.n_out, 2)
-    decoded = viterbi_decode(rt.trellis, costs, terminated=True)
-    return (decoded != messages).sum(axis=1)
-
-
-def _simulate_span(config: SimConfig, rt: Runtime, snr_idx: int,
-                   lo: int, hi: int) -> int:
-    """Total bit errors over frames [lo, hi) of one SNR point."""
-    if hi <= lo:
-        return 0
-    snr = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0)
-    frames = range(lo, hi)
     blocks = draw_path_sets(config.profile,
                             _frame_rngs(config, snr_idx, frames, 0),
                             rt.angle_range)
@@ -463,10 +453,60 @@ def _simulate_span(config: SimConfig, rt: Runtime, snr_idx: int,
     except NumericalError as exc:
         raise NumericalError(
             "SVD failed to converge during sweep",
-            seed=_frame_seed(config, snr_idx, lo + exc.index)) from exc
+            seed=_frame_seed(config, snr_idx, frames[exc.index])) from exc
+    # each stage's input is dropped once the next stage has it, so the
+    # peak holds few sub-batch arrays at a time
+    del blocks
+
+    itl = rt.interleaver
+    B = len(frames)
+    n_sym, n_s = itl.n_symbols, itl.n_substreams
+    messages = np.empty((B, config.frame_bits), dtype=np.int64)
+    noise_re = np.empty((B, n_sym, n_s))
+    noise_im = np.empty((B, n_sym, n_s))
+    for b, rng in enumerate(_frame_rngs(config, snr_idx, frames, 1)):
+        messages[b] = rng.integers(0, 2, config.frame_bits)
+        rng.standard_normal(out=noise_re[b])
+        rng.standard_normal(out=noise_im[b])
+
+    # pad bits past the code's output are zeros and get dropped after demap
+    coded = np.zeros((B, itl.n_coded), dtype=np.uint8)
+    coded[:, :rt.n_coded] = encode(rt.trellis, messages)
+    x = bicm.map_frame(coded, itl, rt.constellation)
+    del coded
+    # y = gains * x + sqrt(noise_var / 2) * (re + 1j im), built in place:
+    # the parts add in either order to the same bits
+    y = np.empty(x.shape, dtype=complex)
+    scale = np.sqrt(noise_var / 2.0)
+    np.multiply(noise_re, scale, out=y.real)
+    np.multiply(noise_im, scale, out=y.imag)
+    del noise_re, noise_im
+    y += gains[:, None, :] * x
+    del x
+    metrics = bicm.bit_metrics(y, gains, rt.constellation)
+    del y
+    costs = bicm.deinterleave_metrics(metrics, itl, rt.n_coded)
+    del metrics
+    costs = costs.reshape(B, rt.n_steps, config.code.n_out, 2)
+    decoded = viterbi_decode(rt.trellis, costs, terminated=True)
+    return int((decoded != messages).sum())
+
+
+def _simulate_span(config: SimConfig, rt: Runtime, snr_idx: int,
+                   lo: int, hi: int) -> int:
+    """Total bit errors over frames [lo, hi) of one SNR point.
+
+    The frames run through the link in consecutive sub-batches of at
+    most ``rt.sub_frames``, so the span's length does not set its
+    working set.
+    """
+    snr = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0)
     # noise variance n_t / snr keeps the per-antenna transmit power fixed
-    return int(_simulate_frames(rt, gains, config.n_t / snr,
-                                _frame_rngs(config, snr_idx, frames, 1)).sum())
+    noise_var = config.n_t / snr
+    return sum(_simulate_frames(config, rt, snr_idx,
+                                range(start, min(start + rt.sub_frames, hi)),
+                                noise_var)
+               for start in range(lo, hi, rt.sub_frames))
 
 
 def _run_span(config: SimConfig, rt: Runtime, pool, snr_idx: int,

@@ -114,6 +114,7 @@ class TestParseConfig:
         ("workers = 65", "workers"),
         ("constraint_length = 40", "constraint length"),
         ("generators = 3777777777777,2777777777777", "constraint length"),
+        ("frame_bits = 100000000", "frame_bits"),
     ])
     def test_rejects_malformed_input(self, mutation, needle):
         key = mutation.split(" = ")[0].split("\n")[0].split()[0]
@@ -146,6 +147,21 @@ class TestParseConfig:
             tiny_config(workers=harness._MAX_WORKERS + 1)
         with pytest.raises(ConfigurationError, match="workers"):
             preset("fig3_interleaver", workers=100_000)
+
+    def test_frame_bits_are_bounded_by_the_sub_batch_budget(self):
+        # 64 states: one frame's survivors take (frame_bits + 6) * 64
+        # bytes, so the largest frame fills the budget exactly
+        text = BASE_TEXT.replace("generators = 5,7", "generators = 133,171")
+        largest = harness._SUBBATCH_SURVIVOR_BYTES // 64 - 6
+
+        def with_frame_bits(bits):
+            return parse_config(text.replace("frame_bits = 128",
+                                             f"frame_bits = {bits}"))
+
+        assert with_frame_bits(largest).frame_bits == largest
+        for bits in (largest + 1, 10 ** 8):
+            with pytest.raises(ConfigurationError, match="sub-batch budget"):
+                with_frame_bits(bits)
 
     def test_missing_required_keys(self):
         with pytest.raises(ConfigurationError, match="missing"):
@@ -245,6 +261,88 @@ class TestBuildRuntime:
                           profile=FadingProfile.homogeneous(1, 1, -20.0, 2))
         with pytest.warns(UserWarning, match="zero-gain"):
             build_runtime(cfg)
+
+
+def split_runtime(monkeypatch, cfg: SimConfig, frames: int):
+    """Set the survivor budget to ``frames`` frames of ``cfg``."""
+    rt = build_runtime(cfg)
+    monkeypatch.setattr(harness, "_SUBBATCH_SURVIVOR_BYTES",
+                        frames * rt.n_steps * rt.trellis.n_states)
+    rt = build_runtime(cfg)
+    assert rt.sub_frames == frames
+    return rt
+
+
+def record_decoder_rows(monkeypatch) -> list:
+    """Frames per ``viterbi_decode`` call of the sweep, in call order."""
+    rows = []
+    real_decode = harness.viterbi_decode
+
+    def recording_decode(trellis, costs, **kwargs):
+        rows.append(costs.shape[0])
+        return real_decode(trellis, costs, **kwargs)
+
+    monkeypatch.setattr(harness, "viterbi_decode", recording_decode)
+    return rows
+
+
+class TestSubBatches:
+    def test_budget_sets_the_sub_batch_frames(self):
+        # 16 MiB of survivors hold 254 frames of 1030 steps on 64 states
+        desk = build_runtime(preset("fig3_interleaver").variants["structured"])
+        assert desk.sub_frames == 254
+        assert build_runtime(tiny_config()).sub_frames >= 64
+
+    @pytest.mark.parametrize("frames", [1, 5, 7])
+    def test_sub_batches_do_not_change_errors(self, monkeypatch, frames):
+        cfg = tiny_config()
+        whole = harness._simulate_span(cfg, build_runtime(cfg), 1, 0, 12)
+        assert whole > 0
+        rt = split_runtime(monkeypatch, cfg, frames)
+        rows = record_decoder_rows(monkeypatch)
+        assert harness._simulate_span(cfg, rt, 1, 0, 12) == whole
+        assert sum(rows) == 12
+        assert rows[:-1] == [frames] * (len(rows) - 1)
+
+    def test_decoder_never_sees_more_than_one_sub_batch(self, monkeypatch):
+        cfg = tiny_config(batch_frames=12, max_frames=24, min_errors=10 ** 6)
+        whole = sweep(cfg)
+        split_runtime(monkeypatch, cfg, 5)
+        rows = record_decoder_rows(monkeypatch)
+        split = sweep(cfg)
+        # 3 points of 2 batches of 12 frames, each batch 5 + 5 + 2
+        assert rows == [5, 5, 2] * 6
+        np.testing.assert_array_equal(split.frames, whole.frames)
+        np.testing.assert_array_equal(split.bit_errors, whole.bit_errors)
+
+    def test_svd_failure_in_a_later_sub_batch_reports_its_frame(
+            self, monkeypatch):
+        cfg = tiny_config()
+        rt = split_runtime(monkeypatch, cfg, 5)
+        real_svd = np.linalg.svd
+        stacks = []
+        single_calls = []
+
+        def flaky_svd(a, *args, **kwargs):
+            # the second sub-batch's stack fails, and so does its third
+            # frame alone
+            if a.ndim == 3:
+                stacks.append(a.shape[0])
+                if len(stacks) == 2:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+            else:
+                single_calls.append(a)
+                if len(single_calls) == 3:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+        with pytest.raises(NumericalError, match="during sweep") as info:
+            harness._simulate_span(cfg, rt, 2, 10, 22)
+        # frames 10-14, then 15-19: the failing frame is 15 + 2
+        assert stacks == [5, 5]
+        assert info.value.seed.entropy == cfg.master_seed
+        assert info.value.seed.spawn_key == (0, 2, 17)
 
 
 class TestSpanDecomposition:
