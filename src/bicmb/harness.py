@@ -4,13 +4,15 @@ A sweep draws a fresh channel for every coded frame (quasi-static
 fading), runs the coded chain over the scalar subchannels, and
 accumulates bit errors per SNR point until a stop rule is met.  Every
 frame's randomness is derived from (master_seed, snr index, frame
-index) alone, frames are scheduled in fixed-size batches, and workers
-only split batches into contiguous chunks, so the emitted curve is
+index) alone, every stage treats frames independently, and frames are
+scheduled in fixed-size batches, each cut into one list of sub-batches
+that runs serially or on a worker pool alike, so the emitted curve is
 byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import warnings
@@ -24,7 +26,8 @@ from .beamforming import (_path_singular_values, predicted_gains,
                           singular_values)
 from .channel import (ArrayGeometry, FadingProfile, draw_channels,
                       draw_path_sets, linear_to_db)
-from .coding import CodeSpec, build_trellis, encode, free_distance, viterbi_decode
+from .coding import (CodeSpec, _has_zero_weight_loop, _popcount_table,
+                     build_trellis, encode, free_distance, viterbi_decode)
 from .errors import ConfigurationError, NumericalError
 
 __all__ = [
@@ -55,10 +58,10 @@ _NS_SPECTRUM = 2
 _SPECTRUM_CHUNK = 32
 
 # Decoder survivor bytes (one bool per step, state and frame) that one
-# sub-batch of a span may hold.  A span runs through the link this many
-# frames at a time, so its working set does not grow with batch_frames:
-# the 64-state desk presets get 254 frames of 1030 steps, and 128-bit
-# frames stay whole up to 1956.  Over the five desk benchmark sweeps
+# sub-batch may hold.  A batch runs through the link in sub-batches of
+# at most this many frames, so its working set does not grow with
+# batch_frames: the 64-state desk presets allow 254 frames of 1030
+# steps, and 128-bit frames 1956.  Over the five desk benchmark sweeps
 # (one BLAS thread), 254-frame sub-batches peaked at 88 MiB and whole
 # 1024-frame batches at 204 MiB, at about the same speed; 64-frame
 # sub-batches ran 1.5x slower, as the decoder's per-step calls dominate.
@@ -67,6 +70,9 @@ _SUBBATCH_SURVIVOR_BYTES = 16 << 20
 # Each worker is a forked process, and the pool starts all of them at
 # its first task, so the count is bounded whatever the core count.
 _MAX_WORKERS = 64
+
+# Points an snr_db start:step:stop range may hold (presets have <= 8).
+_MAX_SNR_POINTS = 10_000
 
 _MODULATIONS = ("bpsk", "qpsk", "16qam")
 _INTERLEAVERS = ("structured", "random", "adversarial")
@@ -244,7 +250,12 @@ def _parse_snr_grid(value: str) -> tuple:
         raise ConfigurationError("snr_db range bounds must be finite")
     if step <= 0:
         raise ConfigurationError("snr_db range step must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    # the last point's index, unfloored; an overflow to inf fails too
+    last = (stop - start) / step + 1e-9
+    if not last < _MAX_SNR_POINTS:
+        raise ConfigurationError(
+            f"snr_db range has more than {_MAX_SNR_POINTS} points")
+    count = int(math.floor(last)) + 1
     return tuple(start + k * step for k in range(max(count, 0)))
 
 
@@ -307,6 +318,9 @@ def parse_config(text: str) -> SimConfig:
         raise ConfigurationError("paths must be whole numbers")
     paths = paths.astype(np.int64)
     m_r, m_t = int(vals.pop("m_r")), int(vals.pop("m_t"))
+    for name, value in (("m_r", m_r), ("m_t", m_t)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be a positive integer")
     if beta_db.size == 1:
         beta_db = np.full((m_r, m_t), float(beta_db.flat[0]))
     if paths.size == 1:
@@ -346,7 +360,7 @@ def load_config(path) -> SimConfig:
 class Runtime:
     """Objects derived from a config once and reused across frames.
 
-    ``sub_frames`` is the most frames one sub-batch of a span holds.
+    ``sub_frames`` is the most frames one sub-batch holds.
     """
 
     config: SimConfig
@@ -369,6 +383,10 @@ def build_runtime(config: SimConfig) -> Runtime:
     decoding.
     """
     trellis = build_trellis(config.code)
+    w_branch = _popcount_table(config.code.n_out)[trellis.out_pattern]
+    if _has_zero_weight_loop(w_branch, trellis.next_state):
+        raise ConfigurationError(
+            "the code has a zero-weight loop (catastrophic generator set)")
     constellation = bicm.make_constellation(config.modulation)
     m = constellation.bits_per_symbol
     k = config.code.constraint_length
@@ -434,8 +452,7 @@ def _frame_rngs(config: SimConfig, snr_idx: int, frames: range,
         for f in frames]
 
 
-def _simulate_frames(config: SimConfig, rt: Runtime, snr_idx: int,
-                     frames: range, noise_var: float) -> int:
+def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
     """Run one sub-batch of frames through the link; return its
     info-bit error count.
 
@@ -444,6 +461,7 @@ def _simulate_frames(config: SimConfig, rt: Runtime, snr_idx: int,
     Every stage runs once on the whole sub-batch and treats frames
     independently, so results do not depend on how frames are grouped.
     """
+    config = rt.config
     blocks = draw_path_sets(config.profile,
                             _frame_rngs(config, snr_idx, frames, 0),
                             rt.angle_range)
@@ -474,6 +492,8 @@ def _simulate_frames(config: SimConfig, rt: Runtime, snr_idx: int,
     coded[:, :rt.n_coded] = encode(rt.trellis, messages)
     x = bicm.map_frame(coded, itl, rt.constellation)
     del coded
+    # noise variance n_t / snr keeps the per-antenna transmit power fixed
+    noise_var = config.n_t / 10.0 ** (config.snr_grid_db[snr_idx] / 10.0)
     # y = gains * x + sqrt(noise_var / 2) * (re + 1j im), built in place:
     # the parts add in either order to the same bits
     y = np.empty(x.shape, dtype=complex)
@@ -492,36 +512,18 @@ def _simulate_frames(config: SimConfig, rt: Runtime, snr_idx: int,
     return int((decoded != messages).sum())
 
 
-def _simulate_span(config: SimConfig, rt: Runtime, snr_idx: int,
-                   lo: int, hi: int) -> int:
-    """Total bit errors over frames [lo, hi) of one SNR point.
+def _sub_batches(lo: int, hi: int, sub_frames: int, workers: int) -> list:
+    """Cut frames [lo, hi) into consecutive ranges of near-equal size.
 
-    The frames run through the link in consecutive sub-batches of at
-    most ``rt.sub_frames``, so the span's length does not set its
-    working set.
+    The count is the fewest ranges of at most ``sub_frames`` frames,
+    rounded up to a multiple of ``workers`` so that a pool gets work for
+    every worker, and never above the frame count.  Sizes differ by at
+    most one frame.
     """
-    snr = 10.0 ** (config.snr_grid_db[snr_idx] / 10.0)
-    # noise variance n_t / snr keeps the per-antenna transmit power fixed
-    noise_var = config.n_t / snr
-    return sum(_simulate_frames(config, rt, snr_idx,
-                                range(start, min(start + rt.sub_frames, hi)),
-                                noise_var)
-               for start in range(lo, hi, rt.sub_frames))
-
-
-def _run_span(config: SimConfig, rt: Runtime, pool, snr_idx: int,
-              lo: int, hi: int) -> int:
-    if pool is None:
-        return _simulate_span(config, rt, snr_idx, lo, hi)
     n = hi - lo
-    w = config.workers
-    chunk = (n + w - 1) // w
-    futures = [
-        pool.submit(_simulate_span, config, rt, snr_idx,
-                    lo + k * chunk, min(lo + (k + 1) * chunk, hi))
-        for k in range(w) if lo + k * chunk < hi
-    ]
-    return sum(f.result() for f in futures)
+    k = -(-n // sub_frames)
+    k = min(n, -(-k // workers) * workers)
+    return [range(lo + i * n // k, lo + (i + 1) * n // k) for i in range(k)]
 
 
 @dataclass
@@ -588,11 +590,15 @@ def sweep(config: SimConfig) -> BerCurve:
     Frames advance in fixed batches of ``batch_frames``; the stop rule
     (min_errors, capped by max_frames) is evaluated only at batch
     boundaries so the set of simulated frames is worker-independent.
+    Each batch runs as the list of ``_sub_batches``, mapped in order
+    either in this process or on the worker pool.
     """
     rt = build_runtime(config)
     pool = None
+    run = map
     if config.workers > 1:
         pool = ProcessPoolExecutor(max_workers=config.workers)
+        run = pool.map
     try:
         n_pts = len(config.snr_grid_db)
         frames = np.zeros(n_pts, dtype=np.int64)
@@ -603,7 +609,9 @@ def sweep(config: SimConfig) -> BerCurve:
             errs = 0
             while done < config.max_frames and errs < config.min_errors:
                 b = min(config.batch_frames, config.max_frames - done)
-                errs += _run_span(config, rt, pool, si, done, done + b)
+                errs += sum(run(functools.partial(_simulate_frames, rt, si),
+                                _sub_batches(done, done + b, rt.sub_frames,
+                                             config.workers)))
                 done += b
             frames[si] = done
             errors[si] = errs

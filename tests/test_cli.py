@@ -336,11 +336,12 @@ class TestAnalyze:
         # four variants share one code; the second call builds it again
         assert len(built) == 2
 
-    def test_catastrophic_code_exits_1(self, cfg_file, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_catastrophic_code_exits_1(self, tmp_path, capsys, command):
         p = tmp_path / "cat.cfg"
         p.write_text(TINY_CFG.replace("generators = 5,7", "generators = 3,5"))
-        out = tmp_path / "bounds.csv"
-        assert cli.main(["analyze", "--config", str(p),
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", str(p),
                          "--out", str(out)]) == cli.EXIT_CONFIG
         assert "catastrophic" in capsys.readouterr().err
         assert not out.exists()

@@ -115,6 +115,11 @@ class TestParseConfig:
         ("constraint_length = 40", "constraint length"),
         ("generators = 3777777777777,2777777777777", "constraint length"),
         ("frame_bits = 100000000", "frame_bits"),
+        ("m_r = -2", "m_r"),
+        ("m_t = -2", "m_t"),
+        ("snr_db = 0:1:1e12", "more than"),
+        ("snr_db = 0:1e-300:1", "more than"),
+        ("snr_db = -1e308:1:1e308", "more than"),
     ])
     def test_rejects_malformed_input(self, mutation, needle):
         key = mutation.split(" = ")[0].split("\n")[0].split()[0]
@@ -137,7 +142,7 @@ class TestParseConfig:
         cfg = tiny_config(spacing=float(spacing))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            harness._simulate_span(cfg, build_runtime(cfg), 0, 0, 4)
+            harness._simulate_frames(build_runtime(cfg), 0, range(4))
         with pytest.raises(ConfigurationError, match="too large"):
             tiny_config(spacing=float(spacing) * 2)
 
@@ -293,16 +298,44 @@ class TestSubBatches:
         assert desk.sub_frames == 254
         assert build_runtime(tiny_config()).sub_frames >= 64
 
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.integers(0, 10 ** 6), n=st.integers(1, 5000),
+           sub_frames=st.integers(1, 2000), workers=st.integers(1, 64))
+    def test_sub_batches_are_equal_consecutive_ranges(self, lo, n,
+                                                      sub_frames, workers):
+        parts = harness._sub_batches(lo, lo + n, sub_frames, workers)
+        assert [p.start for p in parts] == [lo] + [p.stop for p in parts[:-1]]
+        assert parts[-1].stop == lo + n
+        sizes = [len(p) for p in parts]
+        assert max(sizes) <= sub_frames
+        assert max(sizes) - min(sizes) <= 1
+        least = -(-n // sub_frames)
+        assert len(parts) == min(n, workers * -(-least // workers))
+
+    @pytest.mark.parametrize("lo,hi,sub_frames,workers,sizes", [
+        # a desk batch: five near-equal parts, no short tail
+        (0, 1024, 254, 1, [204, 205, 205, 205, 205]),
+        # a batch that fits one sub-batch still gives each worker a part
+        (0, 12, 64, 3, [4, 4, 4]),
+    ])
+    def test_sub_batch_sizes(self, lo, hi, sub_frames, workers, sizes):
+        parts = harness._sub_batches(lo, hi, sub_frames, workers)
+        assert [len(p) for p in parts] == sizes
+
     @pytest.mark.parametrize("frames", [1, 5, 7])
     def test_sub_batches_do_not_change_errors(self, monkeypatch, frames):
         cfg = tiny_config()
-        whole = harness._simulate_span(cfg, build_runtime(cfg), 1, 0, 12)
+        whole = harness._simulate_frames(build_runtime(cfg), 1, range(12))
         assert whole > 0
         rt = split_runtime(monkeypatch, cfg, frames)
         rows = record_decoder_rows(monkeypatch)
-        assert harness._simulate_span(cfg, rt, 1, 0, 12) == whole
+        assert sum(harness._simulate_frames(rt, 1, part)
+                   for part in harness._sub_batches(0, 12, frames, 1)) \
+            == whole
         assert sum(rows) == 12
-        assert rows[:-1] == [frames] * (len(rows) - 1)
+        # 5 frames give [4, 4, 4], 7 give [6, 6]
+        assert max(rows) <= frames
+        assert max(rows) - min(rows) <= 1
 
     def test_decoder_never_sees_more_than_one_sub_batch(self, monkeypatch):
         cfg = tiny_config(batch_frames=12, max_frames=24, min_errors=10 ** 6)
@@ -310,8 +343,8 @@ class TestSubBatches:
         split_runtime(monkeypatch, cfg, 5)
         rows = record_decoder_rows(monkeypatch)
         split = sweep(cfg)
-        # 3 points of 2 batches of 12 frames, each batch 5 + 5 + 2
-        assert rows == [5, 5, 2] * 6
+        # 3 points of 2 batches of 12 frames, each batch 4 + 4 + 4
+        assert rows == [4, 4, 4] * 6
         np.testing.assert_array_equal(split.frames, whole.frames)
         np.testing.assert_array_equal(split.bit_errors, whole.bit_errors)
 
@@ -338,19 +371,20 @@ class TestSubBatches:
 
         monkeypatch.setattr(np.linalg, "svd", flaky_svd)
         with pytest.raises(NumericalError, match="during sweep") as info:
-            harness._simulate_span(cfg, rt, 2, 10, 22)
-        # frames 10-14, then 15-19: the failing frame is 15 + 2
-        assert stacks == [5, 5]
+            for part in harness._sub_batches(10, 22, rt.sub_frames, 1):
+                harness._simulate_frames(rt, 2, part)
+        # frames 10-13, 14-17, 18-21: the failing frame is 14 + 2
+        assert stacks == [4, 4]
         assert info.value.seed.entropy == cfg.master_seed
-        assert info.value.seed.spawn_key == (0, 2, 17)
+        assert info.value.seed.spawn_key == (0, 2, 16)
 
 
 class TestSpanDecomposition:
     def test_batches_do_not_change_per_frame_results(self):
         cfg = tiny_config()
         rt = build_runtime(cfg)
-        whole = harness._simulate_span(cfg, rt, 1, 0, 12)
-        parts = sum(harness._simulate_span(cfg, rt, 1, lo, hi)
+        whole = harness._simulate_frames(rt, 1, range(12))
+        parts = sum(harness._simulate_frames(rt, 1, range(lo, hi))
                     for lo, hi in [(0, 5), (5, 6), (6, 12)])
         assert whole == parts
 
@@ -370,7 +404,7 @@ class TestSpanDecomposition:
 
         monkeypatch.setattr(np.linalg, "svd", flaky_svd)
         with pytest.raises(NumericalError, match="during sweep") as info:
-            harness._simulate_span(cfg, rt, 2, 10, 18)
+            harness._simulate_frames(rt, 2, range(10, 18))
         seed = info.value.seed
         assert seed.entropy == cfg.master_seed
         assert seed.spawn_key == (0, 2, 13)
@@ -379,17 +413,17 @@ class TestSpanDecomposition:
     def test_error_free_at_extreme_snr_and_reproducible(self):
         cfg = tiny_config(snr_grid_db=(0.0, 90.0))
         rt = build_runtime(cfg)
-        assert harness._simulate_span(cfg, rt, 1, 0, 8) == 0
-        errs = harness._simulate_span(cfg, rt, 0, 0, 8)
+        assert harness._simulate_frames(rt, 1, range(8)) == 0
+        errs = harness._simulate_frames(rt, 0, range(8))
         assert errs > 0
-        assert harness._simulate_span(cfg, rt, 0, 0, 8) == errs
+        assert harness._simulate_frames(rt, 0, range(8)) == errs
 
     def test_never_forms_a_channel_matrix(self, monkeypatch):
         cfg = tiny_config(m_t=2, n_s=2,
                           profile=FadingProfile.from_db([[-20.0, -30.0]],
                                                         [[2, 3]]))
         rt = build_runtime(cfg)
-        want = harness._simulate_span(cfg, rt, 1, 0, 8)
+        want = harness._simulate_frames(rt, 1, range(8))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the sweep assembled a channel matrix")
@@ -404,14 +438,9 @@ class TestSpanDecomposition:
         monkeypatch.setattr(harness, "draw_channels", forbidden)
         monkeypatch.setattr(channel, "draw_channels", forbidden)
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        assert harness._simulate_span(cfg, rt, 1, 0, 8) == want
+        assert harness._simulate_frames(rt, 1, range(8)) == want
         # one stack of 4 x 5 cores: 4 receive elements, 5 paths
         assert shapes == [(8, 4, 5)]
-
-    def test_empty_span_is_zero(self):
-        cfg = tiny_config()
-        rt = build_runtime(cfg)
-        assert harness._simulate_span(cfg, rt, 0, 3, 3) == 0
 
 
 class TestSweep:
