@@ -39,8 +39,9 @@ DEFAULT_ANGLE_RANGE = (-np.pi / 2, np.pi / 2)
 
 
 def db_to_linear(db):
-    """Power ratio from decibels."""
-    return 10.0 ** (np.asarray(db, dtype=np.float64) / 10.0)
+    """Power ratio from decibels; too large a ratio is ``inf``."""
+    with np.errstate(over="ignore"):
+        return 10.0 ** (np.asarray(db, dtype=np.float64) / 10.0)
 
 
 def linear_to_db(x):

@@ -19,7 +19,6 @@ to the all-zero message.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +121,11 @@ class Trellis:
     taps : (n, K) uint8 array
         taps[j, i] multiplies input u[t - i] in generator j, so row j is
         the bit expansion of generators[j], MSB first.
+    weight : (S, 2) int array
+        Hamming weight of each branch's output pattern.
+    catastrophic : bool
+        Whether a loop of zero-weight branches avoids state 0, so that
+        error events have no length bound.
     """
 
     spec: CodeSpec
@@ -131,6 +135,8 @@ class Trellis:
     pred_input: np.ndarray
     pred_pattern: np.ndarray
     taps: np.ndarray
+    weight: np.ndarray
+    catastrophic: bool
 
     @property
     def n_states(self) -> int:
@@ -142,45 +148,51 @@ class Trellis:
 
 
 def build_trellis(spec: CodeSpec) -> Trellis:
-    """Tabulate transitions, outputs, and sorted predecessor lists."""
+    """Tabulate transitions, outputs, branch weights and predecessors.
+
+    Input u in state s fills the register ``(u << (K - 1)) | s``, so
+    state t is entered from states ``2t mod S`` and ``2t mod S + 1``,
+    both on input ``t >> (K - 2)``: each predecessor list is ascending.
+    """
     K = spec.constraint_length
     n = spec.n_out
     n_states = 1 << (K - 1)
+    states = np.arange(n_states, dtype=np.int64)
+    inputs = np.arange(2, dtype=np.int64)
 
-    next_state = np.zeros((n_states, 2), dtype=np.int64)
-    out_pattern = np.zeros((n_states, 2), dtype=np.int64)
-    for s in range(n_states):
-        for u in (0, 1):
-            r = (u << (K - 1)) | s
-            pattern = 0
-            for g in spec.generators:
-                pattern = (pattern << 1) | ((r & g).bit_count() & 1)
-            next_state[s, u] = r >> 1
-            out_pattern[s, u] = pattern
+    msb_first = np.arange(K - 1, -1, -1, dtype=np.int64)
+    taps = (np.array(spec.generators, dtype=np.int64)[:, None] >> msb_first) & 1
+    reg = (inputs << (K - 1)) | states[:, None]
+    # (S, 2, n): output bit j is the parity of the register bits on taps j
+    out_bits = (((reg[..., None] >> msb_first) & 1) @ taps.T) & 1
+    next_state = reg >> 1
+    out_pattern = out_bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    weight = out_bits.sum(axis=2)
 
-    pred_state = np.zeros((n_states, 2), dtype=np.int64)
-    pred_input = np.zeros((n_states, 2), dtype=np.int64)
-    pred_pattern = np.zeros((n_states, 2), dtype=np.int64)
-    fill = np.zeros(n_states, dtype=np.int64)
-    # Scanning states in ascending order keeps each predecessor list sorted.
-    for s in range(n_states):
-        for u in (0, 1):
-            t = next_state[s, u]
-            k = fill[t]
-            pred_state[t, k] = s
-            pred_input[t, k] = u
-            pred_pattern[t, k] = out_pattern[s, u]
-            fill[t] += 1
-    if not np.all(fill == 2):
-        raise ValueError("trellis is not 2-regular; bad generator set")
-
-    taps = np.zeros((n, K), dtype=np.uint8)
-    for j, g in enumerate(spec.generators):
-        for i in range(K):
-            taps[j, i] = (g >> (K - 1 - i)) & 1
+    pred_state = ((2 * states) % n_states)[:, None] + inputs
+    pred_input = np.repeat((states >> (K - 2))[:, None], 2, axis=1)
+    pred_pattern = out_pattern[pred_state, pred_input]
 
     return Trellis(spec, next_state, out_pattern,
-                   pred_state, pred_input, pred_pattern, taps)
+                   pred_state, pred_input, pred_pattern,
+                   taps.astype(np.uint8), weight,
+                   _has_zero_weight_loop(weight, next_state))
+
+
+def _has_zero_weight_loop(w_branch: np.ndarray, next_state: np.ndarray) -> bool:
+    """Whether some loop of zero-weight branches avoids state 0.
+
+    Peels off nonzero states with no zero-weight branch into a state
+    still standing; whatever stands at the end lies on or feeds such a
+    loop.
+    """
+    standing = np.ones(next_state.shape[0], dtype=bool)
+    standing[0] = False
+    while True:
+        keep = standing & ((w_branch == 0) & standing[next_state]).any(axis=1)
+        if np.array_equal(keep, standing):
+            return bool(standing.any())
+        standing = keep
 
 
 def encode(trellis: Trellis, message: np.ndarray, terminate: bool = True) -> np.ndarray:
@@ -326,50 +338,28 @@ def _viterbi_batch(trellis: Trellis, costs: np.ndarray, terminated: bool) -> np.
 def _min_weight_to_zero(trellis: Trellis) -> np.ndarray:
     """Per-state minimum output weight of any path remerging with state 0.
 
-    Dijkstra over the transition graph with branch weights equal to the
-    Hamming weight of the emitted pattern.  Entry 0 is 0 by convention.
+    Relaxes ``dist[s] = min_u(weight[s, u] + dist[next_state[s, u]])``
+    with ``dist[0] = 0`` down from infinity until it stops changing;
+    branch weights are nonnegative, so that takes at most S passes.
     """
-    n_states = trellis.n_states
-    w_branch = _popcount_table(trellis.spec.n_out)[trellis.out_pattern]
-
-    dist = np.full(n_states, np.inf)
+    dist = np.full(trellis.n_states, np.inf)
     dist[0] = 0.0
-    # Relax over reversed edges: dist[s] = min over (s,u) of w + dist[next].
-    heap = [(0.0, 0)]
-    done = np.zeros(n_states, dtype=bool)
-    while heap:
-        d, t = heapq.heappop(heap)
-        if done[t]:
-            continue
-        done[t] = True
-        for k in range(2):
-            s = int(trellis.pred_state[t, k])
-            if s == 0:
-                continue  # leaving state 0 starts an event, not a remerge
-            nd = d + w_branch[s, trellis.pred_input[t, k]]
-            if nd < dist[s]:
-                dist[s] = nd
-                heapq.heappush(heap, (nd, s))
-    return dist
+    while True:
+        relaxed = (trellis.weight + dist[trellis.next_state]).min(axis=1)
+        relaxed[0] = 0.0
+        if np.array_equal(relaxed, dist):
+            return dist
+        dist = relaxed
 
 
-def _popcount_table(n_bits: int) -> np.ndarray:
-    table = np.zeros(1 << n_bits, dtype=np.int64)
-    for p in range(1 << n_bits):
-        table[p] = p.bit_count()
-    return table
-
-
-def free_distance(trellis: Trellis, d_max: int = 64) -> int:
+def free_distance(trellis: Trellis) -> int:
     """Minimum Hamming weight over paths that diverge from and remerge
-    with the all-zero state."""
-    w_branch = _popcount_table(trellis.spec.n_out)[trellis.out_pattern]
-    dist = _min_weight_to_zero(trellis)
-    first = int(trellis.next_state[0, 1])
-    d = w_branch[0, 1] + dist[first]
-    if not np.isfinite(d) or d > d_max:
-        raise ValueError(f"no error event of weight <= {d_max} found")
-    return int(d)
+    with the all-zero state.
+
+    K - 1 zero inputs flush every state to 0, so it is always finite.
+    """
+    first = trellis.next_state[0, 1]
+    return int(trellis.weight[0, 1] + _min_weight_to_zero(trellis)[first])
 
 
 @dataclass
@@ -412,22 +402,6 @@ class DistanceSpectrum:
         return self.entries[d].total_input_weight if d in self.entries else 0
 
 
-def _has_zero_weight_loop(w_branch: np.ndarray, next_state: np.ndarray) -> bool:
-    """Whether some loop of zero-weight branches avoids state 0.
-
-    Peels off nonzero states with no zero-weight branch into a state
-    still standing; whatever stands at the end lies on or feeds such a
-    loop.
-    """
-    standing = np.ones(next_state.shape[0], dtype=bool)
-    standing[0] = False
-    while True:
-        keep = standing & ((w_branch == 0) & standing[next_state]).any(axis=1)
-        if np.array_equal(keep, standing):
-            return bool(standing.any())
-        standing = keep
-
-
 def _walk_back(parents: list, level: np.ndarray, node: np.ndarray):
     """Trace paths from their last node up to the root.
 
@@ -459,29 +433,27 @@ def distance_spectrum(trellis: Trellis, d_max: int,
     """
     if event_cap < 1:
         raise ValueError("event_cap must keep at least one event per distance")
-    d_free_val = free_distance(trellis, d_max=max(d_max, 1))
+    d_free_val = free_distance(trellis)
     if d_max < d_free_val:
         raise ValueError(f"d_max={d_max} is below the free distance {d_free_val}")
 
     n = trellis.spec.n_out
-    next_state = trellis.next_state
     out_pattern = trellis.out_pattern
-    w_branch = _popcount_table(n)[out_pattern]
     # With every loop off state 0 costing weight, no path survives
     # n_states * (d_max + 1) levels, so the search below always ends.
-    if _has_zero_weight_loop(w_branch, next_state):
+    if trellis.catastrophic:
         raise ValueError(
             "error events have no length bound: the code has a zero-weight "
             "loop (catastrophic generator set)")
     # ``w > slack[s]`` is ``w + to_zero[s] > d_max`` for integer weights.
-    # A state with no way back gets slack -1.  The path cap bounds the
-    # levels, so weights stay far below the int32 ceiling.
-    slack = np.clip(d_max - _min_weight_to_zero(trellis), -1,
-                    np.iinfo(np.int32).max).astype(np.int32)
+    # The path cap bounds the levels, so weights stay far below the
+    # int32 ceiling.
+    slack = np.minimum(d_max - _min_weight_to_zero(trellis),
+                       np.iinfo(np.int32).max).astype(np.int32)
     pattern_dtype = np.min_scalar_type(out_pattern.max())
     # Flat per-branch tables: entry 2 * s + u is state s with input u.
-    succ_of = next_state.astype(np.int32).ravel()
-    w_of = w_branch.astype(np.int32).ravel()
+    succ_of = trellis.next_state.astype(np.int32).ravel()
+    w_of = trellis.weight.astype(np.int32).ravel()
     pat_of = out_pattern.astype(pattern_dtype).ravel()
 
     # Level t (list entry t - 1) holds the paths of t branches that have

@@ -26,8 +26,8 @@ from .beamforming import (_path_singular_values, predicted_gains,
                           singular_values)
 from .channel import (ArrayGeometry, FadingProfile, draw_channels,
                       draw_path_sets, linear_to_db)
-from .coding import (CodeSpec, _has_zero_weight_loop, _popcount_table,
-                     build_trellis, encode, free_distance, viterbi_decode)
+from .coding import (CodeSpec, build_trellis, encode, free_distance,
+                     viterbi_decode)
 from .errors import ConfigurationError, NumericalError
 
 __all__ = [
@@ -128,8 +128,9 @@ class SimConfig:
             raise ConfigurationError(f"unknown modulation {self.modulation!r}")
         if self.interleaver not in _INTERLEAVERS:
             raise ConfigurationError(f"unknown interleaver {self.interleaver!r}")
+        m = bicm.make_constellation(self.modulation).bits_per_symbol
         if (self.interleaver == "structured" and self.n_s == 1 and self.depth < 2
-                and bicm.make_constellation(self.modulation).bits_per_symbol > 1):
+                and m > 1):
             raise ConfigurationError(
                 "the structured interleaver needs depth >= 2 for a single "
                 "stream of multi-bit symbols")
@@ -142,13 +143,24 @@ class SimConfig:
             raise ConfigurationError("snr_db grid must be strictly increasing")
         if self.adversarial_run < 0:
             raise ConfigurationError("adversarial_run cannot be negative")
+        # A frame is padded to a multiple of the interleaver period
+        # n_s * m * run; a period within one frame's code bits keeps the
+        # padding under one frame.
+        k = self.code.constraint_length
+        code_bits = (self.frame_bits + k - 1) * self.code.n_out
+        key = {"structured": "depth",
+               "adversarial": "adversarial_run"}.get(self.interleaver)
+        if key is not None and self.n_s * m * getattr(self, key) > code_bits:
+            raise ConfigurationError(
+                f"{key} {getattr(self, key)} is too large: the interleaver "
+                f"period n_s * bits_per_symbol * {key} exceeds the "
+                f"{code_bits} code bits of a frame")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed cannot be negative")
         if not np.any(self.profile.beta > 0):
             raise ConfigurationError(
                 "fading profile has no power in any subarray pair")
         _check_spacing(self.spacing, self.n_r, self.n_t)
-        k = self.code.constraint_length
         survivors = (self.frame_bits + k - 1) << (k - 1)
         if survivors > _SUBBATCH_SURVIVOR_BYTES:
             raise ConfigurationError(
@@ -210,10 +222,16 @@ class SimConfig:
 def _check_spacing(spacing: float, n_r: int, n_t: int) -> None:
     if not (math.isfinite(spacing) and spacing > 0):
         raise ConfigurationError("spacing must be a positive finite number")
-    # the largest steering phase is below 2 pi * spacing * N
-    if not math.isfinite(2 * math.pi * spacing * max(n_r, n_t)):
+    # the largest steering phase is below 2 pi * spacing * N; an N past
+    # the float range overflows as well
+    try:
+        phase = 2 * math.pi * spacing * max(n_r, n_t)
+    except OverflowError:
+        phase = math.inf
+    if not math.isfinite(phase):
         raise ConfigurationError(
-            f"spacing {spacing!r} is too large: steering phases overflow")
+            f"spacing {spacing!r} is too large for the array size: "
+            f"steering phases overflow")
 
 
 def _number_text(v) -> str:
@@ -316,6 +334,8 @@ def parse_config(text: str) -> SimConfig:
     paths = _parse_matrix(str(vals.pop("paths")))
     if not np.all(np.isfinite(paths) & (paths == np.floor(paths))):
         raise ConfigurationError("paths must be whole numbers")
+    if np.any(np.abs(paths) >= 2.0 ** 63):
+        raise ConfigurationError("paths must fit a 64-bit integer")
     paths = paths.astype(np.int64)
     m_r, m_t = int(vals.pop("m_r")), int(vals.pop("m_t"))
     for name, value in (("m_r", m_r), ("m_t", m_t)):
@@ -338,13 +358,10 @@ def parse_config(text: str) -> SimConfig:
     grid = _parse_snr_grid(str(vals.pop("snr_db")))
     angle_lo = float(vals.pop("angle_min_deg", -90.0))
     angle_hi = float(vals.pop("angle_max_deg", 90.0))
-    vals["modulation"] = str(vals.get("modulation", "bpsk")).lower()
-    try:
-        return SimConfig(m_r=m_r, m_t=m_t, profile=profile, code=code,
-                         snr_grid_db=grid, angle_range_deg=(angle_lo, angle_hi),
-                         **vals)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    vals["modulation"] = str(vals["modulation"]).lower()
+    return SimConfig(m_r=m_r, m_t=m_t, profile=profile, code=code,
+                     snr_grid_db=grid, angle_range_deg=(angle_lo, angle_hi),
+                     **vals)
 
 
 def load_config(path) -> SimConfig:
@@ -383,8 +400,7 @@ def build_runtime(config: SimConfig) -> Runtime:
     decoding.
     """
     trellis = build_trellis(config.code)
-    w_branch = _popcount_table(config.code.n_out)[trellis.out_pattern]
-    if _has_zero_weight_loop(w_branch, trellis.next_state):
+    if trellis.catastrophic:
         raise ConfigurationError(
             "the code has a zero-weight loop (catastrophic generator set)")
     constellation = bicm.make_constellation(config.modulation)

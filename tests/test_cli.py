@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from bicmb import cli
-from bicmb.coding import distance_spectrum
+from bicmb.coding import (CodeSpec, build_trellis, distance_spectrum,
+                          free_distance)
 from bicmb.errors import NumericalError
 from bicmb.harness import BerCurve, parse_config, preset, spectrum_stats
 
@@ -99,6 +100,42 @@ class TestCodeInfo:
         assert "paths; lower d_max" in capsys.readouterr().err
 
 
+class TestLongCode:
+    """A valid rate-1/12, K = 10 code whose free distance is 66."""
+
+    GENERATORS = ("1357,1735,1667,1772,1567,1753,1573,1557,1375,1737,"
+                  "1376,1755")
+
+    def config(self, tmp_path, interleaver):
+        p = tmp_path / f"{interleaver}.cfg"
+        p.write_text(TINY_CFG.replace("generators = 5,7",
+                                      f"generators = {self.GENERATORS}")
+                     .replace("frame_bits = 128", "frame_bits = 16")
+                     .replace("snr_db = 0,4,8", "snr_db = 0,4")
+                     + f"interleaver = {interleaver}\n")
+        return p
+
+    def test_free_distance(self):
+        trellis = build_trellis(CodeSpec.from_octal(self.GENERATORS))
+        assert not trellis.catastrophic
+        assert free_distance(trellis) == 66
+
+    def test_simulate_with_the_adversarial_interleaver(self, tmp_path):
+        # the interleaver run defaults to the free distance
+        out = tmp_path / "sim.csv"
+        assert cli.main(["simulate", "--config",
+                         str(self.config(tmp_path, "adversarial")),
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert out.exists()
+
+    def test_analyze_with_the_structured_interleaver(self, tmp_path):
+        out = tmp_path / "bound.csv"
+        assert cli.main(["analyze", "--config",
+                         str(self.config(tmp_path, "structured")),
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert out.read_text().splitlines()[3] == cli.ANALYZE_CSV_HEADER
+
+
 class TestArgumentHandling:
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == cli.EXIT_OK
@@ -149,6 +186,8 @@ class TestArgumentHandling:
         ("beta_db = -20", "beta_db = -inf", "no power"),
         ("paths = 2", "paths = 2.5", "whole numbers"),
         ("label = tiny", "spacing = 1e308", "too large"),
+        ("beta_db = -20", "beta_db = 1e18", "finite"),
+        ("paths = 2", "paths = 1e308", "64-bit"),
         ("label = tiny", "constraint_length = 40", "constraint length"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "analyze",

@@ -238,16 +238,47 @@ class TestTrellis:
         counts = np.bincount(trellis64.next_state.ravel(), minlength=s)
         assert np.all(counts == 2)
 
-    def test_predecessor_tables_invert_transitions(self, trellis4):
-        for state in range(trellis4.n_states):
-            for slot in range(2):
-                prev = trellis4.pred_state[state, slot]
-                bit = trellis4.pred_input[state, slot]
-                assert trellis4.next_state[prev, bit] == state
-                assert (trellis4.pred_pattern[state, slot]
-                        == trellis4.out_pattern[prev, bit])
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(2, 10), n=st.integers(2, 4), data=st.data())
+    def test_predecessor_tables_invert_transitions(self, k, n, data):
+        gens = tuple(data.draw(st.lists(st.integers(1, (1 << k) - 1),
+                                        min_size=n, max_size=n)))
+        trellis = build_trellis(CodeSpec(gens, k))
+        n_states = 1 << (k - 1)
+        for name in ("next_state", "pred_state", "pred_input",
+                     "pred_pattern"):
+            assert getattr(trellis, name).dtype == np.int64
+        assert trellis.taps.dtype == np.uint8
+        assert trellis.taps.tolist() == [[int(b) for b in f"{g:0{k}b}"]
+                                         for g in gens]
+
+        next_state = np.empty((n_states, 2), dtype=np.int64)
+        out_pattern = np.empty((n_states, 2), dtype=np.int64)
+        for s in range(n_states):
+            for u in range(2):
+                reg = (u << (k - 1)) | s
+                next_state[s, u] = reg >> 1
+                pattern = 0
+                for g in gens:
+                    pattern = (pattern << 1) | (bin(reg & g).count("1") & 1)
+                out_pattern[s, u] = pattern
+        np.testing.assert_array_equal(trellis.next_state, next_state)
+        np.testing.assert_array_equal(trellis.out_pattern, out_pattern)
+        np.testing.assert_array_equal(
+            trellis.weight, [[bin(p).count("1") for p in row]
+                             for row in out_pattern.tolist()])
+
+        prev, bit = trellis.pred_state, trellis.pred_input
+        states = np.arange(n_states, dtype=np.int64)
+        np.testing.assert_array_equal(trellis.next_state[prev, bit],
+                                      np.stack([states, states], axis=1))
+        np.testing.assert_array_equal(trellis.pred_pattern,
+                                      trellis.out_pattern[prev, bit])
+        # each branch enters exactly one state, in exactly one slot
+        assert sorted((2 * prev + bit).ravel().tolist()) \
+            == list(range(2 * n_states))
         # tie-break contract: predecessor slots sorted ascending
-        assert np.all(trellis4.pred_state[:, 0] <= trellis4.pred_state[:, 1])
+        assert np.all(prev[:, 0] < prev[:, 1])
 
 
 class TestEncoder:
@@ -476,8 +507,11 @@ class TestDistanceSpectrum:
         trellis = build_trellis(CodeSpec(gens, k))
         w_branch = np.array([[bin(p).count("1") for p in row]
                              for row in trellis.out_pattern.tolist()])
+        catastrophic = not non_catastrophic(gens, k)
         assert coding._has_zero_weight_loop(w_branch, trellis.next_state) \
-            == (not non_catastrophic(gens, k))
+            == catastrophic
+        assert trellis.catastrophic == catastrophic
+        np.testing.assert_array_equal(trellis.weight, w_branch)
 
     @pytest.mark.parametrize("generators", ["133,171", "561,753"])
     def test_path_cap_admits_depth_22(self, generators):

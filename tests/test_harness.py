@@ -55,6 +55,60 @@ def tiny_config(**overrides) -> SimConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+# Parse-only fuzz alphabet: (valid, invalid) tokens per key.  m_r, m_t
+# and paths stay small: a scalar beta_db or paths is filled out to an
+# m_r x m_t matrix at parse time.
+_INT_TOKENS = (("1", "2", "3", "4", "8", "16"),
+               ("0", "-1", "2.5", "x", "", "100000", "9" * 30, "1" + "0" * 400))
+_FUZZ_TOKENS = {
+    "m_r": (("1", "2"), ("0", "-2", "3", "2.5", "x")),
+    "m_t": (("1", "2"), ("0", "-2", "3", "2.5", "x")),
+    "paths": (("1", "2", "3", "2 3"),
+              ("0", "-1", "2.5", "1e308", "nan", "1; 2", "x")),
+    "beta_db": (("-20", "0", "-20 -30", "-20; -30"),
+                ("1e18", "-1e18", "inf", "-inf", "nan", "-20 -30; -10", "x")),
+    "spacing": (("0.5", "1"), ("0", "-1", "nan", "inf", "1e300", "1e308", "x")),
+    "angle_min_deg": (("-60", "0"), ("nan", "-inf", "1e308", "60", "x")),
+    "angle_max_deg": (("60", "0"), ("nan", "inf", "-1e308", "-60", "x")),
+    "modulation": (("bpsk", "qpsk", "16QAM"), ("256qam", "")),
+    "interleaver": (("structured", "random", "adversarial"), ("fancy", "")),
+    "generators": (("5,7", "133,171", "25,33,37", "3,5"),
+                   ("9,7", "7", "7777777777777,5", "xyz", "")),
+    "snr_db": (("0,4,8", "0:2:6", "0"),
+               ("8,4,0", "0:-2:8", "0:1:1e12", "-1e308:1:1e308", "0:1:inf",
+                "nan", "x", "")),
+    "label": (("tiny", ""), ("a = b",)),
+}
+_JUNK_LINES = ("bogus_key = 1", "m_r 1", "# comment", "", "m_r = 2")
+
+
+@st.composite
+def config_texts(draw):
+    """Config text over the known keys from a bounded token alphabet.
+
+    Most values are valid and most texts carry every required key, so a
+    text usually fails on at most one bad value or line.
+    """
+    def rarely():
+        return draw(st.integers(0, 9)) == 0
+
+    known = sorted(harness._INT_KEYS | harness._FLOAT_KEYS
+                   | harness._STR_KEYS)
+    keys = set(harness._REQUIRED)
+    keys |= draw(st.sets(st.sampled_from(known), max_size=8))
+    if rarely():
+        keys.discard(draw(st.sampled_from(sorted(keys))))
+    lines = []
+    for key in sorted(keys):
+        valid, invalid = _FUZZ_TOKENS.get(key, _INT_TOKENS)
+        token = draw(st.sampled_from(invalid if rarely() else valid))
+        lines.append(f"{key} = {token}")
+    if rarely():
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(_JUNK_LINES)))
+    return "\n".join(lines) + "\n"
+
+
 class TestParseConfig:
     def test_values_and_defaults(self):
         cfg = parse_config(BASE_TEXT)
@@ -120,6 +174,12 @@ class TestParseConfig:
         ("snr_db = 0:1:1e12", "more than"),
         ("snr_db = 0:1e-300:1", "more than"),
         ("snr_db = -1e308:1:1e308", "more than"),
+        ("n_t = 1" + "0" * 400, "too large"),
+        ("depth = 100000", "depth"),
+        ("interleaver = adversarial\nadversarial_run = 100000",
+         "adversarial_run"),
+        ("beta_db = 1e18", "finite"),
+        ("paths = 1e308", "64-bit"),
     ])
     def test_rejects_malformed_input(self, mutation, needle):
         key = mutation.split(" = ")[0].split("\n")[0].split()[0]
@@ -167,6 +227,31 @@ class TestParseConfig:
         for bits in (largest + 1, 10 ** 8):
             with pytest.raises(ConfigurationError, match="sub-batch budget"):
                 with_frame_bits(bits)
+
+    @pytest.mark.parametrize("mutation", [
+        "depth = {}", "interleaver = adversarial\nadversarial_run = {}"])
+    def test_interleaver_period_is_bounded_by_the_frame(self, mutation):
+        # one BPSK stream; a frame holds (128 + 2) * 2 = 260 code bits
+        key = mutation.split("\n")[-1].split(" = ")[0]
+
+        def with_run(run):
+            return parse_config(BASE_TEXT + mutation.format(run) + "\n")
+
+        assert getattr(with_run(260), key) == 260
+        with pytest.raises(ConfigurationError, match=key):
+            with_run(261)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=config_texts())
+    def test_any_text_gives_a_config_or_a_configuration_error(self, text):
+        # parse only: a generated config never builds a runtime or runs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                cfg = parse_config(text)
+            except ConfigurationError:
+                return
+        assert isinstance(cfg, SimConfig)
 
     def test_missing_required_keys(self):
         with pytest.raises(ConfigurationError, match="missing"):
