@@ -66,19 +66,15 @@ def diversity_gain(profile: FadingProfile) -> float:
     return float(num / den)
 
 
-def gamma_fit(profile: FadingProfile, gain_second_moment: float = 1.0) -> GammaFit:
+def gamma_fit(profile: FadingProfile) -> GammaFit:
     """Moment-match the summed per-pair Gamma terms to one Gamma law.
 
-    Pair (i, j) contributes shape L_ij and scale
-    gain_second_moment * beta_ij / L_ij.  ``gain_second_moment`` is
-    E|path gain|^2 (1.0 under this package's unit-variance convention;
-    other conventions rescale the path gains by a constant).  The fitted
-    shape is independent of it and equals :func:`diversity_gain`.
+    Pair (i, j) contributes shape L_ij and scale beta_ij / L_ij, as the
+    path gains have unit second moment.  The fitted shape equals
+    :func:`diversity_gain`.
     """
-    if gain_second_moment <= 0:
-        raise ValueError("gain_second_moment must be positive")
     shapes = profile.paths.astype(np.float64)
-    scales = gain_second_moment * profile.beta / shapes
+    scales = profile.beta / shapes
     mean = (shapes * scales).sum()
     if mean <= 0:
         raise ValueError("profile has no power in any subarray pair")
@@ -86,8 +82,8 @@ def gamma_fit(profile: FadingProfile, gain_second_moment: float = 1.0) -> GammaF
     return GammaFit(shape=float(mean ** 2 / var), scale=float(var / mean))
 
 
-def sample_theta(profile: FadingProfile, n_draws: int, rng: np.random.Generator,
-                 gain_second_moment: float = 1.0) -> np.ndarray:
+def sample_theta(profile: FadingProfile, n_draws: int,
+                 rng: np.random.Generator) -> np.ndarray:
     """Monte Carlo draws of the normalized channel power statistic.
 
     Draws the per-path complex gains directly (the statistic does not
@@ -95,11 +91,10 @@ def sample_theta(profile: FadingProfile, n_draws: int, rng: np.random.Generator,
     sum_ij (beta_ij / L_ij) * sum_l |gain_l|^2 per realization.
     """
     out = np.zeros(n_draws)
-    half = gain_second_moment / 2.0
     for i in range(profile.m_r):
         for j in range(profile.m_t):
             l = int(profile.paths[i, j])
-            g = rng.normal(scale=np.sqrt(half), size=(n_draws, l, 2))
+            g = rng.normal(scale=np.sqrt(0.5), size=(n_draws, l, 2))
             out += (profile.beta[i, j] / l) * (g ** 2).sum(axis=(1, 2))
     return out
 

@@ -195,13 +195,12 @@ def _has_zero_weight_loop(w_branch: np.ndarray, next_state: np.ndarray) -> bool:
         standing = keep
 
 
-def encode(trellis: Trellis, message: np.ndarray, terminate: bool = True) -> np.ndarray:
-    """Encode a binary message, flushing the register when ``terminate``.
+def encode(trellis: Trellis, message: np.ndarray) -> np.ndarray:
+    """Encode a binary message and flush the register back to state 0.
 
-    ``message`` is one message (L,) or a batch (B, L).  Returns the coded
-    bits interleaved first-generator-first: ``n * (L + K - 1)`` per
-    message when terminated, ``n * L`` otherwise, with the batch axis
-    kept.
+    ``message`` is one message (L,) or a batch (B, L).  Returns the
+    ``n * (L + K - 1)`` coded bits of each message, interleaved
+    first-generator-first, with the batch axis kept.
     """
     msg = np.asarray(message)
     if msg.ndim not in (1, 2) or msg.size == 0:
@@ -213,7 +212,7 @@ def encode(trellis: Trellis, message: np.ndarray, terminate: bool = True) -> np.
     n = trellis.n_out
     K = trellis.spec.constraint_length
     length = bits.shape[-1]
-    steps = length + K - 1 if terminate else length
+    steps = length + K - 1
     out = np.empty(bits.shape[:-1] + (steps, n), dtype=np.uint8)
     acc = np.empty(bits.shape[:-1] + (steps,), dtype=np.uint8)
     for j in range(n):
@@ -234,24 +233,21 @@ def _pattern_bits(n: int) -> np.ndarray:
     return (p[:, None] >> shifts[None, :]) & 1
 
 
-def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray,
-                   terminated: bool = True) -> np.ndarray:
-    """Minimum-cost sequence decoding from per-bit soft costs.
+def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
+    """Minimum-cost decoding of terminated code words from per-bit soft costs.
 
     Parameters
     ----------
     branch_costs : array, shape (T, n, 2) or (B, T, n, 2)
         ``branch_costs[..., t, j, b]`` is the cost of deciding coded bit j
         of step t equal to b.  A branch costs the sum over its n bits, a
-        path the sum over its branches.
-    terminated : bool
-        When True the path is forced to end in state 0 and the K - 1
-        flush bits are stripped, returning ``T - (K - 1)`` message bits.
+        path the sum over its branches.  The path starts and ends in
+        state 0, and the K - 1 flush steps are stripped from the result.
 
     Returns
     -------
-    uint8 array of message bits, shape (msg_len,) or (B, msg_len)
-    matching the input batching.
+    uint8 array of ``T - (K - 1)`` message bits, shape (msg_len,) or
+    (B, msg_len) matching the input batching.
     """
     costs = np.asarray(branch_costs, dtype=np.float64)
     single = costs.ndim == 3
@@ -260,36 +256,9 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray,
     if costs.ndim != 4 or costs.shape[2] != trellis.n_out or costs.shape[3] != 2:
         raise ValueError("branch_costs must have shape (..., T, n, 2)")
     K = trellis.spec.constraint_length
-    T = costs.shape[1]
-    if terminated and T < K:
+    B, T = costs.shape[:2]
+    if T < K:
         raise ValueError("terminated decoding needs at least K steps")
-
-    bits = _viterbi_batch(trellis, costs, terminated)
-    return bits[0] if single else bits
-
-
-def _pattern_costs(costs: np.ndarray) -> np.ndarray:
-    """Cost of each packed output pattern at each step, shape (T, P, B).
-
-    ``costs`` is (B, T, n, 2).  The state-major layout makes every
-    per-step gather of the decoder a copy of whole contiguous batch rows.
-    The n bit costs are added left to right, the order of numpy's sum
-    over that axis, so the sums are bitwise those of the reduce form.
-    """
-    B, T, n, _ = costs.shape
-    pb = _pattern_bits(n)
-    bit_costs = np.ascontiguousarray(costs.transpose(1, 2, 3, 0))
-    out = np.empty((T, 1 << n, B))
-    for p, bits in enumerate(pb):
-        acc = out[:, p]
-        np.add(bit_costs[:, 0, bits[0]], bit_costs[:, 1, bits[1]], out=acc)
-        for j in range(2, n):
-            acc += bit_costs[:, j, bits[j]]
-    return out
-
-
-def _viterbi_batch(trellis: Trellis, costs: np.ndarray, terminated: bool) -> np.ndarray:
-    B, T, _, _ = costs.shape
     n_states = trellis.n_states
 
     pattern_costs = _pattern_costs(costs)
@@ -317,11 +286,8 @@ def _viterbi_batch(trellis: Trellis, costs: np.ndarray, terminated: bool) -> np.
         np.minimum(cand0, cand1, out=cand0)
         metric, cand0 = cand0, metric
 
-    if terminated:
-        state = np.zeros(B, dtype=np.intp)
-    else:
-        state = np.argmin(metric, axis=0)
-
+    # the flush leaves every code word in state 0
+    state = np.zeros(B, dtype=np.intp)
     cols = np.arange(B)
     decided = np.empty((B, T), dtype=np.uint8)
     for t in range(T - 1, -1, -1):
@@ -329,10 +295,28 @@ def _viterbi_batch(trellis: Trellis, costs: np.ndarray, terminated: bool) -> np.
         decided[:, t] = trellis.pred_input[state, k]
         state = pred_state[state, k]
 
-    if terminated:
-        K = trellis.spec.constraint_length
-        return decided[:, : T - (K - 1)]
-    return decided
+    bits = decided[:, : T - (K - 1)]
+    return bits[0] if single else bits
+
+
+def _pattern_costs(costs: np.ndarray) -> np.ndarray:
+    """Cost of each packed output pattern at each step, shape (T, P, B).
+
+    ``costs`` is (B, T, n, 2).  The state-major layout makes every
+    per-step gather of the decoder a copy of whole contiguous batch rows.
+    The n bit costs are added left to right, the order of numpy's sum
+    over that axis, so the sums are bitwise those of the reduce form.
+    """
+    B, T, n, _ = costs.shape
+    pb = _pattern_bits(n)
+    bit_costs = np.ascontiguousarray(costs.transpose(1, 2, 3, 0))
+    out = np.empty((T, 1 << n, B))
+    for p, bits in enumerate(pb):
+        acc = out[:, p]
+        np.add(bit_costs[:, 0, bits[0]], bit_costs[:, 1, bits[1]], out=acc)
+        for j in range(2, n):
+            acc += bit_costs[:, j, bits[j]]
+    return out
 
 
 def _min_weight_to_zero(trellis: Trellis) -> np.ndarray:

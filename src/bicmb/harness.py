@@ -17,7 +17,7 @@ import hashlib
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,14 +57,16 @@ _NS_SPECTRUM = 2
 # and raised peak memory by 2 and 6 MiB; one chunk of all draws by 65 MiB.
 _SPECTRUM_CHUNK = 32
 
-# Decoder survivor bytes (one bool per step, state and frame) that one
-# sub-batch may hold.  A batch runs through the link in sub-batches of
-# at most this many frames, so its working set does not grow with
-# batch_frames: the 64-state desk presets allow 254 frames of 1030
-# steps, and 128-bit frames 1956.  Over the five desk benchmark sweeps
-# (one BLAS thread), 254-frame sub-batches peaked at 88 MiB and whole
-# 1024-frame batches at 204 MiB, at about the same speed; 64-frame
-# sub-batches ran 1.5x slower, as the decoder's per-step calls dominate.
+# Decoder survivor bytes (one bool per step, state and frame), or
+# steering-factor bytes (16 per complex value), that one sub-batch may
+# hold.  A batch runs through the link in sub-batches of at most this
+# many frames, so its working set does not grow with batch_frames: the
+# 64-state desk presets allow 254 frames of 1030 steps, and a 64 x 128
+# composite array with 128-bit frames 682.  Over the five desk
+# benchmark sweeps (one BLAS thread), 254-frame sub-batches peaked at
+# 88 MiB and whole 1024-frame batches at 204 MiB, at about the same
+# speed; 64-frame sub-batches ran 1.5x slower, as the decoder's
+# per-step calls dominate.
 _SUBBATCH_SURVIVOR_BYTES = 16 << 20
 
 # Each worker is a forked process, and the pool starts all of them at
@@ -116,7 +118,7 @@ class SimConfig:
             raise ConfigurationError("fading profile shape must be m_r x m_t")
         for name in ("m_r", "m_t", "n_r", "n_t", "n_s", "frame_bits",
                      "min_errors", "max_frames", "depth", "batch_frames",
-                     "workers"):
+                     "workers", "rf_chains_per_stream"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be a positive integer")
         if self.workers > _MAX_WORKERS:
@@ -146,8 +148,7 @@ class SimConfig:
         # A frame is padded to a multiple of the interleaver period
         # n_s * m * run; a period within one frame's code bits keeps the
         # padding under one frame.
-        k = self.code.constraint_length
-        code_bits = (self.frame_bits + k - 1) * self.code.n_out
+        code_bits = self.n_steps * self.code.n_out
         key = {"structured": "depth",
                "adversarial": "adversarial_run"}.get(self.interleaver)
         if key is not None and self.n_s * m * getattr(self, key) > code_bits:
@@ -161,12 +162,15 @@ class SimConfig:
             raise ConfigurationError(
                 "fading profile has no power in any subarray pair")
         _check_spacing(self.spacing, self.n_r, self.n_t)
-        survivors = (self.frame_bits + k - 1) << (k - 1)
+        survivors = self.n_steps << (self.code.constraint_length - 1)
         if survivors > _SUBBATCH_SURVIVOR_BYTES:
             raise ConfigurationError(
                 f"frame_bits {self.frame_bits} is too large: one frame's "
                 f"decoder survivors take {survivors} bytes, above the "
                 f"{_SUBBATCH_SURVIVOR_BYTES}-byte sub-batch budget")
+        # a Python-int sum: paths near the int64 range would wrap
+        _steering_bytes(self.m_r, self.n_r, self.m_t, self.n_t,
+                        int(self.profile.paths.sum(dtype=object)))
         lo, hi = self.angle_range_deg
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigurationError("azimuth bounds must be finite")
@@ -178,6 +182,12 @@ class SimConfig:
     @property
     def l_t(self) -> int:
         return self.profile.total_paths
+
+    @property
+    def n_steps(self) -> int:
+        """Trellis steps of one terminated frame: its bits and K - 1
+        flush steps."""
+        return self.frame_bits + self.code.constraint_length - 1
 
     def canonical_text(self) -> str:
         """Stable key=value rendering used for hashing and export.
@@ -232,6 +242,22 @@ def _check_spacing(spacing: float, n_r: int, n_t: int) -> None:
         raise ConfigurationError(
             f"spacing {spacing!r} is too large for the array size: "
             f"steering phases overflow")
+
+
+def _steering_bytes(m_r: int, n_r: int, m_t: int, n_t: int, l_t: int) -> int:
+    """Bytes of one frame's steering factors U and V, the
+    (m_r n_r + m_t n_t) x l_t complex values of the sweep's gain stage.
+
+    Sizes are Python ints, so no count overflows; a frame above the
+    sub-batch budget is a configuration error.
+    """
+    size = 16 * (m_r * n_r + m_t * n_t) * l_t
+    if size > _SUBBATCH_SURVIVOR_BYTES:
+        raise ConfigurationError(
+            f"the arrays are too large: one frame's steering factors take "
+            f"{size} bytes, above the {_SUBBATCH_SURVIVOR_BYTES}-byte "
+            f"sub-batch budget")
+    return size
 
 
 def _number_text(v) -> str:
@@ -338,9 +364,13 @@ def parse_config(text: str) -> SimConfig:
         raise ConfigurationError("paths must fit a 64-bit integer")
     paths = paths.astype(np.int64)
     m_r, m_t = int(vals.pop("m_r")), int(vals.pop("m_t"))
-    for name, value in (("m_r", m_r), ("m_t", m_t)):
+    n_r, n_t = vals["n_r"], vals["n_t"]
+    for name, value in (("m_r", m_r), ("m_t", m_t), ("n_r", n_r), ("n_t", n_t)):
         if value < 1:
             raise ConfigurationError(f"{name} must be a positive integer")
+    # every pair has a path, so L_t >= m_r * m_t: bounds the arrays before
+    # a scalar beta_db or paths is filled out to m_r x m_t
+    _steering_bytes(m_r, n_r, m_t, n_t, m_r * m_t)
     if beta_db.size == 1:
         beta_db = np.full((m_r, m_t), float(beta_db.flat[0]))
     if paths.size == 1:
@@ -388,7 +418,6 @@ class Runtime:
     tx_geometry: ArrayGeometry
     angle_range: tuple
     n_coded: int
-    n_steps: int
     sub_frames: int
 
 
@@ -405,28 +434,21 @@ def build_runtime(config: SimConfig) -> Runtime:
             "the code has a zero-weight loop (catastrophic generator set)")
     constellation = bicm.make_constellation(config.modulation)
     m = constellation.bits_per_symbol
-    k = config.code.constraint_length
-    n_steps = config.frame_bits + k - 1
-    n_coded = n_steps * config.code.n_out
+    n_coded = config.n_steps * config.code.n_out
 
+    # each interleaver permutes whole periods of n_s * m * run code bits
     if config.interleaver == "structured":
-        period = config.n_s * m * config.depth
+        build, run, arg = bicm.structured_interleaver, config.depth, config.depth
     elif config.interleaver == "adversarial":
         run = config.adversarial_run or free_distance(trellis)
-        period = config.n_s * m * run
+        build, arg = bicm.adversarial_interleaver, run
     else:
-        period = config.n_s * m
-    n_total = ((n_coded + period - 1) // period) * period
-
-    if config.interleaver == "structured":
-        itl = bicm.structured_interleaver(n_total, config.n_s, m, config.depth)
-    elif config.interleaver == "adversarial":
-        itl = bicm.adversarial_interleaver(n_total, config.n_s, m, run)
-    else:
-        rng = np.random.default_rng(
+        build, run = bicm.random_interleaver, 1
+        arg = np.random.default_rng(
             np.random.SeedSequence(config.master_seed,
                                    spawn_key=(_NS_INTERLEAVER,)))
-        itl = bicm.random_interleaver(n_total, config.n_s, m, rng)
+    period = config.n_s * m * run
+    itl = build(-(-n_coded // period) * period, config.n_s, m, arg)
 
     if config.n_s > config.l_t:
         warnings.warn(
@@ -434,6 +456,10 @@ def build_runtime(config: SimConfig) -> Runtime:
             f"extra streams ride zero-gain modes", stacklevel=2)
 
     lo, hi = config.angle_range_deg
+    # a sub-batch holds each frame's survivors, then its steering factors
+    frame_bytes = max(config.n_steps * trellis.n_states,
+                      _steering_bytes(config.m_r, config.n_r, config.m_t,
+                                      config.n_t, config.l_t))
     return Runtime(
         config=config,
         trellis=trellis,
@@ -443,9 +469,7 @@ def build_runtime(config: SimConfig) -> Runtime:
         tx_geometry=ArrayGeometry(config.n_t, config.spacing),
         angle_range=(np.deg2rad(lo), np.deg2rad(hi)),
         n_coded=n_coded,
-        n_steps=n_steps,
-        sub_frames=max(1, _SUBBATCH_SURVIVOR_BYTES
-                       // (n_steps * trellis.n_states)),
+        sub_frames=max(1, _SUBBATCH_SURVIVOR_BYTES // frame_bytes),
     )
 
 
@@ -523,8 +547,8 @@ def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
     del y
     costs = bicm.deinterleave_metrics(metrics, itl, rt.n_coded)
     del metrics
-    costs = costs.reshape(B, rt.n_steps, config.code.n_out, 2)
-    decoded = viterbi_decode(rt.trellis, costs, terminated=True)
+    costs = costs.reshape(B, config.n_steps, config.code.n_out, 2)
+    decoded = viterbi_decode(rt.trellis, costs)
     return int((decoded != messages).sum())
 
 
@@ -718,26 +742,60 @@ _CODE = "133,171"
 _DESK_NT = 32
 _DESK_NR = 16
 
+# Variant k of a BER preset, in table order, runs at master_seed + k so
+# that statistically-equivalent runs (e.g. a fading profile rescaled
+# onto a shifted SNR grid) do not replay the same noise and trivially
+# coincide.  Grids are calibrated so the last four points (the default
+# slope window) sit in each curve's decaying region, roughly BER 1e-2
+# down to a few 1e-5, reachable under the 200-error stop rule in seconds.
+_BER_PRESETS = {
+    "fig3_interleaver": {
+        "structured": dict(m_r=2, m_t=2, n_s=6,
+                           snr_grid=(1, 3, 5, 7, 9, 11, 13, 15)),
+        "adversarial": dict(m_r=2, m_t=2, n_s=6, interleaver="adversarial",
+                            snr_grid=(4, 8, 12, 16, 18, 20, 22, 24)),
+    },
+    "fig4_streams": {
+        "ns1": dict(m_r=1, m_t=3, n_s=1, snr_grid=(3, 5, 7, 9, 11, 13)),
+        "ns2": dict(m_r=1, m_t=3, n_s=2, snr_grid=(5, 7, 9, 11, 13, 15)),
+        "ns4": dict(m_r=1, m_t=3, n_s=4, snr_grid=(8, 10, 12, 14, 16, 18)),
+    },
+    "fig5_colocated_vs_distributed": {
+        "distributed": dict(m_r=2, m_t=2, n_s=3,
+                            snr_grid=(1, 3, 5, 7, 9, 11, 13)),
+        "colocated": dict(m_r=1, m_t=1, paths=4, n_s=3,
+                          snr_grid=(7, 10, 13, 16, 19, 22, 25)),
+    },
+    "fig6_fading": {
+        "b1": dict(m_r=2, m_t=2, n_s=1, modulation="16qam",
+                   snr_grid=(9, 11, 13, 15, 17, 19, 21)),
+        "b2": dict(m_r=2, m_t=2, beta_db=-25.0, n_s=1, modulation="16qam",
+                   snr_grid=(14, 16, 18, 20, 22, 24, 26)),
+        "b3": dict(m_r=2, m_t=2, beta_db=((-20.0, -35.0), (-35.0, -20.0)),
+                   n_s=1, modulation="16qam",
+                   snr_grid=(12, 14.5, 17, 19.5, 22, 24.5)),
+        "b4": dict(m_r=1, m_t=1, paths=4, n_s=1, modulation="16qam",
+                   snr_grid=(13, 16, 19, 22, 25, 28)),
+    },
+}
 
-def _base(m_r, m_t, beta_db, l, n_s, snr_grid, modulation="bpsk",
-          seed=1, label="", **kw) -> SimConfig:
-    profile = FadingProfile.homogeneous(m_r, m_t, beta_db, l) \
-        if np.isscalar(beta_db) else FadingProfile.from_db(beta_db, l)
+
+def _base(m_r, m_t, n_s, snr_grid, beta_db=-20.0, paths=2,
+          modulation="bpsk", **kw) -> SimConfig:
+    profile = FadingProfile.homogeneous(m_r, m_t, beta_db, paths) \
+        if np.isscalar(beta_db) else FadingProfile.from_db(beta_db, paths)
     # Deep grid points see bursty frame errors (a faded subchannel wipes
     # out most of a frame), so stop-rule checks use coarse batches: every
     # point then collects at least one full batch of frames, keeping the
     # smallest BER estimates on the grid statistically meaningful.
-    kw.setdefault("batch_frames", 1024)
-    kw.setdefault("max_frames", 50_000)
     return SimConfig(
         m_r=m_r, m_t=m_t, n_r=_DESK_NR, n_t=_DESK_NT, profile=profile,
         n_s=n_s, modulation=modulation, code=CodeSpec.from_octal(_CODE),
-        snr_grid_db=snr_grid, master_seed=seed, label=label, **kw)
+        snr_grid_db=snr_grid, batch_frames=1024, max_frames=50_000, **kw)
 
 
 def preset_names() -> tuple:
-    return ("fig2_spectrum", "fig3_interleaver", "fig4_streams",
-            "fig5_colocated_vs_distributed", "fig6_fading")
+    return ("fig2_spectrum", *_BER_PRESETS)
 
 
 def preset(name: str, master_seed: int | None = None,
@@ -750,70 +808,14 @@ def preset(name: str, master_seed: int | None = None,
     points sit in the high-SNR slope region at the default stop rule.
     """
     seed = 1 if master_seed is None else master_seed
-    grids = _PRESET_GRIDS
-
     if name == "fig2_spectrum":
         prof = FadingProfile.homogeneous(2, 2, -20.0, 2)
         return Preset(name, {}, SpectrumJob(prof, _DESK_NR, _DESK_NT,
                                             master_seed=seed))
-    # Variants take consecutive seeds so that statistically-equivalent
-    # runs (e.g. a fading profile rescaled onto a shifted SNR grid) do
-    # not replay the same noise and trivially coincide.
-    if name == "fig3_interleaver":
-        variants = {
-            "structured": _base(2, 2, -20.0, 2, 6, grids["fig3_structured"],
-                                seed=seed, label="structured"),
-            "adversarial": _base(2, 2, -20.0, 2, 6, grids["fig3_adversarial"],
-                                 interleaver="adversarial", seed=seed + 1,
-                                 label="adversarial"),
-        }
-    elif name == "fig4_streams":
-        variants = {
-            f"ns{k}": _base(1, 3, -20.0, 2, k, grids[f"fig4_ns{k}"],
-                            seed=seed + off, label=f"ns{k}")
-            for off, k in enumerate((1, 2, 4))
-        }
-    elif name == "fig5_colocated_vs_distributed":
-        variants = {
-            "distributed": _base(2, 2, -20.0, 2, 3, grids["fig5_distributed"],
-                                 seed=seed, label="distributed"),
-            "colocated": _base(1, 1, -20.0, 4, 3, grids["fig5_colocated"],
-                               seed=seed + 1, label="colocated"),
-        }
-    elif name == "fig6_fading":
-        b3 = np.array([[-20.0, -35.0], [-35.0, -20.0]])
-        variants = {
-            "b1": _base(2, 2, -20.0, 2, 1, grids["fig6_b1"],
-                        modulation="16qam", seed=seed, label="b1"),
-            "b2": _base(2, 2, -25.0, 2, 1, grids["fig6_b2"],
-                        modulation="16qam", seed=seed + 1, label="b2"),
-            "b3": _base(2, 2, b3, 2, 1, grids["fig6_b3"],
-                        modulation="16qam", seed=seed + 2, label="b3"),
-            "b4": _base(1, 1, -20.0, 4, 1, grids["fig6_b4"],
-                        modulation="16qam", seed=seed + 3, label="b4"),
-        }
-    else:
+    if name not in _BER_PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; "
                                  f"choose from {preset_names()}")
-
-    if workers is not None:
-        variants = {k: replace(v, workers=workers) for k, v in variants.items()}
-    return Preset(name, variants)
-
-
-# Grids are calibrated so the last four points (the default slope
-# window) sit in each curve's decaying region, roughly BER 1e-2 down to
-# a few 1e-5, reachable under the 200-error stop rule in seconds.
-_PRESET_GRIDS = {
-    "fig3_structured": (1.0, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0),
-    "fig3_adversarial": (4.0, 8.0, 12.0, 16.0, 18.0, 20.0, 22.0, 24.0),
-    "fig4_ns1": (3.0, 5.0, 7.0, 9.0, 11.0, 13.0),
-    "fig4_ns2": (5.0, 7.0, 9.0, 11.0, 13.0, 15.0),
-    "fig4_ns4": (8.0, 10.0, 12.0, 14.0, 16.0, 18.0),
-    "fig5_distributed": (1.0, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0),
-    "fig5_colocated": (7.0, 10.0, 13.0, 16.0, 19.0, 22.0, 25.0),
-    "fig6_b1": (9.0, 11.0, 13.0, 15.0, 17.0, 19.0, 21.0),
-    "fig6_b2": (14.0, 16.0, 18.0, 20.0, 22.0, 24.0, 26.0),
-    "fig6_b3": (12.0, 14.5, 17.0, 19.5, 22.0, 24.5),
-    "fig6_b4": (13.0, 16.0, 19.0, 22.0, 25.0, 28.0),
-}
+    opts = {} if workers is None else {"workers": workers}
+    return Preset(name, {
+        label: _base(master_seed=seed + k, label=label, **fields, **opts)
+        for k, (label, fields) in enumerate(_BER_PRESETS[name].items())})

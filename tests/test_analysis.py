@@ -83,15 +83,6 @@ class TestGammaFit:
                               rng.integers(1, 5, (2, 2)))
             assert gamma_fit(p).shape == pytest.approx(diversity_gain(p))
 
-    def test_gain_moment_rescales_scale_only(self):
-        p = FadingProfile.homogeneous(2, 2, -10.0, 2)
-        base = gamma_fit(p)
-        doubled = gamma_fit(p, gain_second_moment=2.0)
-        assert doubled.shape == pytest.approx(base.shape)
-        assert doubled.scale == pytest.approx(2.0 * base.scale)
-        with pytest.raises(ValueError):
-            gamma_fit(p, gain_second_moment=0.0)
-
 
 class TestSampleTheta:
     def test_matches_fit_moments(self):
@@ -110,13 +101,6 @@ class TestSampleTheta:
         stat = scipy.stats.kstest(
             draws, scipy.stats.gamma(a=fit.shape, scale=fit.scale).cdf).statistic
         assert stat < 0.01
-
-    def test_gain_moment_scales_draws(self):
-        p = FadingProfile.homogeneous(1, 2, 0.0, 2)
-        a = sample_theta(p, 1000, np.random.default_rng(3))
-        b = sample_theta(p, 1000, np.random.default_rng(3),
-                         gain_second_moment=4.0)
-        np.testing.assert_allclose(b, 4.0 * a)
 
 
 class TestPepBound:

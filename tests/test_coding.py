@@ -36,10 +36,10 @@ def trellis64():
     return build_trellis(CodeSpec.from_octal("133,171"))
 
 
-def reference_encode(spec: CodeSpec, message, terminate=True):
+def reference_encode(spec: CodeSpec, message):
     """Bit-serial shift-register encoder used as an independent oracle."""
     k = spec.constraint_length
-    msg = list(message) + [0] * (k - 1 if terminate else 0)
+    msg = list(message) + [0] * (k - 1)
     state = 0
     out = []
     for bit in msg:
@@ -165,12 +165,12 @@ def tie_costs(trellis, steps, frames=None):
                       elements=st.sampled_from([0.0, 1.0, 2.0]))
 
 
-def reference_viterbi(trellis, costs, terminated):
+def reference_viterbi(trellis, costs):
     """Per-state add-compare-select straight from the encoder convention.
 
     Predecessors are scanned in ascending state order and replaced only
-    by a strictly smaller metric, so ties keep the lower predecessor; an
-    unterminated path ends in the lowest-indexed best state.
+    by a strictly smaller metric, so ties keep the lower predecessor; the
+    path ends in state 0.
     """
     spec = trellis.spec
     k = spec.constraint_length
@@ -190,14 +190,13 @@ def reference_viterbi(trellis, costs, terminated):
                     best[nxt], choice[nxt] = cand, (prev, u)
         metric = best
         history.append(choice)
-    state = 0 if terminated else min(range(n_states), key=metric.__getitem__)
+    state = 0
     bits = []
     for choice in reversed(history):
         state, u = choice[state]
         bits.append(u)
     bits.reverse()
-    return np.array(bits[:len(bits) - (k - 1)] if terminated else bits,
-                    dtype=np.uint8)
+    return np.array(bits[:len(bits) - (k - 1)], dtype=np.uint8)
 
 
 class TestCodeSpec:
@@ -304,11 +303,6 @@ class TestEncoder:
             np.testing.assert_array_equal(encode(trellis, msg),
                                           reference_encode(spec, msg))
 
-    def test_unterminated_length(self, trellis4):
-        msg = np.array([1, 0, 1, 1])
-        assert encode(trellis4, msg, terminate=False).size == 8
-        assert encode(trellis4, msg).size == 12
-
     def test_linearity_over_gf2(self, trellis64):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -323,15 +317,13 @@ class TestEncoder:
             encode(trellis4, np.array([0, 2, 1]))
 
     @pytest.mark.parametrize("octal", ["5,7", "133,171", "25,33,37"])
-    @pytest.mark.parametrize("terminate", [True, False])
-    def test_batch_equals_per_row(self, octal, terminate):
+    def test_batch_equals_per_row(self, octal):
         trellis = build_trellis(CodeSpec.from_octal(octal))
         msgs = np.random.default_rng(11).integers(0, 2, (9, 37))
-        batch = encode(trellis, msgs, terminate=terminate)
+        batch = encode(trellis, msgs)
         assert batch.dtype == np.uint8
         for row, msg in zip(batch, msgs):
-            np.testing.assert_array_equal(
-                row, encode(trellis, msg, terminate=terminate))
+            np.testing.assert_array_equal(row, encode(trellis, msg))
         with pytest.raises(ValueError):
             encode(trellis, msgs[None])
 
@@ -386,31 +378,24 @@ class TestViterbi:
                                       exhaustive_ml(trellis, costs, n_bits))
 
     @settings(max_examples=80, deadline=None)
-    @given(trellis=small_codes(), n_bits=st.integers(1, 8),
-           terminated=st.booleans(), data=st.data())
-    def test_ties_follow_reference_acs(self, trellis, n_bits, terminated,
-                                       data):
-        k = trellis.spec.constraint_length
-        steps = n_bits + k - 1 if terminated else n_bits
+    @given(trellis=small_codes(), n_bits=st.integers(1, 8), data=st.data())
+    def test_ties_follow_reference_acs(self, trellis, n_bits, data):
+        steps = n_bits + trellis.spec.constraint_length - 1
         costs = data.draw(tie_costs(trellis, steps))
-        np.testing.assert_array_equal(
-            viterbi_decode(trellis, costs, terminated=terminated),
-            reference_viterbi(trellis, costs, terminated))
+        np.testing.assert_array_equal(viterbi_decode(trellis, costs),
+                                      reference_viterbi(trellis, costs))
 
     @settings(max_examples=40, deadline=None)
     @given(trellis=small_codes(), n_bits=st.integers(1, 8),
-           frames=st.integers(2, 5), terminated=st.booleans(),
-           data=st.data())
+           frames=st.integers(2, 5), data=st.data())
     def test_batched_equals_single_with_ties(self, trellis, n_bits, frames,
-                                             terminated, data):
-        k = trellis.spec.constraint_length
-        steps = n_bits + k - 1 if terminated else n_bits
+                                             data):
+        steps = n_bits + trellis.spec.constraint_length - 1
         costs = data.draw(tie_costs(trellis, steps, frames))
-        batch = viterbi_decode(trellis, costs, terminated=terminated)
+        batch = viterbi_decode(trellis, costs)
         for b in range(frames):
-            np.testing.assert_array_equal(
-                batch[b], viterbi_decode(trellis, costs[b],
-                                         terminated=terminated))
+            np.testing.assert_array_equal(batch[b],
+                                          viterbi_decode(trellis, costs[b]))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("frames", [1, 7, 300])

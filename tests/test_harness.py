@@ -180,6 +180,9 @@ class TestParseConfig:
          "adversarial_run"),
         ("beta_db = 1e18", "finite"),
         ("paths = 1e308", "64-bit"),
+        ("m_r = 1000", "too large"),
+        ("n_r = 10000000", "too large"),
+        ("rf_chains_per_stream = -1", "rf_chains_per_stream"),
     ])
     def test_rejects_malformed_input(self, mutation, needle):
         key = mutation.split(" = ")[0].split("\n")[0].split()[0]
@@ -187,6 +190,14 @@ class TestParseConfig:
                  if not ln.startswith(key + " ")]
         text = "\n".join(lines) + "\n" + mutation + "\n"
         with pytest.raises(ConfigurationError, match=needle):
+            parse_config(text)
+
+    def test_path_total_does_not_wrap(self):
+        # four pairs of 4e18 paths sum past the int64 range
+        text = (BASE_TEXT.replace("m_r = 1", "m_r = 2")
+                .replace("m_t = 1", "m_t = 2")
+                .replace("paths = 2", "paths = 4000000000000000000"))
+        with pytest.raises(ConfigurationError, match="too large"):
             parse_config(text)
 
     def test_stream_count_is_bounded_by_the_channel_dimensions(self):
@@ -322,8 +333,8 @@ class TestBuildRuntime:
         cfg = tiny_config(n_s=1, depth=8)
         rt = build_runtime(cfg)
         k = cfg.code.constraint_length
-        assert rt.n_steps == cfg.frame_bits + k - 1
-        assert rt.n_coded == 2 * rt.n_steps
+        assert cfg.n_steps == cfg.frame_bits + k - 1
+        assert rt.n_coded == 2 * cfg.n_steps
         period = cfg.n_s * 1 * cfg.depth
         assert rt.interleaver.n_coded % period == 0
         assert rt.interleaver.n_coded >= rt.n_coded
@@ -357,7 +368,7 @@ def split_runtime(monkeypatch, cfg: SimConfig, frames: int):
     """Set the survivor budget to ``frames`` frames of ``cfg``."""
     rt = build_runtime(cfg)
     monkeypatch.setattr(harness, "_SUBBATCH_SURVIVOR_BYTES",
-                        frames * rt.n_steps * rt.trellis.n_states)
+                        frames * cfg.n_steps * rt.trellis.n_states)
     rt = build_runtime(cfg)
     assert rt.sub_frames == frames
     return rt
@@ -382,6 +393,12 @@ class TestSubBatches:
         desk = build_runtime(preset("fig3_interleaver").variants["structured"])
         assert desk.sub_frames == 254
         assert build_runtime(tiny_config()).sub_frames >= 64
+        # 2 MiB of steering factors per frame outweigh its survivors
+        wide = parse_config(BASE_TEXT.replace("m_r = 1", "m_r = 2")
+                            .replace("m_t = 1", "m_t = 2")
+                            .replace("n_r = 4", "n_r = 4096")
+                            .replace("n_t = 4", "n_t = 4096"))
+        assert build_runtime(wide).sub_frames == 8
 
     @settings(max_examples=300, deadline=None)
     @given(lo=st.integers(0, 10 ** 6), n=st.integers(1, 5000),
@@ -710,6 +727,21 @@ class TestPresets:
         for cfg in p.variants.values():
             assert (cfg.m_r, cfg.m_t) == (1, 3)
             assert cfg.l_t == 6
+
+    @pytest.mark.parametrize("name,hashes", [
+        ("fig3_interleaver", {"structured": "2bc732b3b243fe98",
+                              "adversarial": "45f5b0f9edd3dd74"}),
+        ("fig4_streams", {"ns1": "d365da461d663919",
+                          "ns2": "5155aaf50e156fb1",
+                          "ns4": "91a98bc466c2342a"}),
+        ("fig5_colocated_vs_distributed", {"distributed": "d1432332f81e29d0",
+                                           "colocated": "74e3156151b6b35d"}),
+        ("fig6_fading", {"b1": "213e47b97a53573b", "b2": "9b69ef337a637f77",
+                         "b3": "cd7c6c51b8c1feb3", "b4": "da4ef1b1c0f0d7a5"}),
+    ])
+    def test_variant_hashes_are_pinned(self, name, hashes):
+        variants = preset(name, master_seed=1).variants
+        assert {k: cfg.config_hash for k, cfg in variants.items()} == hashes
 
     def test_workers_override(self):
         p = preset("fig3_interleaver", workers=3)
