@@ -15,8 +15,8 @@ from .channel import (ArrayGeometry, ChannelRealization, FadingProfile,
 from .coding import (CodeSpec, DistanceSpectrum, Trellis, build_trellis,
                      distance_spectrum, encode, free_distance, viterbi_decode)
 from .errors import ConfigurationError, NumericalError
-from .harness import (BerCurve, Preset, SimConfig, SpectrumJob, build_runtime,
-                      load_config, parse_config, preset, preset_names,
-                      spectrum_stats, sweep)
+from .harness import (BerCurve, Preset, SimConfig, build_runtime, load_config,
+                      parse_config, preset, preset_names, spectrum_stats,
+                      sweep)
 
 __version__ = "0.1.0"

@@ -148,8 +148,9 @@ class FadingProfile:
 
     @property
     def total_paths(self) -> int:
-        """L_t, the generic rank of the composite channel."""
-        return int(self.paths.sum())
+        """L_t, the generic rank of the composite channel, as an exact
+        Python int: path counts near the int64 range would wrap."""
+        return int(self.paths.sum(dtype=object))
 
 
 @dataclass(frozen=True)
@@ -201,29 +202,21 @@ def draw_paths(l: int, rng: np.random.Generator,
     return _path_set(*_draw_block(l, rng, *angle_range))
 
 
-def _pair_matrices(gains, aoa, aod, rx: ArrayGeometry, tx: ArrayGeometry,
-                   out=None) -> np.ndarray:
-    """Pair matrices of path sets stacked on leading axes.
-
-    ``gains``, ``aoa`` and ``aod`` have shape (..., L); the result has
-    shape (..., N_r, N_t) and is written into ``out`` when given.
-    """
-    gains = np.asarray(gains)
-    a_r = ula_response(aoa, rx)
-    a_t = ula_response(aod, tx)
-    scale = np.sqrt(rx.n_elements * tx.n_elements / gains.shape[-1])
-    out = np.matmul(a_r * gains[..., None, :], a_t.conj().swapaxes(-1, -2),
-                    out=out)
-    return np.multiply(scale, out, out=out)
-
-
-def subchannel_matrix(paths: PathSet, rx: ArrayGeometry, tx: ArrayGeometry) -> np.ndarray:
+def subchannel_matrix(paths: PathSet, rx: ArrayGeometry, tx: ArrayGeometry,
+                      out=None) -> np.ndarray:
     """One subarray pair's matrix: scaled sum of rank-one path terms.
 
     The sqrt(N_t * N_r / L) factor keeps the expected squared Frobenius
-    norm equal to N_t * N_r independent of the path count.
+    norm equal to N_t * N_r independent of the path count.  A path set
+    with leading axes gives a stack of shape (..., N_r, N_t); the result
+    is written into ``out`` when given.
     """
-    return _pair_matrices(paths.gains, paths.aoa, paths.aod, rx, tx)
+    a_r = ula_response(paths.aoa, rx)
+    a_t = ula_response(paths.aod, tx)
+    scale = np.sqrt(rx.n_elements * tx.n_elements / paths.n_paths)
+    out = np.matmul(a_r * paths.gains[..., None, :],
+                    a_t.conj().swapaxes(-1, -2), out=out)
+    return np.multiply(scale, out, out=out)
 
 
 def draw_channel(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
@@ -273,6 +266,6 @@ def draw_channels(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
                 continue
             # formed in place, so no block-sized temporary exists
             block = h[:, i * n_r:(i + 1) * n_r, j * n_t:(j + 1) * n_t]
-            _pair_matrices(ps.gains, ps.aoa, ps.aod, rx, tx, out=block)
+            subchannel_matrix(ps, rx, tx, out=block)
             np.multiply(np.sqrt(profile.beta[i, j]), block, out=block)
     return ChannelRealization(h, blocks)

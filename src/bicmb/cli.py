@@ -23,9 +23,9 @@ import numpy as np
 from .analysis import gamma_fit, union_bound_ber
 from .coding import CodeSpec, build_trellis, distance_spectrum, free_distance
 from .errors import ConfigurationError, NumericalError
-from .harness import (SPECTRUM_CSV_HEADER, SimConfig, SpectrumJob,
-                      build_runtime, load_config, preset, preset_names,
-                      spectrum_stats, sweep)
+from .harness import (SPECTRUM_CSV_HEADER, SimConfig, build_runtime,
+                      load_config, preset, preset_names, spectrum_stats,
+                      sweep)
 
 __all__ = ["main"]
 
@@ -84,7 +84,7 @@ def _selected_configs(args, workers: int | None = None) -> dict[str, SimConfig]:
     if (args.config is None) == (args.preset is None):
         raise ConfigurationError("give exactly one of --config or --preset")
     if args.config is not None:
-        if not args.config.exists():
+        if not args.config.is_file():
             raise ConfigurationError(f"config file not found: {args.config}")
         cfg = load_config(args.config)
         variants = {cfg.label or "run": cfg}
@@ -109,12 +109,20 @@ def _selected_configs(args, workers: int | None = None) -> dict[str, SimConfig]:
     return variants
 
 
+def _out_file(path: Path) -> Path:
+    """``path`` once its directory is known to exist, so that a bad
+    ``--out`` fails before any work."""
+    if not path.parent.is_dir():
+        raise ConfigurationError(f"output directory not found: {path.parent}")
+    return path
+
+
 def _out_paths(out: Path, names) -> dict[str, Path]:
     names = list(names)
     if len(names) == 1:
         if out.is_dir():
             return {names[0]: out / f"{names[0]}.csv"}
-        return {names[0]: out}
+        return {names[0]: _out_file(out)}
     out.mkdir(parents=True, exist_ok=True)
     return {name: out / f"{name}.csv" for name in names}
 
@@ -172,16 +180,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_channel_stats(args) -> int:
-    job = (preset(args.preset, master_seed=args.seed).spectrum
+    cfg = (preset(args.preset, master_seed=args.seed).spectrum
            if args.preset is not None else None)
-    if job is None:
-        job = _job_from_config(next(iter(_selected_configs(args).values())))
+    if cfg is None:
+        cfg = next(iter(_selected_configs(args).values()))
     elif args.config is not None:
         raise ConfigurationError("give exactly one of --config or --preset")
     elif args.variant is not None:
         raise ConfigurationError(
             f"unknown variant {args.variant!r}; preset {args.preset!r} has none")
-    sv, pred = spectrum_stats(job, args.draws)
+    _out_file(args.out)
+    sv, pred = spectrum_stats(cfg, args.draws)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SPECTRUM_CSV_HEADER + "\n")
         for k in range(sv.size):
@@ -190,12 +199,9 @@ def _cmd_channel_stats(args) -> int:
     return EXIT_OK
 
 
-def _job_from_config(cfg: SimConfig) -> SpectrumJob:
-    return SpectrumJob(cfg.profile, cfg.n_r, cfg.n_t, cfg.spacing,
-                       cfg.angle_range_deg, cfg.master_seed)
-
-
 def _cmd_code_info(args) -> int:
+    if args.out is not None:
+        _out_file(args.out)
     try:
         spec = CodeSpec.from_octal(args.generators, args.constraint_length)
         trellis = build_trellis(spec)
@@ -239,6 +245,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

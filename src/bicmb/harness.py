@@ -33,7 +33,6 @@ from .errors import ConfigurationError, NumericalError
 __all__ = [
     "SimConfig",
     "BerCurve",
-    "SpectrumJob",
     "Preset",
     "parse_config",
     "load_config",
@@ -52,17 +51,19 @@ _NS_FRAME = 0
 _NS_INTERLEAVER = 1
 _NS_SPECTRUM = 2
 
-# Draws per stacked SVD in spectrum_stats.  A chunk of 32 fig2 matrices
-# is 1 MiB.  Over 2000 fig2 draws, chunks of 64 and 128 ran no faster
-# and raised peak memory by 2 and 6 MiB; one chunk of all draws by 65 MiB.
+# Draws per stacked SVD in spectrum_stats, fewer when that many matrices
+# exceed the sub-batch budget.  A chunk of 32 fig2 matrices is 1 MiB.
+# Over 2000 fig2 draws, chunks of 64 and 128 ran no faster and raised
+# peak memory by 2 and 6 MiB; one chunk of all draws by 65 MiB.
 _SPECTRUM_CHUNK = 32
 
-# Decoder survivor bytes (one bool per step, state and frame), or
-# steering-factor bytes (16 per complex value), that one sub-batch may
-# hold.  A batch runs through the link in sub-batches of at most this
-# many frames, so its working set does not grow with batch_frames: the
-# 64-state desk presets allow 254 frames of 1030 steps, and a 64 x 128
-# composite array with 128-bit frames 682.  Over the five desk
+# Decoder survivor bytes (one bool per step, state and frame),
+# steering-factor bytes (16 per complex value), or a spectrum study's
+# channel-matrix bytes, that one sub-batch may hold.  A batch runs
+# through the link in sub-batches of at most this many frames, so its
+# working set does not grow with batch_frames: the 64-state desk
+# presets allow 254 frames of 1030 steps, and a 64 x 128 composite
+# array with 128-bit frames 682.  Over the five desk
 # benchmark sweeps (one BLAS thread), 254-frame sub-batches peaked at
 # 88 MiB and whole 1024-frame batches at 204 MiB, at about the same
 # speed; 64-frame sub-batches ran 1.5x slower, as the decoder's
@@ -161,16 +162,25 @@ class SimConfig:
         if not np.any(self.profile.beta > 0):
             raise ConfigurationError(
                 "fading profile has no power in any subarray pair")
-        _check_spacing(self.spacing, self.n_r, self.n_t)
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ConfigurationError("spacing must be a positive finite number")
+        # the largest steering phase is below 2 pi * spacing * N; an N past
+        # the float range overflows as well
+        try:
+            phase = 2 * math.pi * self.spacing * max(self.n_r, self.n_t)
+        except OverflowError:
+            phase = math.inf
+        if not math.isfinite(phase):
+            raise ConfigurationError(
+                f"spacing {self.spacing!r} is too large for the array size: "
+                f"steering phases overflow")
         survivors = self.n_steps << (self.code.constraint_length - 1)
         if survivors > _SUBBATCH_SURVIVOR_BYTES:
             raise ConfigurationError(
                 f"frame_bits {self.frame_bits} is too large: one frame's "
                 f"decoder survivors take {survivors} bytes, above the "
                 f"{_SUBBATCH_SURVIVOR_BYTES}-byte sub-batch budget")
-        # a Python-int sum: paths near the int64 range would wrap
-        _steering_bytes(self.m_r, self.n_r, self.m_t, self.n_t,
-                        int(self.profile.paths.sum(dtype=object)))
+        _steering_bytes(self.m_r, self.n_r, self.m_t, self.n_t, self.l_t)
         lo, hi = self.angle_range_deg
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigurationError("azimuth bounds must be finite")
@@ -195,6 +205,8 @@ class SimConfig:
         Covers every field that can change simulation results; execution
         knobs that cannot (worker count, display label) are left out so
         reruns of the same experiment hash identically.
+        ``rf_chains_per_stream`` is included although it changes no
+        result; dropping it would change every existing hash.
         """
         beta_db = self.profile.beta_db
         if beta_db is None:
@@ -227,21 +239,6 @@ class SimConfig:
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
-
-def _check_spacing(spacing: float, n_r: int, n_t: int) -> None:
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ConfigurationError("spacing must be a positive finite number")
-    # the largest steering phase is below 2 pi * spacing * N; an N past
-    # the float range overflows as well
-    try:
-        phase = 2 * math.pi * spacing * max(n_r, n_t)
-    except OverflowError:
-        phase = math.inf
-    if not math.isfinite(phase):
-        raise ConfigurationError(
-            f"spacing {spacing!r} is too large for the array size: "
-            f"steering phases overflow")
 
 
 def _steering_bytes(m_r: int, n_r: int, m_t: int, n_t: int, l_t: int) -> int:
@@ -673,54 +670,50 @@ def sweep(config: SimConfig) -> BerCurve:
 
 
 # ---------------------------------------------------------------------------
-# spectrum jobs and presets
+# spectrum studies and presets
 
 
-@dataclass(frozen=True)
-class SpectrumJob:
-    """Inputs of a singular-value spectrum study (no coded chain)."""
-
-    profile: FadingProfile
-    n_r: int
-    n_t: int
-    spacing: float = 0.5
-    angle_range_deg: tuple = (-90.0, 90.0)
-    master_seed: int = 1
-
-    def __post_init__(self):
-        if self.master_seed < 0:
-            raise ConfigurationError("master_seed cannot be negative")
-        _check_spacing(self.spacing, self.n_r, self.n_t)
-
-
-def spectrum_stats(job: SpectrumJob, draws: int) -> tuple[np.ndarray, np.ndarray]:
+def spectrum_stats(config: SimConfig,
+                   draws: int) -> tuple[np.ndarray, np.ndarray]:
     """Average sorted singular values and their large-array predictions.
 
-    Returns (singular, predicted), each of the full spectrum length,
-    averaged over ``draws`` independent realizations; predictions beyond
-    the total path count are zero.
+    Draws the channel of ``config`` (its profile, arrays, spacing,
+    azimuths and master seed; the coded chain is not used).  Returns
+    (singular, predicted), each of the full spectrum length, averaged
+    over ``draws`` independent realizations; predictions beyond the
+    total path count are zero.  One matrix must fit the sub-batch
+    budget, and a stacked SVD holds at most as many as fit it.
     """
     if draws < 1:
         raise ConfigurationError("draws must be positive")
-    rx = ArrayGeometry(job.n_r, job.spacing)
-    tx = ArrayGeometry(job.n_t, job.spacing)
-    lo, hi = np.deg2rad(job.angle_range_deg[0]), np.deg2rad(job.angle_range_deg[1])
+    rows, cols = config.m_r * config.n_r, config.m_t * config.n_t
+    matrix_bytes = 16 * rows * cols
+    if matrix_bytes > _SUBBATCH_SURVIVOR_BYTES:
+        raise ConfigurationError(
+            f"the arrays are too large: one {rows} x {cols} channel matrix "
+            f"takes {matrix_bytes} bytes, above the "
+            f"{_SUBBATCH_SURVIVOR_BYTES}-byte sub-batch budget")
+    chunk = min(_SPECTRUM_CHUNK, _SUBBATCH_SURVIVOR_BYTES // matrix_bytes)
+    rx = ArrayGeometry(config.n_r, config.spacing)
+    tx = ArrayGeometry(config.n_t, config.spacing)
+    lo, hi = config.angle_range_deg
+    angles = (np.deg2rad(lo), np.deg2rad(hi))
     rng = np.random.default_rng(
-        np.random.SeedSequence(job.master_seed, spawn_key=(_NS_SPECTRUM,)))
-    n_vals = min(job.profile.m_r * job.n_r, job.profile.m_t * job.n_t)
+        np.random.SeedSequence(config.master_seed, spawn_key=(_NS_SPECTRUM,)))
+    n_vals = min(rows, cols)
     sv_acc = np.zeros(n_vals)
     pred_acc = np.zeros(n_vals)
-    for start in range(0, draws, _SPECTRUM_CHUNK):
-        n = min(_SPECTRUM_CHUNK, draws - start)
+    for start in range(0, draws, chunk):
+        n = min(chunk, draws - start)
         # one generator repeated n times draws what n single draws would
-        chan = draw_channels(job.profile, rx, tx, [rng] * n, (lo, hi))
+        chan = draw_channels(config.profile, rx, tx, [rng] * n, angles)
         try:
             sv = singular_values(chan.h)
         except NumericalError as exc:
             raise NumericalError(
                 f"SVD failed to converge on spectrum draw {start + exc.index}",
-                seed=job.master_seed) from exc
-        pred = predicted_gains(job.profile, chan.blocks, rx, tx)[:, :n_vals]
+                seed=config.master_seed) from exc
+        pred = predicted_gains(config.profile, chan.blocks, rx, tx)[:, :n_vals]
         # one row at a time, in draw order, so the sums are those of a
         # per-draw loop bit for bit
         for k in range(n):
@@ -731,11 +724,12 @@ def spectrum_stats(job: SpectrumJob, draws: int) -> tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True)
 class Preset:
-    """A named experiment: BER variants and/or a spectrum job."""
+    """A named experiment: BER variants, or the config whose channel a
+    spectrum study draws."""
 
     name: str
     variants: dict
-    spectrum: SpectrumJob | None = None
+    spectrum: SimConfig | None = None
 
 
 _CODE = "133,171"
@@ -809,9 +803,9 @@ def preset(name: str, master_seed: int | None = None,
     """
     seed = 1 if master_seed is None else master_seed
     if name == "fig2_spectrum":
-        prof = FadingProfile.homogeneous(2, 2, -20.0, 2)
-        return Preset(name, {}, SpectrumJob(prof, _DESK_NR, _DESK_NT,
-                                            master_seed=seed))
+        # the fig3_interleaver/structured channel at the same seed
+        fields = _BER_PRESETS["fig3_interleaver"]["structured"]
+        return Preset(name, {}, _base(master_seed=seed, **fields))
     if name not in _BER_PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; "
                                  f"choose from {preset_names()}")

@@ -147,6 +147,11 @@ class TestFadingProfile:
         np.testing.assert_allclose(p.beta, 0.01)
         assert p.total_paths == 24
 
+    def test_path_total_is_exact(self):
+        # four pairs of 4e18 paths sum past the int64 range
+        p = FadingProfile(np.full((2, 2), 0.01), np.full((2, 2), 4 * 10**18))
+        assert p.total_paths == 16 * 10**18
+
     def test_from_db_broadcasts_scalar_paths(self):
         p = FadingProfile.from_db([[0.0, -10.0]], 2)
         np.testing.assert_allclose(p.beta, [[1.0, 0.1]])
@@ -236,6 +241,7 @@ class TestCompositeChannel:
         profile = FadingProfile(np.array([[1.0, 0.0], [0.25, 4.0]]),
                                 np.array([[1, 2], [3, 4]]))
         angles = (-1.0, 1.2)
+        rx, tx = ArrayGeometry(3), ArrayGeometry(5, spacing_over_lambda=0.4)
         rngs_a = [np.random.default_rng(s) for s in range(4)]
         rngs_b = [np.random.default_rng(s) for s in range(4)]
         blocks = draw_path_sets(profile, rngs_a, angles)
@@ -244,10 +250,15 @@ class TestCompositeChannel:
                  for l in row] for rng in rngs_b]
         for k, ps in enumerate(ps for row in blocks for ps in row):
             assert ps.gains.shape == (4, profile.paths.flat[k])
+            # a batched path set gives the stack of per-draw matrices
+            stack = subchannel_matrix(ps, rx, tx)
+            assert stack.shape == (4, 3, 5)
             for b in range(4):
                 assert ps.gains[b].tobytes() == want[b][k].gains.tobytes()
                 assert ps.aoa[b].tobytes() == want[b][k].aoa.tobytes()
                 assert ps.aod[b].tobytes() == want[b][k].aod.tobytes()
+                assert stack[b].tobytes() == \
+                    subchannel_matrix(want[b][k], rx, tx).tobytes()
         # each generator is left where the per-frame loop leaves it
         for a, b in zip(rngs_a, rngs_b):
             assert a.bit_generator.state == b.bit_generator.state

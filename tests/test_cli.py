@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from bicmb import cli
+from bicmb import cli, harness
 from bicmb.coding import (CodeSpec, build_trellis, distance_spectrum,
                           free_distance)
 from bicmb.errors import NumericalError
@@ -156,6 +156,40 @@ class TestArgumentHandling:
         assert cli.main(["simulate", "--config", str(tmp_path / "no.cfg"),
                          "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
         assert "not found" in capsys.readouterr().err
+        # a directory is not a config file either
+        assert cli.main(["analyze", "--config", str(tmp_path),
+                         "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "not found" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "{cfg}"],
+        ["analyze", "--config", "{cfg}"],
+        ["analyze", "--preset", "fig4_streams", "--variant", "ns1"],
+        ["channel-stats", "--preset", "fig2_spectrum", "--draws", "2"],
+        ["code-info", "--generators", "5,7"],
+    ])
+    def test_missing_output_directory_exits_1_before_any_work(
+            self, cfg_file, tmp_path, monkeypatch, capsys, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started")
+        for name in ("sweep", "build_runtime", "spectrum_stats",
+                     "build_trellis"):
+            monkeypatch.setattr(cli, name, forbidden)
+        out = tmp_path / "missing" / "x.csv"
+        argv = [a.replace("{cfg}", str(cfg_file)) for a in argv]
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "output directory not found" in err
+        assert "Traceback" not in err
+        assert not out.parent.exists()
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        # an existing directory in place of the output file
+        assert cli.main(["code-info", "--generators", "5,7",
+                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("old,new", [
         ("snr_db = 0,4,8", "snr_db = 2,inf"),
@@ -439,7 +473,41 @@ class TestChannelStats:
         assert cli.main(["channel-stats", "--preset", "fig4_streams",
                          "--variant", "ns4", "--draws", "3",
                          "--out", str(out)]) == cli.EXIT_OK
-        sv, pred = spectrum_stats(
-            cli._job_from_config(preset("fig4_streams").variants["ns4"]), 3)
+        sv, pred = spectrum_stats(preset("fig4_streams").variants["ns4"], 3)
         want = [f"{k + 1},{sv[k]:.12e},{pred[k]:.12e}" for k in range(sv.size)]
         assert out.read_text().strip().splitlines()[1:] == want
+
+    @pytest.mark.parametrize("seed", ["1", "7"])
+    def test_spectrum_preset_draws_the_fig3_structured_channel(self, tmp_path,
+                                                               seed):
+        # 40 draws cross a chunk boundary
+        outs = []
+        for name in ("fig2_spectrum", "fig3_interleaver"):
+            outs.append(tmp_path / f"{name}.csv")
+            assert cli.main(["channel-stats", "--preset", name, "--seed", seed,
+                             "--draws", "40", "--out", str(outs[-1])]) \
+                == cli.EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_oversized_channel_matrix_exits_1_before_any_draw(
+            self, tmp_path, monkeypatch, capsys):
+        # a 8192 x 8192 composite: the sweep's steering factors fit the
+        # budget, but one channel matrix is 1 GiB
+        text = (TINY_CFG.replace("m_r = 1", "m_r = 2")
+                .replace("m_t = 1", "m_t = 2")
+                .replace("n_r = 4", "n_r = 4096")
+                .replace("n_t = 4", "n_t = 4096"))
+        assert parse_config(text).n_r == 4096
+        p = tmp_path / "large.cfg"
+        p.write_text(text)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a channel was drawn")
+        monkeypatch.setattr(harness, "draw_channels", forbidden)
+        out = tmp_path / "spec.csv"
+        assert cli.main(["channel-stats", "--config", str(p), "--draws", "2",
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"takes {16 * 8192 * 8192} bytes" in err
+        assert "Traceback" not in err
+        assert not out.exists()

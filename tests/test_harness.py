@@ -19,7 +19,6 @@ from bicmb.errors import ConfigurationError, NumericalError
 from bicmb.harness import (
     BerCurve,
     SimConfig,
-    SpectrumJob,
     build_runtime,
     load_config,
     parse_config,
@@ -606,15 +605,15 @@ class TestSweep:
         assert back.provenance["config_hash"] == curve.provenance["config_hash"]
 
 
-def _spectrum_draws(job: SpectrumJob, draws: int) -> list:
+def _spectrum_draws(config: SimConfig, draws: int) -> list:
     """The channels of a spectrum study, drawn one at a time."""
     rng = np.random.default_rng(
-        np.random.SeedSequence(job.master_seed,
+        np.random.SeedSequence(config.master_seed,
                                spawn_key=(harness._NS_SPECTRUM,)))
-    rx = ArrayGeometry(job.n_r, job.spacing)
-    tx = ArrayGeometry(job.n_t, job.spacing)
-    angles = tuple(np.deg2rad(job.angle_range_deg))
-    return [draw_channel(job.profile, rx, tx, rng, angles)
+    rx = ArrayGeometry(config.n_r, config.spacing)
+    tx = ArrayGeometry(config.n_t, config.spacing)
+    angles = tuple(np.deg2rad(config.angle_range_deg))
+    return [draw_channel(config.profile, rx, tx, rng, angles)
             for _ in range(draws)]
 
 
@@ -623,41 +622,42 @@ class TestSpectrumStats:
     @pytest.mark.parametrize("paths", [[[2, 3]], [[4, 3]]])
     def test_equals_a_per_draw_loop_bitwise(self, draws, paths):
         # 6 modes: 5 paths leave predictions short, 7 paths truncate them
-        job = SpectrumJob(FadingProfile.from_db([[-20.0, -26.0]], paths),
-                          n_r=6, n_t=4, spacing=0.4,
+        profile = FadingProfile.from_db([[-20.0, -26.0]], paths)
+        cfg = tiny_config(m_t=2, profile=profile, n_r=6, n_t=4, spacing=0.4,
                           angle_range_deg=(-70.0, 80.0), master_seed=5)
         rx, tx = ArrayGeometry(6, 0.4), ArrayGeometry(4, 0.4)
         sv_acc = np.zeros(6)
         pred_acc = np.zeros(6)
-        for chan in _spectrum_draws(job, draws):
+        for chan in _spectrum_draws(cfg, draws):
             sv_acc += singular_values(chan.h)
-            pred = predicted_gains(job.profile, chan.blocks, rx, tx)
+            pred = predicted_gains(cfg.profile, chan.blocks, rx, tx)
             pred_acc[:min(pred.size, 6)] += pred[:6]
-        sv, pred = spectrum_stats(job, draws)
+        sv, pred = spectrum_stats(cfg, draws)
         assert sv.tobytes() == (sv_acc / draws).tobytes()
         assert pred.tobytes() == (pred_acc / draws).tobytes()
 
     def test_shapes_rank_and_determinism(self):
-        job = SpectrumJob(FadingProfile.homogeneous(2, 2, -20.0, 2),
+        cfg = tiny_config(m_r=2, m_t=2,
+                          profile=FadingProfile.homogeneous(2, 2, -20.0, 2),
                           n_r=8, n_t=8, master_seed=3)
-        sv, pred = spectrum_stats(job, draws=32)
+        sv, pred = spectrum_stats(cfg, draws=32)
         assert sv.shape == pred.shape == (16,)
         assert np.all(np.diff(sv) <= 1e-12)
         l_t = 8
         assert np.all(sv[l_t:] < 1e-8 * sv[0])     # rank-limited channel
         assert np.all(pred[l_t:] == 0.0)           # predictions stop at l_t
         assert np.all(pred[:l_t] > 0.0)
-        sv2, pred2 = spectrum_stats(job, draws=32)
+        sv2, pred2 = spectrum_stats(cfg, draws=32)
         np.testing.assert_array_equal(sv, sv2)
         np.testing.assert_array_equal(pred, pred2)
 
     def test_svd_failure_reports_job_seed_and_draw(self, monkeypatch):
-        job = SpectrumJob(FadingProfile.homogeneous(1, 1, 0.0, 2), 4, 4,
+        cfg = tiny_config(profile=FadingProfile.homogeneous(1, 1, 0.0, 2),
                           master_seed=11)
         real_svd = np.linalg.svd
         # draw 35 sits in the second chunk of draws
         for draws, bad in ((5, 2), (40, 35)):
-            bad_h = _spectrum_draws(job, bad + 1)[bad].h
+            bad_h = _spectrum_draws(cfg, bad + 1)[bad].h
 
             def flaky_svd(a, *args, **kwargs):
                 # the stack holding the bad draw fails, and so does that
@@ -669,19 +669,31 @@ class TestSpectrumStats:
 
             monkeypatch.setattr(np.linalg, "svd", flaky_svd)
             with pytest.raises(NumericalError, match=f"draw {bad}") as info:
-                spectrum_stats(job, draws=draws)
+                spectrum_stats(cfg, draws=draws)
             assert info.value.seed == 11
             assert "seed=11" in str(info.value)
 
-    def test_rejects_overflowing_spacing(self):
-        with pytest.raises(ConfigurationError, match="too large"):
-            SpectrumJob(FadingProfile.homogeneous(1, 1, 0.0, 2), 4, 4,
-                        spacing=1e308)
+    def test_chunks_fit_the_budget_with_the_same_bytes(self, monkeypatch):
+        # one 4 x 4 matrix is 256 bytes: a budget of three gives chunks of 3
+        cfg = tiny_config()
+        sv, pred = spectrum_stats(cfg, draws=10)
+        sizes = []
+        real_draw = harness.draw_channels
+
+        def counting_draw(profile, rx, tx, rngs, angle_range):
+            sizes.append(len(rngs))
+            return real_draw(profile, rx, tx, rngs, angle_range)
+
+        monkeypatch.setattr(harness, "draw_channels", counting_draw)
+        monkeypatch.setattr(harness, "_SUBBATCH_SURVIVOR_BYTES", 3 * 256 + 255)
+        sv3, pred3 = spectrum_stats(cfg, draws=10)
+        assert sizes == [3, 3, 3, 1]
+        assert sv3.tobytes() == sv.tobytes()
+        assert pred3.tobytes() == pred.tobytes()
 
     def test_rejects_bad_draw_count(self):
-        job = SpectrumJob(FadingProfile.homogeneous(1, 1, 0.0, 2), 4, 4)
         with pytest.raises(ConfigurationError):
-            spectrum_stats(job, draws=0)
+            spectrum_stats(tiny_config(), draws=0)
 
 
 class TestPresets:
@@ -701,6 +713,10 @@ class TestPresets:
         assert p.spectrum is not None
         assert p.spectrum.master_seed == 5
         assert (p.spectrum.n_r, p.spectrum.n_t) == (16, 32)
+        # the study draws the fig3_interleaver/structured channel
+        structured = preset("fig3_interleaver", master_seed=5).variants
+        assert p.spectrum.canonical_text() \
+            == structured["structured"].canonical_text()
 
     @pytest.mark.parametrize("name,keys", [
         ("fig3_interleaver", ("structured", "adversarial")),
