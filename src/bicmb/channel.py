@@ -152,6 +152,18 @@ class FadingProfile:
         Python int: path counts near the int64 range would wrap."""
         return int(self.paths.sum(dtype=object))
 
+    def _key(self) -> tuple:
+        return (self.beta.shape, self.beta.tobytes(), self.paths.tobytes())
+
+    # the generated methods would compare and hash the numpy arrays
+    def __eq__(self, other):
+        if not isinstance(other, FadingProfile):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 @dataclass(frozen=True)
 class ChannelRealization:

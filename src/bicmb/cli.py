@@ -110,10 +110,12 @@ def _selected_configs(args, workers: int | None = None) -> dict[str, SimConfig]:
 
 
 def _out_file(path: Path) -> Path:
-    """``path`` once its directory is known to exist, so that a bad
-    ``--out`` fails before any work."""
+    """``path`` once its directory is known to exist and it is not a
+    directory itself, so that a bad ``--out`` fails before any work."""
     if not path.parent.is_dir():
         raise ConfigurationError(f"output directory not found: {path.parent}")
+    if path.is_dir():
+        raise ConfigurationError(f"output file is a directory: {path}")
     return path
 
 

@@ -240,10 +240,27 @@ class SimConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
+    # configs are equal when they describe the same experiment; the
+    # generated methods would compare the profile's numpy arrays
+    def __eq__(self, other):
+        if not isinstance(other, SimConfig):
+            return NotImplemented
+        return self.canonical_text() == other.canonical_text()
+
+    def __hash__(self):
+        return hash(self.canonical_text())
+
 
 def _steering_bytes(m_r: int, n_r: int, m_t: int, n_t: int, l_t: int) -> int:
     """Bytes of one frame's steering factors U and V, the
     (m_r n_r + m_t n_t) x l_t complex values of the sweep's gain stage.
+
+    This stays the per-frame bound although most frames take their gains
+    from the l_t x l_t Gram matrices: a frame with a near-collision, or
+    any frame of a profile with more paths than elements in a subarray,
+    still builds U and V, and every sub-batch frame may be one.  When no
+    subarray has more paths than elements, l_t <= m_r n_r and l_t <= m_t
+    n_t, so the two Gram matrices are never larger than U and V.
 
     Sizes are Python ints, so no count overflows; a frame above the
     sub-batch budget is a configuration error.
@@ -454,6 +471,7 @@ def build_runtime(config: SimConfig) -> Runtime:
 
     lo, hi = config.angle_range_deg
     # a sub-batch holds each frame's survivors, then its steering factors
+    # (or their no larger Gram matrices)
     frame_bytes = max(config.n_steps * trellis.n_states,
                       _steering_bytes(config.m_r, config.n_r, config.m_t,
                                       config.n_t, config.l_t))

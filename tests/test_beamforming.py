@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicmb.beamforming import (_path_singular_values, predicted_gains,
-                               singular_values)
+from bicmb import beamforming
+from bicmb.beamforming import (_path_singular_values, _ula_gram,
+                               predicted_gains, singular_values)
 from bicmb.channel import (ArrayGeometry, FadingProfile, PathSet,
                            draw_channel, draw_channels, draw_path_sets,
-                           subchannel_matrix)
+                           subchannel_matrix, ula_response)
 from bicmb.errors import NumericalError
 
 
@@ -191,3 +192,103 @@ class TestPathFactors:
                                              axis=1)))
         assert medians[0] > medians[1] > medians[2]
         assert medians[2] < 5e-3
+
+
+def _alias_azimuths(spacing):
+    """Azimuth pairs whose phase difference x is 0, an alias 2 pi k, or
+    within 1e-13 to 1e-4 of one, and a few generic ones."""
+    phi = [0.0, 0.0, 0.3, 0.3 + 1e-13, np.pi / 2, -np.pi / 2,
+           np.pi / 2 - 1e-9, -np.pi / 2 + 1e-6, 1.0, -0.7]
+    for k in range(1, int(2 * spacing) + 1):
+        # sin(phi_q) - sin(phi_p) = k / spacing is an alias of x = 0
+        s = k / spacing - 1.0
+        base = np.arcsin(s)
+        phi += [-np.pi / 2, base, base + 1e-12, base - 1e-4]
+    return np.array(phi)
+
+
+class TestSteeringGram:
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33])
+    @pytest.mark.parametrize("spacing", [0.5, 1.0, 1.5, 2.3])
+    def test_equals_the_direct_inner_product(self, n, spacing):
+        geometry = ArrayGeometry(n, spacing)
+        phi = _alias_azimuths(spacing)
+        a = ula_response(phi, geometry)
+        direct = a.conj().T @ a
+        group = np.zeros(phi.size, dtype=int)
+        gram = _ula_gram(np.stack([phi, phi[::-1]]), group, geometry)
+        assert np.all(np.isfinite(gram))
+        assert np.max(np.abs(gram[0] - direct)) <= 1e-13
+        assert np.max(np.abs(gram[1] - direct[::-1, ::-1])) <= 1e-13
+
+    def test_columns_of_different_groups_are_orthogonal(self):
+        geometry = ArrayGeometry(8)
+        phi = np.array([[0.1, 0.1, 0.5, -0.4]])
+        group = np.array([0, 1, 1, 0])
+        gram = _ula_gram(phi, group, geometry)[0]
+        a = ula_response(phi[0], geometry)
+        same = group[:, None] == group[None, :]
+        assert not gram[~same].any()
+        assert np.max(np.abs(gram[same] - (a.conj().T @ a)[same])) <= 1e-13
+
+
+def _collided(profile, frames, seed=5):
+    """Path sets of ``frames`` draws where draws 1 and 3 send two paths
+    of the first pair along one azimuth."""
+    blocks = draw_path_sets(profile, [np.random.default_rng([seed, b])
+                                      for b in range(frames)])
+    for ps in (blocks[0][0],):
+        ps.aoa[[1, 3], 1] = ps.aoa[[1, 3], 0]
+        ps.aod[[1, 3], 1] = ps.aod[[1, 3], 0]
+    return blocks
+
+
+class TestPivotFallback:
+    profile = FadingProfile.from_db([[-20.0, -26.0], [-23.0, -20.0]], 2)
+    rx, tx = ArrayGeometry(16), ArrayGeometry(8)
+
+    def test_flagged_frames_take_the_qr_values(self, monkeypatch):
+        blocks = _collided(self.profile, 6)
+        fac = _path_singular_values(self.profile, blocks, self.rx, self.tx, 8)
+        # a pivot floor above every pivot sends every frame to the QR path
+        monkeypatch.setattr(beamforming, "_MIN_PIVOT2", np.inf)
+        qr = _path_singular_values(self.profile, blocks, self.rx, self.tx, 8)
+        assert fac[[1, 3]].tobytes() == qr[[1, 3]].tobytes()
+        # a colliding pair leaves one zero mode
+        assert np.all(fac[[1, 3], 7] <= 1e-12 * fac[[1, 3], 0])
+        assert np.all(np.abs(fac - qr) <= 1e-12 * qr[:, :1])
+
+    def test_unflagged_frames_build_no_steering_vectors(self, monkeypatch):
+        # 2 x 4096-element arrays: U alone would take 1 MiB per frame
+        rx = tx = ArrayGeometry(4096)
+        blocks = draw_path_sets(self.profile, [np.random.default_rng([9, b])
+                                               for b in range(4)])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the gain stage built steering vectors")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(beamforming, "ula_response", forbidden)
+            fac = _path_singular_values(self.profile, blocks, rx, tx, 8)
+        monkeypatch.setattr(beamforming, "_MIN_PIVOT2", np.inf)
+        qr = _path_singular_values(self.profile, blocks, rx, tx, 8)
+        assert np.all(np.abs(fac - qr) <= 1e-12 * qr[:, :1])
+
+    def test_svd_failure_names_the_original_frame(self, monkeypatch):
+        # frames 1 and 3 are redone on the QR path; the core stack stays
+        # in frame order, so the sweep can name frame 3's seed
+        blocks = _collided(self.profile, 6)
+        real_svd = np.linalg.svd
+        single_calls = []
+
+        def flaky_svd(a, *args, **kwargs):
+            if a.ndim == 2:
+                single_calls.append(a)
+            if a.ndim == 3 or len(single_calls) == 4:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+        with pytest.raises(NumericalError) as info:
+            _path_singular_values(self.profile, blocks, self.rx, self.tx, 8)
+        assert info.value.index == 3

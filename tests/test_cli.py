@@ -191,6 +191,21 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["channel-stats", "--preset", "fig2_spectrum", "--draws", "2"],
+        ["code-info", "--generators", "5,7"],
+    ])
+    def test_output_that_is_a_directory_exits_1_before_any_work(
+            self, tmp_path, monkeypatch, capsys, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started")
+        for name in ("spectrum_stats", "build_trellis"):
+            monkeypatch.setattr(cli, name, forbidden)
+        assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "output file is a directory" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("old,new", [
         ("snr_db = 0,4,8", "snr_db = 2,inf"),
         ("beta_db = -20", "beta_db = nan"),

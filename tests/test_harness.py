@@ -327,6 +327,26 @@ class TestConfigHash:
         assert tiny_config(snr_grid_db=(0.0, 4.0)).config_hash != cfg.config_hash
 
 
+class TestConfigEquality:
+    def test_equal_and_unequal_pairs(self):
+        spectrum = preset("fig2_spectrum").spectrum
+        variants = preset("fig3_interleaver").variants
+        assert spectrum == variants["structured"]
+        assert hash(spectrum) == hash(variants["structured"])
+        assert spectrum != variants["adversarial"]
+        # execution knobs are not part of the experiment
+        assert tiny_config(workers=3, label="x") == tiny_config()
+        assert tiny_config(spacing=0.25) != tiny_config()
+        assert tiny_config() != tiny_config().canonical_text()
+        profile = FadingProfile.from_db([[-20.0, -30.0]], [[2, 3]])
+        same = FadingProfile(profile.beta.copy(), [[2, 3]])
+        assert profile == same and hash(profile) == hash(same)
+        assert profile != FadingProfile(profile.beta, [[3, 2]])
+        assert profile != FadingProfile(profile.beta.T, [[2], [3]])
+        assert profile != FadingProfile.from_db([[-20.0, -31.0]], [[2, 3]])
+        assert profile != str(profile)
+
+
 class TestBuildRuntime:
     def test_sizes_and_padding(self):
         cfg = tiny_config(n_s=1, depth=8)
