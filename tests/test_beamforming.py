@@ -237,9 +237,9 @@ def _collided(profile, frames, seed=5):
     of the first pair along one azimuth."""
     blocks = draw_path_sets(profile, [np.random.default_rng([seed, b])
                                       for b in range(frames)])
-    for ps in (blocks[0][0],):
-        ps.aoa[[1, 3], 1] = ps.aoa[[1, 3], 0]
-        ps.aod[[1, 3], 1] = ps.aod[[1, 3], 0]
+    ps = blocks[0][0]
+    ps.aoa[[1, 3], 1] = ps.aoa[[1, 3], 0]
+    ps.aod[[1, 3], 1] = ps.aod[[1, 3], 0]
     return blocks
 
 
