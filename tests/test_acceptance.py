@@ -3,7 +3,8 @@
 Each test prints a single ``criterion N: PASS/FAIL`` line with the
 measured numbers (visible with ``pytest -v -s`` or on failure) and then
 asserts.  Criteria 6 and 7 share one session-scoped run of all built-in
-experiment presets at their shipped seeds and grids.
+experiment presets at their shipped seeds and grids (``preset_curves``
+in ``conftest.py``).
 
 Known honest failures at desk scale are documented in the assertion
 messages of criteria 4 and 7.
@@ -171,18 +172,6 @@ def test_criterion_5_gamma_moment_match():
 
 # ---------------------------------------------------------------------------
 # criteria 6-7: shared preset simulations
-
-
-@pytest.fixture(scope="session")
-def preset_curves():
-    """All BER preset variants at their shipped seeds, plus elapsed time."""
-    curves = {}
-    t0 = time.perf_counter()
-    for name in ("fig3_interleaver", "fig4_streams",
-                 "fig5_colocated_vs_distributed", "fig6_fading"):
-        p = preset(name)
-        curves[name] = {key: sweep(cfg) for key, cfg in p.variants.items()}
-    return curves, time.perf_counter() - t0
 
 
 def test_criterion_6_bound_dominates_simulation(preset_curves):
