@@ -44,33 +44,28 @@ def singular_values(h) -> np.ndarray:
 
 
 def _path_amplitudes(profile, rx, tx) -> np.ndarray:
-    """sqrt(beta_ij N_r N_t / L_ij) of every path, in row-major block
-    order: the order in which a draw's path columns are concatenated."""
+    """sqrt(beta_ij N_r N_t / L_ij) of every path column of a draw."""
     amp = np.sqrt(profile.beta * rx.n_elements * tx.n_elements
                   / profile.paths)
-    return np.repeat(amp.ravel(), profile.paths.ravel())
+    return amp[profile.path_pairs]
 
 
-def _path_gains(blocks) -> np.ndarray:
-    return np.concatenate([ps.gains for row in blocks for ps in row], axis=-1)
-
-
-def predicted_gains(profile, blocks, rx, tx) -> np.ndarray:
+def predicted_gains(profile, paths, rx, tx) -> np.ndarray:
     """Large-array prediction of the composite singular values.
 
     As both arrays grow, steering vectors become orthogonal and each path
     contributes one singular value sqrt(beta_ij * N_r * N_t / L_ij) * |gain|.
-    ``blocks`` are the path sets of one draw or of a batch; returns the
+    ``paths`` are the path columns of one draw or of a batch; returns the
     predictions sorted in decreasing order on the last axis, one row per
-    draw of a batch (zero-power blocks contribute zeros).
+    draw of a batch (zero-power pairs contribute zeros).
     """
-    pred = _path_amplitudes(profile, rx, tx) * np.abs(_path_gains(blocks))
+    pred = _path_amplitudes(profile, rx, tx) * np.abs(paths.gains)
     return np.sort(pred, axis=-1)[..., ::-1]
 
 
-# A frame whose smallest squared Cholesky pivot, in either factor, is
-# below this takes both factors from the QR of its steering matrices:
-# a Gram factor keeps about half the digits of its nearly dependent
+# A frame whose smallest squared Cholesky pivot on one side is below
+# this takes that side's factor from the QR of its steering matrix: a
+# Gram factor keeps about half the digits of its nearly dependent
 # columns, and 1e-3 keeps every gain within 1e-12 of the full SVD.
 _MIN_PIVOT2 = 1e-3
 
@@ -125,62 +120,55 @@ def _gram_factor(gram):
     return r, min_pivot2
 
 
-def _steering_factors(profile, blocks, rx, tx, frames):
-    """R factors of the thin QR of the steering matrices U and V of the
-    listed frames of a batch, built in full."""
-    n_r, n_t = rx.n_elements, tx.n_elements
-    l_t = profile.total_paths
-    u = np.zeros((len(frames), profile.m_r * n_r, l_t), dtype=complex)
-    v = np.zeros((len(frames), profile.m_t * n_t, l_t), dtype=complex)
-    col = 0
-    for i, row in enumerate(blocks):
-        for j, ps in enumerate(row):
-            cols = slice(col, col + ps.n_paths)
-            u[:, i * n_r:(i + 1) * n_r, cols] = ula_response(ps.aoa[frames], rx)
-            v[:, j * n_t:(j + 1) * n_t, cols] = ula_response(ps.aod[frames], tx)
-            col += ps.n_paths
-    return np.linalg.qr(u, mode="r"), np.linalg.qr(v, mode="r")
+def _steering_factor(phi, group, geometry) -> np.ndarray:
+    """Upper-triangular R with A^H A = R^H R for the steering matrix A of
+    each frame of a stack of one side's azimuths (B, L_t).
+
+    Column q of A holds a(phi_q) in the block of subarray ``group[q]``.
+    R is the Cholesky factor of the closed-form Gram matrix, at a cost
+    that does not grow with the array size.  A frame with a pivot below
+    ``_MIN_PIVOT2``, and every frame when some subarray carries more
+    paths than it has elements (its Gram matrix is singular), takes R
+    from the thin QR of its own A instead.
+    """
+    n = geometry.n_elements
+    if np.bincount(group).max() > n:
+        r, redo = None, np.arange(len(phi))
+    else:
+        r, min_pivot2 = _gram_factor(_ula_gram(phi, group, geometry))
+        redo = np.flatnonzero(min_pivot2 < _MIN_PIVOT2)
+        if not redo.size:
+            return r
+    l_t = group.size
+    a = np.zeros((redo.size, group.max() + 1, n, l_t), dtype=complex)
+    # column q fills rows group[q] n to (group[q] + 1) n of each frame
+    a[:, group, :, np.arange(l_t)] = \
+        ula_response(phi[redo], geometry).transpose(2, 0, 1)
+    qr = np.linalg.qr(a.reshape(redo.size, -1, l_t), mode="r")
+    if r is None:
+        return qr
+    r[redo] = qr
+    return r
 
 
-def _path_singular_values(profile, blocks, rx, tx, n_s: int) -> np.ndarray:
+def _path_singular_values(profile, paths, rx, tx, n_s: int) -> np.ndarray:
     """The top ``n_s`` singular values of a batch of channels, one row
-    per draw, from their path sets alone.
+    per draw, from their path columns alone.
 
     The channel is H = U diag(d) V^H.  Column p of U (V) is path p's
     receive (transmit) steering vector in its pair's row (column) block,
     and d_p is sqrt(beta_ij N_r N_t / L_ij) times its gain.  With any
     R_U, R_V such that U^H U = R_U^H R_U and V^H V = R_V^H R_V, the
     nonzero singular values of H are those of the at most L_t x L_t core
-    R_U diag(d) R_V^H.  Rows are zero-padded past them.
-
-    R_U and R_V are the Cholesky factors of the closed-form Gram
-    matrices, at a cost that does not grow with the array sizes.  A
-    frame with a small pivot in either factor, and every frame of a
-    profile where some subarray carries more paths than it has elements
-    (its Gram matrix is singular), takes both factors from the thin QR
-    of its U and V instead.
+    R_U diag(d) R_V^H, with R_U and R_V from :func:`_steering_factor`.
+    Rows are zero-padded past them.
     """
-    d = _path_amplitudes(profile, rx, tx) * _path_gains(blocks)
-    batch = d.shape[0]
-    if (profile.paths.sum(axis=1).max() > rx.n_elements
-            or profile.paths.sum(axis=0).max() > tx.n_elements):
-        r_u, r_v = _steering_factors(profile, blocks, rx, tx,
-                                      np.arange(batch))
-    else:
-        # each path's subarray pair (i, j), in column order
-        i, j = np.indices(profile.paths.shape).reshape(2, -1)
-        rows = np.repeat(i, profile.paths.ravel())
-        cols = np.repeat(j, profile.paths.ravel())
-        aoa = np.concatenate([ps.aoa for row in blocks for ps in row], axis=-1)
-        aod = np.concatenate([ps.aod for row in blocks for ps in row], axis=-1)
-        r_u, piv_u = _gram_factor(_ula_gram(aoa, rows, rx))
-        r_v, piv_v = _gram_factor(_ula_gram(aod, cols, tx))
-        redo = np.flatnonzero(np.minimum(piv_u, piv_v) < _MIN_PIVOT2)
-        if redo.size:
-            r_u[redo], r_v[redo] = _steering_factors(profile, blocks, rx, tx,
-                                                     redo)
+    d = _path_amplitudes(profile, rx, tx) * paths.gains
+    rows, cols = profile.path_pairs
+    r_u = _steering_factor(paths.aoa, rows, rx)
+    r_v = _steering_factor(paths.aod, cols, tx)
     sv = singular_values((r_u * d[:, None, :]) @ r_v.conj().swapaxes(-1, -2))
-    out = np.zeros((batch, n_s))
+    out = np.zeros((len(d), n_s))
     k = min(n_s, sv.shape[-1])
     out[:, :k] = sv[:, :k]
     return out

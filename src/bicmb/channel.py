@@ -64,11 +64,13 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Gains and azimuths of the discrete paths of one subarray pair.
+    """Gains and azimuths of discrete paths: one subarray pair's, or a
+    whole draw's in the column order of :attr:`FadingProfile.path_pairs`.
 
     gains are complex with unit second moment (variance 1/2 per real
     dimension); aoa/aod are arrival/departure azimuths in radians.  The
     last axis runs over paths; leading axes, if any, over draws.
+    Indexing applies to all three arrays alike.
     """
 
     gains: np.ndarray
@@ -84,6 +86,9 @@ class PathSet:
     @property
     def n_paths(self) -> int:
         return self.gains.shape[-1]
+
+    def __getitem__(self, key) -> "PathSet":
+        return PathSet(self.gains[key], self.aoa[key], self.aod[key])
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,13 @@ class FadingProfile:
         Python int: path counts near the int64 range would wrap."""
         return int(self.paths.sum(dtype=object))
 
+    @property
+    def path_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Subarray pair (i, j) of each of a draw's L_t path columns, as
+        arrays i and j: pairs in row-major order, L_ij columns each."""
+        i, j = np.indices(self.paths.shape).reshape(2, -1)
+        return np.repeat(i, self.paths.ravel()), np.repeat(j, self.paths.ravel())
+
     def _key(self) -> tuple:
         return (self.beta.shape, self.beta.tobytes(), self.paths.tobytes())
 
@@ -167,15 +179,15 @@ class FadingProfile:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Drawn composite channel(s) with their generating path sets.
+    """Drawn composite channel(s) with their generating paths.
 
     ``h`` is one matrix (M_r N_r, M_t N_t), or a stack of them with the
-    draws on a leading axis; ``blocks[i][j]`` is the PathSet of pair
-    (i, j), with the same leading axes.
+    draws on a leading axis; ``paths`` is the PathSet of all L_t path
+    columns, with the same leading axes.
     """
 
     h: np.ndarray
-    blocks: list
+    paths: PathSet
 
 
 def ula_response(phi, geometry: ArrayGeometry) -> np.ndarray:
@@ -237,47 +249,44 @@ def draw_channel(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
                  ) -> ChannelRealization:
     """One draw: :func:`draw_channels` of the single generator ``rng``."""
     batch = draw_channels(profile, rx, tx, [rng], angle_range)
-    blocks = [[PathSet(ps.gains[0], ps.aoa[0], ps.aod[0]) for ps in row]
-              for row in batch.blocks]
-    return ChannelRealization(batch.h[0], blocks)
+    return ChannelRealization(batch.h[0], batch.paths[0])
 
 
 def draw_path_sets(profile: FadingProfile, rngs,
                    angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE
-                   ) -> list:
-    """The path sets of a batch of draws: ``blocks[i][j]`` is the PathSet
-    of pair (i, j), with (B, L_ij) arrays.
+                   ) -> PathSet:
+    """The paths of a batch of draws, as one PathSet of (B, L_t) arrays
+    in the column order of ``profile.path_pairs``.
 
-    Draw b takes its path sets from ``rngs[b]``, block by block in
-    row-major order over the block grid, with the draws of
-    :func:`draw_paths`.
+    Draw b takes its paths from ``rngs[b]``, pair by pair in that order,
+    with the draws of :func:`draw_paths`.
     """
-    parts = [[np.empty((4, len(rngs), l)) for l in row] for row in profile.paths]
+    parts = np.empty((4, len(rngs), profile.total_paths))
+    counts = profile.paths.ravel().tolist()
+    starts = np.cumsum([0] + counts).tolist()
     for b, rng in enumerate(rngs):
-        for row in parts:
-            for block in row:
-                block[:, b] = _draw_block(block.shape[2], rng, *angle_range)
-    return [[_path_set(*block) for block in row] for row in parts]
+        for start, l in zip(starts, counts):
+            parts[:, b, start:start + l] = _draw_block(l, rng, *angle_range)
+    return _path_set(*parts)
 
 
 def draw_channels(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,
                   rngs, angle_range: tuple[float, float] = DEFAULT_ANGLE_RANGE
                   ) -> ChannelRealization:
-    """A batch of draws: the path sets of :func:`draw_path_sets` and their
+    """A batch of draws: the paths of :func:`draw_path_sets` and their
     matrices, ``h`` of shape (B, M_r N_r, M_t N_t).
 
     Block (i, j) of each matrix is sqrt(beta_ij) times its pair matrix.
     """
-    blocks = draw_path_sets(profile, rngs, angle_range)
+    paths = draw_path_sets(profile, rngs, angle_range)
     n_r, n_t = rx.n_elements, tx.n_elements
     h = np.zeros((len(rngs), profile.m_r * n_r, profile.m_t * n_t),
                  dtype=complex)
-    for i, row in enumerate(blocks):
-        for j, ps in enumerate(row):
-            if profile.beta[i, j] == 0.0:
-                continue
-            # formed in place, so no block-sized temporary exists
-            block = h[:, i * n_r:(i + 1) * n_r, j * n_t:(j + 1) * n_t]
-            subchannel_matrix(ps, rx, tx, out=block)
-            np.multiply(np.sqrt(profile.beta[i, j]), block, out=block)
-    return ChannelRealization(h, blocks)
+    rows, cols = profile.path_pairs
+    for i, j in zip(*np.nonzero(profile.beta)):
+        # formed in place, so no block-sized temporary exists
+        block = h[:, i * n_r:(i + 1) * n_r, j * n_t:(j + 1) * n_t]
+        subchannel_matrix(paths[:, (rows == i) & (cols == j)], rx, tx,
+                          out=block)
+        np.multiply(np.sqrt(profile.beta[i, j]), block, out=block)
+    return ChannelRealization(h, paths)

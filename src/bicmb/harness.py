@@ -182,8 +182,10 @@ class SimConfig:
                 f"{_SUBBATCH_SURVIVOR_BYTES}-byte sub-batch budget")
         _steering_bytes(self.m_r, self.n_r, self.m_t, self.n_t, self.l_t)
         lo, hi = self.angle_range_deg
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigurationError("azimuth bounds must be finite")
+        # a ULA aliases azimuths past +-90 degrees onto the half plane
+        if not (-90.0 <= lo <= 90.0 and -90.0 <= hi <= 90.0):
+            raise ConfigurationError(
+                "azimuth bounds must be finite and lie in [-90, 90] degrees")
         if not lo < hi:
             raise ConfigurationError("empty azimuth range")
         object.__setattr__(self, "snr_grid_db", grid)
@@ -256,11 +258,10 @@ def _steering_bytes(m_r: int, n_r: int, m_t: int, n_t: int, l_t: int) -> int:
     (m_r n_r + m_t n_t) x l_t complex values of the sweep's gain stage.
 
     This stays the per-frame bound although most frames take their gains
-    from the l_t x l_t Gram matrices: a frame with a near-collision, or
-    any frame of a profile with more paths than elements in a subarray,
-    still builds U and V, and every sub-batch frame may be one.  When no
-    subarray has more paths than elements, l_t <= m_r n_r and l_t <= m_t
-    n_t, so the two Gram matrices are never larger than U and V.
+    from the l_t x l_t Gram matrices: a side where a frame nearly
+    collides, or where some subarray has more paths than elements,
+    builds its U or V, and a frame may do so on both sides.  On any
+    other side l_t <= m n, so its Gram matrix is never the larger.
 
     Sizes are Python ints, so no count overflows; a frame above the
     sub-batch budget is a configuration error.
@@ -511,17 +512,17 @@ def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
     """Run one sub-batch of frames through the link; return its
     info-bit error count.
 
-    Each frame's channel generator draws its path sets, and its frame
+    Each frame's channel generator draws its paths, and its frame
     generator the message, then the real and the imaginary noise parts.
     Every stage runs once on the whole sub-batch and treats frames
     independently, so results do not depend on how frames are grouped.
     """
     config = rt.config
-    blocks = draw_path_sets(config.profile,
-                            _frame_rngs(config, snr_idx, frames, 0),
-                            rt.angle_range)
+    paths = draw_path_sets(config.profile,
+                           _frame_rngs(config, snr_idx, frames, 0),
+                           rt.angle_range)
     try:
-        gains = _path_singular_values(config.profile, blocks, rt.rx_geometry,
+        gains = _path_singular_values(config.profile, paths, rt.rx_geometry,
                                       rt.tx_geometry, config.n_s)
     except NumericalError as exc:
         raise NumericalError(
@@ -529,7 +530,7 @@ def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
             seed=_frame_seed(config, snr_idx, frames[exc.index])) from exc
     # each stage's input is dropped once the next stage has it, so the
     # peak holds few sub-batch arrays at a time
-    del blocks
+    del paths
 
     itl = rt.interleaver
     B = len(frames)
@@ -731,7 +732,7 @@ def spectrum_stats(config: SimConfig,
             raise NumericalError(
                 f"SVD failed to converge on spectrum draw {start + exc.index}",
                 seed=config.master_seed) from exc
-        pred = predicted_gains(config.profile, chan.blocks, rx, tx)[:, :n_vals]
+        pred = predicted_gains(config.profile, chan.paths, rx, tx)[:, :n_vals]
         # one row at a time, in draw order, so the sums are those of a
         # per-draw loop bit for bit
         for k in range(n):

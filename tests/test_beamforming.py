@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicmb import beamforming
-from bicmb.beamforming import (_path_singular_values, _ula_gram,
-                               predicted_gains, singular_values)
-from bicmb.channel import (ArrayGeometry, FadingProfile, PathSet,
-                           draw_channel, draw_channels, draw_path_sets,
-                           subchannel_matrix, ula_response)
+from bicmb.beamforming import (_gram_factor, _path_singular_values,
+                               _ula_gram, predicted_gains, singular_values)
+from bicmb.channel import (ArrayGeometry, FadingProfile, draw_channel,
+                           draw_channels, draw_path_sets, subchannel_matrix,
+                           ula_response)
 from bicmb.errors import NumericalError
 
 
@@ -75,10 +75,11 @@ class TestPredictedGains:
         profile = FadingProfile(np.array([[0.5, 2.0]]), np.array([[2, 1]]))
         rx, tx = ArrayGeometry(4), ArrayGeometry(8)
         ch = draw_channel(profile, rx, tx, np.random.default_rng(6))
-        pred = predicted_gains(profile, ch.blocks, rx, tx)
+        pred = predicted_gains(profile, ch.paths, rx, tx)
+        _, cols = profile.path_pairs
         want = []
         for j in range(2):
-            ps = ch.blocks[0][j]
+            ps = ch.paths[cols == j]
             want.extend(np.sqrt(profile.beta[0, j] * 32 / ps.n_paths)
                         * np.abs(ps.gains))
         np.testing.assert_allclose(pred, np.sort(want)[::-1])
@@ -90,12 +91,12 @@ class TestPredictedGains:
         rx, tx = ArrayGeometry(4), ArrayGeometry(8)
         batch = draw_channels(profile, rx, tx,
                               [np.random.default_rng(s) for s in range(5)])
-        pred = predicted_gains(profile, batch.blocks, rx, tx)
+        pred = predicted_gains(profile, batch.paths, rx, tx)
         assert pred.shape == (5, 7)
         for b in range(5):
             single = draw_channel(profile, rx, tx, np.random.default_rng(b))
             assert pred[b].tobytes() == predicted_gains(
-                profile, single.blocks, rx, tx).tobytes()
+                profile, single.paths, rx, tx).tobytes()
 
     def test_large_arrays_approach_prediction(self):
         # steering vectors decorrelate as the arrays grow, so measured
@@ -107,30 +108,31 @@ class TestPredictedGains:
             rx = tx = ArrayGeometry(n)
             ch = draw_channel(profile, rx, tx, rng)
             sv = singular_values(ch.h)[:4]
-            pred = predicted_gains(profile, ch.blocks, rx, tx)
+            pred = predicted_gains(profile, ch.paths, rx, tx)
             errs.append(np.max(np.abs(sv - pred) / pred.max()))
         assert errs[1] < 0.05
         assert errs[1] < errs[0]
 
 
-def _assembled(profile, blocks, rx, tx):
-    """The composite matrices of batched path sets, built block by block
-    from the public pair-matrix function."""
-    batch = blocks[0][0].gains.shape[0]
+def _assembled(profile, paths, rx, tx):
+    """The composite matrices of batched path columns, built block by
+    block from the public pair-matrix function."""
+    batch = paths.gains.shape[0]
     n_r, n_t = rx.n_elements, tx.n_elements
     h = np.zeros((batch, profile.m_r * n_r, profile.m_t * n_t), complex)
-    for i, row in enumerate(blocks):
-        for j, ps in enumerate(row):
-            for b in range(batch):
-                one = PathSet(ps.gains[b], ps.aoa[b], ps.aod[b])
-                h[b, i * n_r:(i + 1) * n_r, j * n_t:(j + 1) * n_t] = \
-                    np.sqrt(profile.beta[i, j]) * subchannel_matrix(one, rx, tx)
+    rows, cols = profile.path_pairs
+    for i, j in np.ndindex(profile.paths.shape):
+        pair = (rows == i) & (cols == j)
+        for b in range(batch):
+            h[b, i * n_r:(i + 1) * n_r, j * n_t:(j + 1) * n_t] = \
+                np.sqrt(profile.beta[i, j]) * subchannel_matrix(
+                    paths[b, pair], rx, tx)
     return h
 
 
 @st.composite
 def path_draws(draw):
-    """Random profiles with zero-power blocks, single-element arrays,
+    """Random profiles with zero-power pairs, single-element arrays,
     more paths than elements, and optionally exactly colliding angles."""
     m_r, m_t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     n_r, n_t = draw(st.integers(1, 19)), draw(st.integers(1, 19))
@@ -142,25 +144,23 @@ def path_draws(draw):
     profile = FadingProfile(np.reshape(beta, (m_r, m_t)),
                             np.reshape(paths, (m_r, m_t)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    blocks = draw_path_sets(profile, [np.random.default_rng([seed, b])
-                                      for b in range(3)])
+    paths = draw_path_sets(profile, [np.random.default_rng([seed, b])
+                                     for b in range(3)])
     if draw(st.booleans()):
-        # every path of every block leaves and arrives at one azimuth
-        for row in blocks:
-            for ps in row:
-                ps.aoa[:] = blocks[0][0].aoa[:, :1]
-                ps.aod[:] = blocks[0][0].aod[:, :1]
-    return profile, blocks, ArrayGeometry(n_r), ArrayGeometry(n_t)
+        # every path leaves and arrives at one azimuth
+        paths.aoa[:] = paths.aoa[:, :1]
+        paths.aod[:] = paths.aod[:, :1]
+    return profile, paths, ArrayGeometry(n_r), ArrayGeometry(n_t)
 
 
 class TestPathFactors:
     @settings(max_examples=200, deadline=None)
     @given(path_draws())
     def test_equal_the_full_svd(self, drawn):
-        profile, blocks, rx, tx = drawn
-        full = singular_values(_assembled(profile, blocks, rx, tx))
+        profile, paths, rx, tx = drawn
+        full = singular_values(_assembled(profile, paths, rx, tx))
         k = min(profile.total_paths, full.shape[1])
-        fac = _path_singular_values(profile, blocks, rx, tx, k)
+        fac = _path_singular_values(profile, paths, rx, tx, k)
         top = full[:, :1]
         assert np.all(np.abs(fac - full[:, :k]) <= 1e-12 * top)
         assert np.all(full[:, k:] <= 1e-12 * top)
@@ -169,8 +169,8 @@ class TestPathFactors:
         profile = FadingProfile.from_db([[-20.0, -26.0]], [[1, 2]])
         rx, tx = ArrayGeometry(8), ArrayGeometry(4)
         rngs = [np.random.default_rng(s) for s in range(5)]
-        blocks = draw_path_sets(profile, rngs)
-        fac = _path_singular_values(profile, blocks, rx, tx, 6)
+        paths = draw_path_sets(profile, rngs)
+        fac = _path_singular_values(profile, paths, rx, tx, 6)
         assert fac.shape == (5, 6)
         assert np.all(fac[:, :3] > 0.0)
         assert not fac[:, 3:].any()
@@ -183,11 +183,11 @@ class TestPathFactors:
         medians = []
         for n in (8, 64, 512):
             rx = tx = ArrayGeometry(n)
-            blocks = draw_path_sets(
+            paths = draw_path_sets(
                 profile, [np.random.default_rng([n, b]) for b in range(200)])
-            fac = _path_singular_values(profile, blocks, rx, tx,
+            fac = _path_singular_values(profile, paths, rx, tx,
                                         profile.total_paths)
-            pred = predicted_gains(profile, blocks, rx, tx)
+            pred = predicted_gains(profile, paths, rx, tx)
             medians.append(np.median(np.max(np.abs(fac - pred) / pred,
                                              axis=1)))
         assert medians[0] > medians[1] > medians[2]
@@ -233,14 +233,13 @@ class TestSteeringGram:
 
 
 def _collided(profile, frames, seed=5):
-    """Path sets of ``frames`` draws where draws 1 and 3 send two paths
-    of the first pair along one azimuth."""
-    blocks = draw_path_sets(profile, [np.random.default_rng([seed, b])
-                                      for b in range(frames)])
-    ps = blocks[0][0]
-    ps.aoa[[1, 3], 1] = ps.aoa[[1, 3], 0]
-    ps.aod[[1, 3], 1] = ps.aod[[1, 3], 0]
-    return blocks
+    """Paths of ``frames`` draws where draws 1 and 3 send the first two
+    paths, both of the first pair, along one azimuth."""
+    paths = draw_path_sets(profile, [np.random.default_rng([seed, b])
+                                     for b in range(frames)])
+    paths.aoa[[1, 3], 1] = paths.aoa[[1, 3], 0]
+    paths.aod[[1, 3], 1] = paths.aod[[1, 3], 0]
+    return paths
 
 
 class TestPivotFallback:
@@ -248,36 +247,93 @@ class TestPivotFallback:
     rx, tx = ArrayGeometry(16), ArrayGeometry(8)
 
     def test_flagged_frames_take_the_qr_values(self, monkeypatch):
-        blocks = _collided(self.profile, 6)
-        fac = _path_singular_values(self.profile, blocks, self.rx, self.tx, 8)
+        paths = _collided(self.profile, 6)
+        fac = _path_singular_values(self.profile, paths, self.rx, self.tx, 8)
         # a pivot floor above every pivot sends every frame to the QR path
         monkeypatch.setattr(beamforming, "_MIN_PIVOT2", np.inf)
-        qr = _path_singular_values(self.profile, blocks, self.rx, self.tx, 8)
+        qr = _path_singular_values(self.profile, paths, self.rx, self.tx, 8)
         assert fac[[1, 3]].tobytes() == qr[[1, 3]].tobytes()
         # a colliding pair leaves one zero mode
         assert np.all(fac[[1, 3], 7] <= 1e-12 * fac[[1, 3], 0])
         assert np.all(np.abs(fac - qr) <= 1e-12 * qr[:, :1])
 
+    def test_the_floor_sends_a_squeezed_frame_to_qr(self, monkeypatch):
+        # a receive pivot^2 in [1e-4, 1e-3), below the floor; the transmit
+        # subarray carries 3 paths on 2 elements, so it takes the QR path
+        # at any floor
+        profile = FadingProfile.from_db(-20.0, 3)
+        rx, tx = ArrayGeometry(16), ArrayGeometry(2)
+        paths = draw_path_sets(profile, [np.random.default_rng(4)])
+        paths.aoa[0] = [0.3, 0.30125, -0.6]
+        _, min_pivot2 = _gram_factor(_ula_gram(paths.aoa, np.zeros(3, int),
+                                               rx))
+        assert 1e-4 <= min_pivot2[0] < 1e-3
+        fac = _path_singular_values(profile, paths, rx, tx, 2)
+        monkeypatch.setattr(beamforming, "_MIN_PIVOT2", np.inf)
+        qr = _path_singular_values(profile, paths, rx, tx, 2)
+        assert fac.tobytes() == qr.tobytes()
+
+    @staticmethod
+    def _steering_calls(monkeypatch):
+        """Record (elements, azimuth shape) of each steering matrix built."""
+        calls = []
+        real = beamforming.ula_response
+
+        def counting(phi, geometry):
+            calls.append((geometry.n_elements, phi.shape))
+            return real(phi, geometry)
+
+        monkeypatch.setattr(beamforming, "ula_response", counting)
+        return calls
+
+    def test_a_receive_collision_builds_only_the_receive_side(self,
+                                                              monkeypatch):
+        # seed 4 has no near-collision of its own on either side
+        paths = draw_path_sets(self.profile, [np.random.default_rng([4, b])
+                                              for b in range(6)])
+        paths.aoa[[1, 3], 1] = paths.aoa[[1, 3], 0]
+        calls = self._steering_calls(monkeypatch)
+        fac = _path_singular_values(self.profile, paths, self.rx, self.tx, 8)
+        # one receive matrix of the two flagged frames, no transmit matrix
+        assert calls == [(16, (2, 8))]
+        full = singular_values(_assembled(self.profile, paths, self.rx,
+                                          self.tx))[:, :8]
+        assert np.all(np.abs(fac - full) <= 1e-12 * full[:, :1])
+
+    def test_an_over_full_receive_side_keeps_the_transmit_gram(self,
+                                                               monkeypatch):
+        # 4 paths arrive at one 2-element receive subarray; each
+        # 16-element transmit subarray sends 2, none nearly collide
+        profile = FadingProfile.from_db([[-20.0, -26.0]], 2)
+        rx, tx = ArrayGeometry(2), ArrayGeometry(16)
+        paths = draw_path_sets(profile, [np.random.default_rng([2, b])
+                                         for b in range(4)])
+        calls = self._steering_calls(monkeypatch)
+        fac = _path_singular_values(profile, paths, rx, tx, 2)
+        assert calls == [(2, (4, 4))]
+        full = singular_values(_assembled(profile, paths, rx, tx))[:, :2]
+        assert np.all(np.abs(fac - full) <= 1e-12 * full[:, :1])
+
     def test_unflagged_frames_build_no_steering_vectors(self, monkeypatch):
         # 2 x 4096-element arrays: U alone would take 1 MiB per frame
         rx = tx = ArrayGeometry(4096)
-        blocks = draw_path_sets(self.profile, [np.random.default_rng([9, b])
-                                               for b in range(4)])
+        paths = draw_path_sets(self.profile, [np.random.default_rng([9, b])
+                                              for b in range(4)])
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the gain stage built steering vectors")
 
         with monkeypatch.context() as patch:
             patch.setattr(beamforming, "ula_response", forbidden)
-            fac = _path_singular_values(self.profile, blocks, rx, tx, 8)
+            fac = _path_singular_values(self.profile, paths, rx, tx, 8)
         monkeypatch.setattr(beamforming, "_MIN_PIVOT2", np.inf)
-        qr = _path_singular_values(self.profile, blocks, rx, tx, 8)
+        qr = _path_singular_values(self.profile, paths, rx, tx, 8)
         assert np.all(np.abs(fac - qr) <= 1e-12 * qr[:, :1])
 
     def test_svd_failure_names_the_original_frame(self, monkeypatch):
         # frames 1 and 3 are redone on the QR path; the core stack stays
         # in frame order, so the sweep can name frame 3's seed
-        blocks = _collided(self.profile, 6)
+        paths = _collided(self.profile, 6)
         real_svd = np.linalg.svd
         single_calls = []
 
@@ -290,5 +346,5 @@ class TestPivotFallback:
 
         monkeypatch.setattr(np.linalg, "svd", flaky_svd)
         with pytest.raises(NumericalError) as info:
-            _path_singular_values(self.profile, blocks, self.rx, self.tx, 8)
+            _path_singular_values(self.profile, paths, self.rx, self.tx, 8)
         assert info.value.index == 3

@@ -186,11 +186,12 @@ class TestCompositeChannel:
         rx, tx = ArrayGeometry(3), ArrayGeometry(4)
         ch = draw_channel(profile, rx, tx, np.random.default_rng(9))
         assert ch.h.shape == (6, 8)
-        # blocks are drawn row-major, each with draw_paths
+        # pairs are drawn row-major, each with draw_paths
         rng = np.random.default_rng(9)
+        rows, cols = profile.path_pairs
         for i in range(2):
             for j in range(2):
-                ps = ch.blocks[i][j]
+                ps = ch.paths[(rows == i) & (cols == j)]
                 assert ps.n_paths == profile.paths[i, j]
                 want_ps = draw_paths(int(profile.paths[i, j]), rng)
                 np.testing.assert_array_equal(ps.gains, want_ps.gains)
@@ -208,8 +209,9 @@ class TestCompositeChannel:
         rx, tx = ArrayGeometry(8), ArrayGeometry(16)
         ch = draw_channel(profile, rx, tx, np.random.default_rng(77))
         assert ch.h.shape == (16, 32)
-        assert [[ps.gains.shape for ps in row] for row in ch.blocks] \
-            == [[(2,), (2,)], [(2,), (2,)]]
+        rows, cols = profile.path_pairs
+        assert [ch.paths[(rows == i) & (cols == j)].gains.shape
+                for i, j in np.ndindex(2, 2)] == [(2,)] * 4
         sv = np.linalg.svd(ch.h, compute_uv=False)
         l_t = profile.total_paths
         assert np.all(sv[l_t:] < 1e-10 * sv[0])
@@ -231,8 +233,10 @@ class TestCompositeChannel:
         assert batch.h.shape == (6, 6, 10)
         assert batch.h.tobytes() == stacked.tobytes()
         assert not batch.h[:, 0:3, 5:10].any()
-        assert batch.blocks[1][1].gains.shape == (6, 4)
-        assert batch.blocks[1][1].n_paths == 4
+        rows, cols = profile.path_pairs
+        pair = batch.paths[:, (rows == 1) & (cols == 1)]
+        assert pair.gains.shape == (6, 4)
+        assert pair.n_paths == 4
         with pytest.raises(ValueError):
             draw_channels(profile, rx, tx, [np.random.default_rng(0)],
                           (1.0, 1.0))
@@ -244,12 +248,17 @@ class TestCompositeChannel:
         rx, tx = ArrayGeometry(3), ArrayGeometry(5, spacing_over_lambda=0.4)
         rngs_a = [np.random.default_rng(s) for s in range(4)]
         rngs_b = [np.random.default_rng(s) for s in range(4)]
-        blocks = draw_path_sets(profile, rngs_a, angles)
-        # frame by frame, then block by block in row-major order
+        paths = draw_path_sets(profile, rngs_a, angles)
+        assert paths.gains.shape == (4, 10)
+        # frame by frame, then pair by pair in row-major order
         want = [[draw_paths(int(l), rng, angles) for row in profile.paths
                  for l in row] for rng in rngs_b]
-        for k, ps in enumerate(ps for row in blocks for ps in row):
-            assert ps.gains.shape == (4, profile.paths.flat[k])
+        rows, cols = profile.path_pairs
+        assert rows.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 1, 1]
+        assert cols.tolist() == [0, 1, 1, 0, 0, 0, 1, 1, 1, 1]
+        for k, (i, j) in enumerate(np.ndindex(profile.paths.shape)):
+            ps = paths[:, (rows == i) & (cols == j)]
+            assert ps.gains.shape == (4, profile.paths[i, j])
             # a batched path set gives the stack of per-draw matrices
             stack = subchannel_matrix(ps, rx, tx)
             assert stack.shape == (4, 3, 5)

@@ -238,6 +238,7 @@ class TestArgumentHandling:
         ("beta_db = -20", "beta_db = 1e18", "finite"),
         ("paths = 2", "paths = 1e308", "64-bit"),
         ("label = tiny", "constraint_length = 40", "constraint length"),
+        ("label = tiny", "angle_max_deg = 120", "[-90, 90] degrees"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "analyze",
                                          "channel-stats"])

@@ -108,6 +108,48 @@ def config_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# Run fuzz alphabet: values each key accepts alone, sizes kept small
+# (n_r, n_t <= 16, frame_bits <= 64), and azimuth bounds at and past
+# +-90 degrees.  Optional keys are left out at random.
+_RUN_TOKENS = {
+    "n_r": ("1", "2", "3", "16"),
+    "n_t": ("1", "2", "3", "16"),
+    "n_s": ("1", "2", "3", "8"),
+    "modulation": ("bpsk", "qpsk", "16QAM"),
+    "generators": ("5,7", "133,171", "25,33,37", "3,5"),
+    "snr_db": ("0,4,8", "0:2:6", "-10", "30"),
+    "frame_bits": ("1", "7", "64"),
+    "interleaver": ("structured", "random", "adversarial"),
+    "depth": ("1", "2", "8"),
+    "adversarial_run": ("1", "3", "16"),
+    "spacing": ("0.1", "0.5", "2.3"),
+    "angle_min_deg": ("-90", "-60", "0", "-90.5"),
+    "angle_max_deg": ("90", "60", "1", "400"),
+    "rf_chains_per_stream": ("1", "2"),
+    "master_seed": ("0", "7"),
+}
+
+
+@st.composite
+def small_link_texts(draw):
+    """Config text of a small link from ``_RUN_TOKENS``, so mostly rules
+    across keys reject a text; path counts up to 17 fill subarrays of 1
+    to 16 elements past their size."""
+    m_r, m_t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def matrix(tokens):
+        return "; ".join(" ".join(draw(st.sampled_from(tokens))
+                                  for _ in range(m_t)) for _ in range(m_r))
+
+    lines = [f"m_r = {m_r}", f"m_t = {m_t}",
+             f"beta_db = {matrix(('-20', '0', '-300'))}",
+             f"paths = {matrix(('1', '2', '5', '17'))}"]
+    for key, tokens in _RUN_TOKENS.items():
+        if key in harness._REQUIRED or draw(st.booleans()):
+            lines.append(f"{key} = {draw(st.sampled_from(tokens))}")
+    return "\n".join(lines) + "\n"
+
+
 class TestParseConfig:
     def test_values_and_defaults(self):
         cfg = parse_config(BASE_TEXT)
@@ -160,6 +202,10 @@ class TestParseConfig:
         ("spacing = 1e308", "too large"),
         ("angle_min_deg = -inf", "finite"),
         ("angle_max_deg = nan", "finite"),
+        ("angle_min_deg = -90.000001", "-90, 90"),
+        ("angle_max_deg = 91", "-90, 90"),
+        ("angle_min_deg = 100\nangle_max_deg = 120", "-90, 90"),
+        ("angle_min_deg = -1000\nangle_max_deg = -95", "-90, 90"),
         ("modulation = 16qam\ndepth = 1", "depth"),
         ("master_seed = -1", "master_seed"),
         ("beta_db = -inf", "no power"),
@@ -263,6 +309,22 @@ class TestParseConfig:
                 return
         assert isinstance(cfg, SimConfig)
 
+    @settings(max_examples=200, deadline=None)
+    @given(text=small_link_texts())
+    def test_accepted_text_runs_two_frames(self, text):
+        # a config error at parse or build is fine; anything accepted must
+        # run, with the n_s > L_t notice as the one expected warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings(
+                "ignore", message=r"n_s=\d+ exceeds the total path count")
+            try:
+                rt = build_runtime(parse_config(text))
+            except ConfigurationError:
+                return
+            errors = harness._simulate_frames(rt, 0, range(2))
+        assert 0 <= errors <= 2 * rt.config.frame_bits
+
     def test_missing_required_keys(self):
         with pytest.raises(ConfigurationError, match="missing"):
             parse_config("m_r = 1\n")
@@ -296,7 +358,7 @@ class TestConfigHash:
                          min_size=1, max_size=4, unique=True).map(sorted),
            spacing=st.floats(min_value=0.0, exclude_min=True,
                              max_value=1e306),
-           angles=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+           angles=st.lists(st.floats(min_value=-90.0, max_value=90.0),
                            min_size=2, max_size=2, unique=True).map(sorted),
            beta_db=st.lists(st.floats(min_value=-3000.0, max_value=3000.0),
                             min_size=2, max_size=2))
@@ -650,7 +712,7 @@ class TestSpectrumStats:
         pred_acc = np.zeros(6)
         for chan in _spectrum_draws(cfg, draws):
             sv_acc += singular_values(chan.h)
-            pred = predicted_gains(cfg.profile, chan.blocks, rx, tx)
+            pred = predicted_gains(cfg.profile, chan.paths, rx, tx)
             pred_acc[:min(pred.size, 6)] += pred[:6]
         sv, pred = spectrum_stats(cfg, draws)
         assert sv.tobytes() == (sv_acc / draws).tobytes()
