@@ -284,6 +284,19 @@ class TestParseConfig:
             with pytest.raises(ConfigurationError, match="sub-batch budget"):
                 with_frame_bits(bits)
 
+    def test_steering_factors_are_bounded_by_the_sub_batch_budget(self):
+        # two paths: one frame's steering factors take 16 * (n_r + 4) * 2
+        # bytes, so n_r = 2**19 - 4 fills the budget exactly
+        largest = harness._SUBBATCH_SURVIVOR_BYTES // 32 - 4
+
+        def with_n_r(n_r):
+            return parse_config(BASE_TEXT.replace("n_r = 4", f"n_r = {n_r}"))
+
+        assert largest == 524284
+        assert build_runtime(with_n_r(largest)).sub_frames == 1
+        with pytest.raises(ConfigurationError, match="too large"):
+            with_n_r(largest + 1)
+
     @pytest.mark.parametrize("mutation", [
         "depth = {}", "interleaver = adversarial\nadversarial_run = {}"])
     def test_interleaver_period_is_bounded_by_the_frame(self, mutation):
@@ -324,6 +337,15 @@ class TestParseConfig:
                 return
             errors = harness._simulate_frames(rt, 0, range(2))
         assert 0 <= errors <= 2 * rt.config.frame_bits
+        # a frame holds the larger of its survivors, one byte per trellis
+        # step and state, and its 16-byte steering factor values
+        cfg = rt.config
+        k = cfg.code.constraint_length
+        frame_bytes = max((cfg.frame_bits + k - 1) << (k - 1),
+                          16 * (cfg.m_r * cfg.n_r + cfg.m_t * cfg.n_t)
+                          * int(cfg.profile.paths.sum()))
+        assert rt.sub_frames == max(
+            1, harness._SUBBATCH_SURVIVOR_BYTES // frame_bytes)
 
     def test_missing_required_keys(self):
         with pytest.raises(ConfigurationError, match="missing"):
