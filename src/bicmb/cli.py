@@ -121,12 +121,10 @@ def _out_file(path: Path) -> Path:
 
 def _out_paths(out: Path, names) -> dict[str, Path]:
     names = list(names)
-    if len(names) == 1:
-        if out.is_dir():
-            return {names[0]: out / f"{names[0]}.csv"}
+    if len(names) == 1 and not out.is_dir():
         return {names[0]: _out_file(out)}
     out.mkdir(parents=True, exist_ok=True)
-    return {name: out / f"{name}.csv" for name in names}
+    return {name: _out_file(out / f"{name}.csv") for name in names}
 
 
 def _cmd_simulate(args) -> int:

@@ -174,13 +174,7 @@ class SimConfig:
             raise ConfigurationError(
                 f"spacing {self.spacing!r} is too large for the array size: "
                 f"steering phases overflow")
-        survivors = self.n_steps << (self.code.constraint_length - 1)
-        if survivors > _SUBBATCH_SURVIVOR_BYTES:
-            raise ConfigurationError(
-                f"frame_bits {self.frame_bits} is too large: one frame's "
-                f"decoder survivors take {survivors} bytes, above the "
-                f"{_SUBBATCH_SURVIVOR_BYTES}-byte sub-batch budget")
-        _steering_bytes(self.m_r, self.n_r, self.m_t, self.n_t, self.l_t)
+        self.frame_bytes    # rejects a frame above the sub-batch budget
         lo, hi = self.angle_range_deg
         # a ULA aliases azimuths past +-90 degrees onto the half plane
         if not (-90.0 <= lo <= 90.0 and -90.0 <= hi <= 90.0):
@@ -201,6 +195,20 @@ class SimConfig:
         flush steps."""
         return self.frame_bits + self.code.constraint_length - 1
 
+    @property
+    def frame_bytes(self) -> int:
+        """Bytes one frame holds in a sub-batch (see ``_frame_bytes``)."""
+        return _frame_bytes(self.n_steps, self.code.constraint_length,
+                            self.m_r, self.n_r, self.m_t, self.n_t, self.l_t)
+
+    @property
+    def geometry(self) -> tuple:
+        """Receive and transmit arrays and the azimuth range in radians."""
+        lo, hi = self.angle_range_deg
+        return (ArrayGeometry(self.n_r, self.spacing),
+                ArrayGeometry(self.n_t, self.spacing),
+                (np.deg2rad(lo), np.deg2rad(hi)))
+
     def canonical_text(self) -> str:
         """Stable key=value rendering used for hashing and export.
 
@@ -213,30 +221,20 @@ class SimConfig:
         beta_db = self.profile.beta_db
         if beta_db is None:
             beta_db = linear_to_db(np.maximum(self.profile.beta, 1e-300))
-        items = [
-            ("m_r", self.m_r), ("m_t", self.m_t),
-            ("n_r", self.n_r), ("n_t", self.n_t),
-            ("beta_db", _matrix_text(beta_db)),
-            ("paths", _matrix_text(self.profile.paths)),
-            ("n_s", self.n_s),
-            ("modulation", self.modulation),
-            ("generators", ",".join(f"{g:o}" for g in self.code.generators)),
-            ("constraint_length", self.code.constraint_length),
-            ("interleaver", self.interleaver),
-            ("depth", self.depth),
-            ("adversarial_run", self.adversarial_run),
-            ("frame_bits", self.frame_bits),
-            ("snr_db", ",".join(_number_text(v) for v in self.snr_grid_db)),
-            ("min_errors", self.min_errors),
-            ("max_frames", self.max_frames),
-            ("master_seed", self.master_seed),
-            ("batch_frames", self.batch_frames),
-            ("spacing", _number_text(self.spacing)),
-            ("angle_min_deg", _number_text(self.angle_range_deg[0])),
-            ("angle_max_deg", _number_text(self.angle_range_deg[1])),
-            ("rf_chains_per_stream", self.rf_chains_per_stream),
-        ]
-        return "".join(f"{k} = {v}\n" for k, v in items)
+        values = {key: getattr(self, key, None) for key in _KEYS
+                  if key not in ("workers", "label")}
+        # the keys that are not fields of the same name
+        values.update(
+            beta_db=_matrix_text(beta_db),
+            paths=_matrix_text(self.profile.paths),
+            generators=",".join(f"{g:o}" for g in self.code.generators),
+            constraint_length=self.code.constraint_length,
+            snr_db=",".join(_number_text(v) for v in self.snr_grid_db),
+            angle_min_deg=self.angle_range_deg[0],
+            angle_max_deg=self.angle_range_deg[1])
+        return "".join(
+            f"{key} = {_number_text(v) if _KEYS[key] is float else v}\n"
+            for key, v in values.items())
 
     @property
     def config_hash(self) -> str:
@@ -253,26 +251,33 @@ class SimConfig:
         return hash(self.canonical_text())
 
 
-def _steering_bytes(m_r: int, n_r: int, m_t: int, n_t: int, l_t: int) -> int:
-    """Bytes of one frame's steering factors U and V, the
-    (m_r n_r + m_t n_t) x l_t complex values of the sweep's gain stage.
+def _frame_bytes(n_steps: int, k: int, m_r: int, n_r: int, m_t: int,
+                 n_t: int, l_t: int) -> int:
+    """Bytes one frame holds in a sub-batch: the larger of its decoder
+    survivors (one bool per trellis step and state) and its steering
+    factors U and V, (m_r n_r + m_t n_t) x l_t complex values.
 
-    This stays the per-frame bound although most frames take their gains
-    from the l_t x l_t Gram matrices: a side where a frame nearly
+    The steering factors stay the bound although most frames take their
+    gains from the l_t x l_t Gram matrices: a side where a frame nearly
     collides, or where some subarray has more paths than elements,
     builds its U or V, and a frame may do so on both sides.  On any
     other side l_t <= m n, so its Gram matrix is never the larger.
-
-    Sizes are Python ints, so no count overflows; a frame above the
+    Sizes are Python ints, so no count overflows; either part above the
     sub-batch budget is a configuration error.
     """
-    size = 16 * (m_r * n_r + m_t * n_t) * l_t
-    if size > _SUBBATCH_SURVIVOR_BYTES:
+    survivors = n_steps << (k - 1)
+    if survivors > _SUBBATCH_SURVIVOR_BYTES:
+        raise ConfigurationError(
+            f"frame_bits {n_steps - k + 1} is too large: one frame's "
+            f"decoder survivors take {survivors} bytes, above the "
+            f"{_SUBBATCH_SURVIVOR_BYTES}-byte sub-batch budget")
+    steering = 16 * (m_r * n_r + m_t * n_t) * l_t
+    if steering > _SUBBATCH_SURVIVOR_BYTES:
         raise ConfigurationError(
             f"the arrays are too large: one frame's steering factors take "
-            f"{size} bytes, above the {_SUBBATCH_SURVIVOR_BYTES}-byte "
+            f"{steering} bytes, above the {_SUBBATCH_SURVIVOR_BYTES}-byte "
             f"sub-batch budget")
-    return size
+    return max(survivors, steering)
 
 
 def _number_text(v) -> str:
@@ -318,13 +323,18 @@ def _parse_snr_grid(value: str) -> tuple:
     return tuple(start + k * step for k in range(max(count, 0)))
 
 
-_INT_KEYS = {"m_r", "m_t", "n_r", "n_t", "n_s", "depth", "adversarial_run",
-             "frame_bits", "min_errors", "max_frames", "master_seed",
-             "workers", "batch_frames", "constraint_length",
-             "rf_chains_per_stream"}
-_FLOAT_KEYS = {"spacing", "angle_min_deg", "angle_max_deg"}
-_STR_KEYS = {"modulation", "interleaver", "generators", "snr_db",
-             "beta_db", "paths", "label"}
+# Every config key with its value type, in canonical_text order; the
+# execution knobs workers and label come last and are not hashed.
+_KEYS = {
+    "m_r": int, "m_t": int, "n_r": int, "n_t": int, "beta_db": str,
+    "paths": str, "n_s": int, "modulation": str, "generators": str,
+    "constraint_length": int, "interleaver": str, "depth": int,
+    "adversarial_run": int, "frame_bits": int, "snr_db": str,
+    "min_errors": int, "max_frames": int, "master_seed": int,
+    "batch_frames": int, "spacing": float, "angle_min_deg": float,
+    "angle_max_deg": float, "rf_chains_per_stream": int,
+    "workers": int, "label": str,
+}
 _REQUIRED = {"m_r", "m_t", "n_r", "n_t", "beta_db", "paths", "n_s",
              "modulation", "generators", "snr_db"}
 
@@ -337,7 +347,7 @@ def parse_config(text: str) -> SimConfig:
     SNR grid a comma list or an inclusive start:step:stop range, and
     generators a comma-separated octal list.
     """
-    raw: dict[str, str] = {}
+    vals: dict = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -345,68 +355,58 @@ def parse_config(text: str) -> SimConfig:
         if "=" not in line:
             raise ConfigurationError(f"line {ln}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in raw:
+        if key in vals:
             raise ConfigurationError(f"line {ln}: duplicate key {key!r}")
-        known = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-        if key not in known:
+        if key not in _KEYS:
             raise ConfigurationError(f"line {ln}: unknown key {key!r}")
-        raw[key] = value
+        vals[key] = value
 
-    missing = _REQUIRED - raw.keys()
+    missing = _REQUIRED - vals.keys()
     if missing:
         raise ConfigurationError(f"missing config keys: {sorted(missing)}")
 
-    vals: dict[str, object] = {}
-    for key, value in raw.items():
-        if key in _INT_KEYS:
-            try:
-                vals[key] = int(value)
-            except ValueError as exc:
-                raise ConfigurationError(f"{key} must be an integer") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                vals[key] = float(value)
-            except ValueError as exc:
-                raise ConfigurationError(f"{key} must be a number") from exc
-        else:
-            vals[key] = value
+    for key, value in vals.items():
+        kind = _KEYS[key]
+        try:
+            vals[key] = kind(value)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{key} must be "
+                f"{'an integer' if kind is int else 'a number'}") from exc
 
-    beta_db = _parse_matrix(str(vals.pop("beta_db")))
-    paths = _parse_matrix(str(vals.pop("paths")))
+    beta_db = _parse_matrix(vals.pop("beta_db"))
+    paths = _parse_matrix(vals.pop("paths"))
     if not np.all(np.isfinite(paths) & (paths == np.floor(paths))):
         raise ConfigurationError("paths must be whole numbers")
     if np.any(np.abs(paths) >= 2.0 ** 63):
         raise ConfigurationError("paths must fit a 64-bit integer")
     paths = paths.astype(np.int64)
-    m_r, m_t = int(vals.pop("m_r")), int(vals.pop("m_t"))
-    n_r, n_t = vals["n_r"], vals["n_t"]
-    for name, value in (("m_r", m_r), ("m_t", m_t), ("n_r", n_r), ("n_t", n_t)):
-        if value < 1:
+    m_r, m_t = vals["m_r"], vals["m_t"]
+    for name in ("m_r", "m_t", "n_r", "n_t"):
+        if vals[name] < 1:
             raise ConfigurationError(f"{name} must be a positive integer")
-    # every pair has a path, so L_t >= m_r * m_t: bounds the arrays before
-    # a scalar beta_db or paths is filled out to m_r x m_t
-    _steering_bytes(m_r, n_r, m_t, n_t, m_r * m_t)
-    if beta_db.size == 1:
-        beta_db = np.full((m_r, m_t), float(beta_db.flat[0]))
-    if paths.size == 1:
-        paths = np.full((m_r, m_t), int(paths.flat[0]))
-    if beta_db.shape != (m_r, m_t) or paths.shape != (m_r, m_t):
-        raise ConfigurationError("beta_db/paths shape must be m_r x m_t")
-    profile = FadingProfile.from_db(beta_db, paths)
 
     try:
-        code = CodeSpec.from_octal(str(vals.pop("generators")),
+        code = CodeSpec.from_octal(vals.pop("generators"),
                                    vals.pop("constraint_length", None))
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
 
-    grid = _parse_snr_grid(str(vals.pop("snr_db")))
-    angle_lo = float(vals.pop("angle_min_deg", -90.0))
-    angle_hi = float(vals.pop("angle_max_deg", 90.0))
-    vals["modulation"] = str(vals["modulation"]).lower()
-    return SimConfig(m_r=m_r, m_t=m_t, profile=profile, code=code,
-                     snr_grid_db=grid, angle_range_deg=(angle_lo, angle_hi),
-                     **vals)
+    # every pair has a path, so L_t >= m_r * m_t: bounds a frame before a
+    # scalar beta_db, then paths, is filled out to m_r x m_t
+    k = code.constraint_length
+    _frame_bytes(vals.get("frame_bits", SimConfig.frame_bits) + k - 1, k,
+                 m_r, vals["n_r"], m_t, vals["n_t"], m_r * m_t)
+    if beta_db.size == 1:
+        beta_db = np.full((m_r, m_t), beta_db.flat[0])
+    profile = FadingProfile.from_db(beta_db, paths)
+
+    lo, hi = SimConfig.angle_range_deg
+    angles = (vals.pop("angle_min_deg", lo), vals.pop("angle_max_deg", hi))
+    vals["modulation"] = vals["modulation"].lower()
+    return SimConfig(profile=profile, code=code,
+                     snr_grid_db=_parse_snr_grid(vals.pop("snr_db")),
+                     angle_range_deg=angles, **vals)
 
 
 def load_config(path) -> SimConfig:
@@ -429,9 +429,6 @@ class Runtime:
     trellis: object
     constellation: bicm.Constellation
     interleaver: bicm.Interleaver
-    rx_geometry: ArrayGeometry
-    tx_geometry: ArrayGeometry
-    angle_range: tuple
     n_coded: int
     sub_frames: int
 
@@ -470,22 +467,13 @@ def build_runtime(config: SimConfig) -> Runtime:
             f"n_s={config.n_s} exceeds the total path count {config.l_t}; "
             f"extra streams ride zero-gain modes", stacklevel=2)
 
-    lo, hi = config.angle_range_deg
-    # a sub-batch holds each frame's survivors, then its steering factors
-    # (or their no larger Gram matrices)
-    frame_bytes = max(config.n_steps * trellis.n_states,
-                      _steering_bytes(config.m_r, config.n_r, config.m_t,
-                                      config.n_t, config.l_t))
     return Runtime(
         config=config,
         trellis=trellis,
         constellation=constellation,
         interleaver=itl,
-        rx_geometry=ArrayGeometry(config.n_r, config.spacing),
-        tx_geometry=ArrayGeometry(config.n_t, config.spacing),
-        angle_range=(np.deg2rad(lo), np.deg2rad(hi)),
         n_coded=n_coded,
-        sub_frames=max(1, _SUBBATCH_SURVIVOR_BYTES // frame_bytes),
+        sub_frames=max(1, _SUBBATCH_SURVIVOR_BYTES // config.frame_bytes),
     )
 
 
@@ -518,12 +506,12 @@ def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
     independently, so results do not depend on how frames are grouped.
     """
     config = rt.config
+    rx, tx, angles = config.geometry
     paths = draw_path_sets(config.profile,
-                           _frame_rngs(config, snr_idx, frames, 0),
-                           rt.angle_range)
+                           _frame_rngs(config, snr_idx, frames, 0), angles)
     try:
-        gains = _path_singular_values(config.profile, paths, rt.rx_geometry,
-                                      rt.tx_geometry, config.n_s)
+        gains = _path_singular_values(config.profile, paths, rx, tx,
+                                      config.n_s)
     except NumericalError as exc:
         raise NumericalError(
             "SVD failed to converge during sweep",
@@ -713,10 +701,7 @@ def spectrum_stats(config: SimConfig,
             f"takes {matrix_bytes} bytes, above the "
             f"{_SUBBATCH_SURVIVOR_BYTES}-byte sub-batch budget")
     chunk = min(_SPECTRUM_CHUNK, _SUBBATCH_SURVIVOR_BYTES // matrix_bytes)
-    rx = ArrayGeometry(config.n_r, config.spacing)
-    tx = ArrayGeometry(config.n_t, config.spacing)
-    lo, hi = config.angle_range_deg
-    angles = (np.deg2rad(lo), np.deg2rad(hi))
+    rx, tx, angles = config.geometry
     rng = np.random.default_rng(
         np.random.SeedSequence(config.master_seed, spawn_key=(_NS_SPECTRUM,)))
     n_vals = min(rows, cols)

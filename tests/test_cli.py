@@ -206,6 +206,28 @@ class TestArgumentHandling:
         assert "output file is a directory" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,name", [
+        (["simulate", "--config", "{cfg}"], "tiny"),
+        (["analyze", "--config", "{cfg}"], "tiny"),
+        (["simulate", "--preset", "fig4_streams", "--variant", "ns1"], "ns1"),
+        # the last variant of a multi-variant preset
+        (["simulate", "--preset", "fig4_streams"], "ns4"),
+        (["analyze", "--preset", "fig4_streams"], "ns4"),
+    ])
+    def test_output_file_in_out_that_is_a_directory_exits_1_before_any_work(
+            self, cfg_file, tmp_path, monkeypatch, capsys, argv, name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started")
+        for attr in ("sweep", "build_runtime"):
+            monkeypatch.setattr(cli, attr, forbidden)
+        out = tmp_path / "out"
+        (out / f"{name}.csv").mkdir(parents=True)
+        argv = [a.replace("{cfg}", str(cfg_file)) for a in argv]
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "output file is a directory" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("old,new", [
         ("snr_db = 0,4,8", "snr_db = 2,inf"),
         ("beta_db = -20", "beta_db = nan"),

@@ -54,21 +54,29 @@ def tiny_config(**overrides) -> SimConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-# Parse-only fuzz alphabet: (valid, invalid) tokens per key.  m_r, m_t
-# and paths stay small: a scalar beta_db or paths is filled out to an
-# m_r x m_t matrix at parse time.
+# Parse-only fuzz alphabet: (valid, invalid) tokens per key.  Valid
+# tokens combine into a valid text: frames of 64 bits or more hold any
+# interleaver period of at most 4 streams of 16QAM and a depth or run of
+# at most 8, and K = 7 or 8 fits every generator set.  m_r, m_t and n_s
+# are drawn to fit the matrices and arrays, so only their invalid tokens
+# are listed.
 _INT_TOKENS = (("1", "2", "3", "4", "8", "16"),
                ("0", "-1", "2.5", "x", "", "100000", "9" * 30, "1" + "0" * 400))
 _FUZZ_TOKENS = {
-    "m_r": (("1", "2"), ("0", "-2", "3", "2.5", "x")),
-    "m_t": (("1", "2"), ("0", "-2", "3", "2.5", "x")),
-    "paths": (("1", "2", "3", "2 3"),
+    "m_r": ((), ("0", "-2", "3", "2.5", "x")),
+    "m_t": ((), ("0", "-2", "3", "2.5", "x")),
+    "n_s": ((), ("0", "-1", "33", "2.5", "x")),
+    "paths": (("1", "2", "3"),
               ("0", "-1", "2.5", "1e308", "nan", "1; 2", "x")),
-    "beta_db": (("-20", "0", "-20 -30", "-20; -30"),
+    "beta_db": (("-20", "0", "-30"),
                 ("1e18", "-1e18", "inf", "-inf", "nan", "-20 -30; -10", "x")),
+    "frame_bits": (("64", "128"), _INT_TOKENS[1]),
+    "depth": (("2", "4", "8"), _INT_TOKENS[1]),
+    "adversarial_run": (("1", "3", "8"), _INT_TOKENS[1]),
+    "constraint_length": (("7", "8"), ("1", "2", "40", "x")),
     "spacing": (("0.5", "1"), ("0", "-1", "nan", "inf", "1e300", "1e308", "x")),
-    "angle_min_deg": (("-60", "0"), ("nan", "-inf", "1e308", "60", "x")),
-    "angle_max_deg": (("60", "0"), ("nan", "inf", "-1e308", "-60", "x")),
+    "angle_min_deg": (("-90", "-60", "0"), ("nan", "-inf", "1e308", "60", "x")),
+    "angle_max_deg": (("60", "90"), ("nan", "inf", "-1e308", "-60", "x")),
     "modulation": (("bpsk", "qpsk", "16QAM"), ("256qam", "")),
     "interleaver": (("structured", "random", "adversarial"), ("fancy", "")),
     "generators": (("5,7", "133,171", "25,33,37", "3,5"),
@@ -85,24 +93,45 @@ _JUNK_LINES = ("bogus_key = 1", "m_r 1", "# comment", "", "m_r = 2")
 def config_texts(draw):
     """Config text over the known keys from a bounded token alphabet.
 
-    Most values are valid and most texts carry every required key, so a
-    text usually fails on at most one bad value or line.
+    m_r and m_t are drawn first, and the matrices, arrays and n_s are
+    built to fit them, as in ``small_link_texts``.  A text then takes at
+    most one fault: a bad value, a dropped required key or a junk line.
+    The fault-free choice is first in its list, so hypothesis's minimal
+    draw is a valid text rather than a broken one.
     """
-    def rarely():
-        return draw(st.integers(0, 9)) == 0
-
-    known = sorted(harness._INT_KEYS | harness._FLOAT_KEYS
-                   | harness._STR_KEYS)
+    m_r, m_t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     keys = set(harness._REQUIRED)
-    keys |= draw(st.sets(st.sampled_from(known), max_size=8))
-    if rarely():
-        keys.discard(draw(st.sampled_from(sorted(keys))))
+    keys |= draw(st.sets(st.sampled_from(sorted(harness._KEYS)), max_size=8))
+    fault = draw(st.sampled_from((None, None, "value", "key", "line")))
+    bad = draw(st.sampled_from(
+        sorted(harness._REQUIRED if fault == "key" else keys)))
+    if fault == "key":
+        keys.discard(bad)
+
+    def token(key):
+        return draw(st.sampled_from(_FUZZ_TOKENS.get(key, _INT_TOKENS)[0]))
+
+    def matrix(key):
+        if draw(st.booleans()):
+            return token(key)
+        return "; ".join(" ".join(token(key) for _ in range(m_t))
+                         for _ in range(m_r))
+
+    values = {"m_r": m_r, "m_t": m_t, "beta_db": matrix("beta_db"),
+              "paths": matrix("paths"),
+              "n_r": token("n_r"), "n_t": token("n_t")}
+    values["n_s"] = draw(st.integers(
+        1, min(4, m_r * int(values["n_r"]), m_t * int(values["n_t"]))))
     lines = []
     for key in sorted(keys):
-        valid, invalid = _FUZZ_TOKENS.get(key, _INT_TOKENS)
-        token = draw(st.sampled_from(invalid if rarely() else valid))
-        lines.append(f"{key} = {token}")
-    if rarely():
+        if fault == "value" and key == bad:
+            value = draw(st.sampled_from(_FUZZ_TOKENS.get(key, _INT_TOKENS)[1]))
+        elif key in values:
+            value = values[key]
+        else:
+            value = token(key)
+        lines.append(f"{key} = {value}")
+    if fault == "line":
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(_JUNK_LINES)))
     return "\n".join(lines) + "\n"
