@@ -262,6 +262,7 @@ def _frame_bytes(n_steps: int, k: int, m_r: int, n_r: int, m_t: int,
     collides, or where some subarray has more paths than elements,
     builds its U or V, and a frame may do so on both sides.  On any
     other side l_t <= m n, so its Gram matrix is never the larger.
+
     Sizes are Python ints, so no count overflows; either part above the
     sub-batch budget is a configuration error.
     """
