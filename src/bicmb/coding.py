@@ -45,10 +45,11 @@ _MAX_CONSTRAINT_LENGTH = 10
 # Events whose bit positions are expanded at once in ``distance_spectrum``.
 _POSITION_ROWS = 512
 
-# Paths the error-event search may hold, counting the next level's
-# candidates: the frontier grows exponentially with d_max, so a large
-# d_max must fail before it allocates.  133,171 and 561,753 at d_max 22
-# keep 1.8 M and 0.6 M.
+# Paths the error-event search may visit, summed over its levels and
+# counting the next level's candidates: the frontier grows exponentially
+# with d_max, so a large d_max must fail before it allocates.  The search
+# holds one level and the events found; 133,171 and 561,753 at d_max 22
+# visit 1.8 M and 0.6 M.
 _MAX_SPECTRUM_PATHS = 1 << 22
 
 _INPUTS = np.arange(2, dtype=np.int32)
@@ -386,21 +387,16 @@ class DistanceSpectrum:
         return self.entries[d].total_input_weight if d in self.entries else 0
 
 
-def _walk_back(parents: list, level: np.ndarray, node: np.ndarray):
-    """Trace paths from their last node up to the root.
+def _extend(in_w: np.ndarray, words: np.ndarray, idx: np.ndarray,
+            level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input weights and packed input bits of the search's candidates.
 
-    ``level[e]`` and ``node[e]`` give the level and the index within it of
-    path e's last node; ``parents[t - 1]`` maps a level-t node to its
-    parent in level t - 1.  Yields (t, rows, idx) from the deepest level
-    up: the paths ``rows`` that reach level t pass through its nodes
-    ``idx``.
+    Candidate ``2 * i + u`` extends path i with input u at bit ``level``.
     """
-    node = node.copy()
-    for t in range(int(level.max()), 0, -1):
-        rows = np.flatnonzero(level >= t)
-        idx = node[rows]
-        yield t, rows, idx
-        node[rows] = parents[t - 1][idx]
+    rows, u = idx >> 1, (idx & 1).astype(np.int32)
+    grown = words[:, rows]
+    grown[level // 64] |= u.astype(np.uint64) << np.uint64(63 - level % 64)
+    return in_w[rows] + u, grown
 
 
 def distance_spectrum(trellis: Trellis, d_max: int,
@@ -410,10 +406,12 @@ def distance_spectrum(trellis: Trellis, d_max: int,
     Breadth-first search over paths leaving state 0, one trellis step per
     level.  A path is pruned as soon as its weight plus the exact minimum
     remaining weight to remerge exceeds ``d_max``; a path that remerges
-    is an event.  Each level keeps only its paths' parent index, last
-    input bit and last output pattern, from which the stored events are
-    rebuilt.  A catastrophic code (a zero-weight loop off state 0) and a
-    search past ``_MAX_SPECTRUM_PATHS`` paths raise ``ValueError``.
+    is an event.  Each path carries its state, weights and input bits,
+    packed MSB first into uint64 words (a new word every 64 levels), and
+    no earlier level is kept; a stored event's positions are the nonzero
+    bits of ``encode`` of its inputs.  A catastrophic code (a zero-weight
+    loop off state 0) and a search past ``_MAX_SPECTRUM_PATHS`` paths
+    raise ``ValueError``.
     """
     if event_cap < 1:
         raise ValueError("event_cap must keep at least one event per distance")
@@ -421,8 +419,6 @@ def distance_spectrum(trellis: Trellis, d_max: int,
     if d_max < d_free_val:
         raise ValueError(f"d_max={d_max} is below the free distance {d_free_val}")
 
-    n = trellis.spec.n_out
-    out_pattern = trellis.out_pattern
     # With every loop off state 0 costing weight, no path survives
     # n_states * (d_max + 1) levels, so the search below always ends.
     if trellis.catastrophic:
@@ -434,29 +430,27 @@ def distance_spectrum(trellis: Trellis, d_max: int,
     # int32 ceiling.
     slack = np.minimum(d_max - _min_weight_to_zero(trellis),
                        np.iinfo(np.int32).max).astype(np.int32)
-    pattern_dtype = np.min_scalar_type(out_pattern.max())
     # Flat per-branch tables: entry 2 * s + u is state s with input u.
     succ_of = trellis.next_state.astype(np.int32).ravel()
     w_of = trellis.weight.astype(np.int32).ravel()
-    pat_of = out_pattern.astype(pattern_dtype).ravel()
 
-    # Level t (list entry t - 1) holds the paths of t branches that have
-    # not remerged.  Events always begin with input 1.
-    parents = [np.full(1, -1, dtype=np.int32)]
-    bits = [np.ones(1, dtype=np.uint8)]
-    patterns = [pat_of[1:2]]
+    # The frontier holds the paths of ``level`` branches that have not
+    # remerged.  Events always begin with input 1.
     state = succ_of[1:2]
     weight = w_of[1:2]
     in_w = np.ones(1, dtype=np.int32)
+    words = np.full((1, 1), 1 << 63, dtype=np.uint64)
     n_paths = 1
-    # per level: distance, input weight, parent node, final pattern
-    found = []
+    level = 1
+    found = []  # per level: distance, input weight, input words of events
     while state.size:
         # checked before the level's 2 * state.size candidates exist
         if n_paths + 2 * state.size > _MAX_SPECTRUM_PATHS:
             raise ValueError(
                 f"the error-event search to d_max={d_max} needs more than "
                 f"{_MAX_SPECTRUM_PATHS} paths; lower d_max")
+        if level % 64 == 0:
+            words = np.vstack((words, np.zeros_like(words[:1])))
         # candidate 2 * i + u extends path i with input u
         branch = (2 * state[:, None] + _INPUTS).ravel()
         succ = succ_of[branch]
@@ -466,69 +460,48 @@ def distance_spectrum(trellis: Trellis, d_max: int,
         remerge = succ == 0
         idx = np.flatnonzero(keep & remerge)
         if idx.size:
-            rows = (idx >> 1).astype(np.int32)
-            found.append((len(parents), w[idx],
-                          (in_w[rows] + (idx & 1)).astype(np.int32),
-                          rows, pat_of[branch[idx]]))
+            found.append((w[idx], *_extend(in_w, words, idx, level)))
         keep &= ~remerge
         del remerge
         idx = np.flatnonzero(keep)
         del keep
         n_paths += idx.size
         state, weight = succ[idx], w[idx]
-        patterns.append(pat_of[branch[idx]])
-        u = (idx & 1).astype(np.uint8)
-        bits.append(u)
-        idx >>= 1
-        parents.append(idx.astype(np.int32))
-        in_w = in_w[parents[-1]] + u
+        in_w, words = _extend(in_w, words, idx, level)
+        level += 1
         del branch, succ, w, idx
 
-    level = np.concatenate([np.full(f[1].size, f[0], dtype=np.int32)
-                            for f in found])
-    dist, ev_in_w, node, final = (np.concatenate([f[k] for f in found])
-                                  for k in range(1, 5))
+    dist, ev_in_w = (np.concatenate([f[k] for f in found]) for k in range(2))
+    words = np.concatenate([np.pad(f[2], ((0, words.shape[0] - len(f[2])),
+                                          (0, 0))) for f in found], axis=1)
     del found
 
     # Depth-first order (the order of a recursive search taking input 1
     # before input 0) is the lexicographic order of the input bits with
-    # 1 < 0 and a prefix first: flip the bits, pack them MSB-first into
-    # zero-padded words, and break ties by length.
-    words = np.zeros((-(-int(level.max()) // 64), dist.size), dtype=np.uint64)
-    for lv, rows, idx in _walk_back(parents, level, node):
-        flip = (bits[lv - 1][idx] == 0).astype(np.uint64)
-        words[(lv - 1) // 64, rows] |= flip << np.uint64(63 - (lv - 1) % 64)
-    order = np.lexsort((level, *words[::-1], dist))
-    del words
+    # 1 < 0: ascending complemented words.  No event's inputs are a prefix
+    # of another's (a remerged path is not extended), so the zero padding
+    # never decides it.
+    order = np.lexsort((*~words[::-1], dist))
 
     # Each distance's events in that order; the first event_cap are stored.
     bounds = np.flatnonzero(np.diff(dist[order], prepend=-1, append=-1))
-    groups = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    stored = np.concatenate([g[:event_cap] for g in groups])
-    # Output pattern of every branch of each stored event, zero past its end.
-    steps = np.zeros((stored.size, int(level[stored].max()) + 1),
-                     dtype=pattern_dtype)
-    steps[np.arange(stored.size), level[stored]] = final[stored]
-    for lv, rows, idx in _walk_back(parents, level[stored], node[stored]):
-        steps[rows, lv - 1] = patterns[lv - 1][idx]
-    del parents, bits, patterns
-
     entries: dict[int, SpectrumEntry] = {}
-    pattern_bits = _pattern_bits(n).astype(bool)
-    start = 0
-    for group in groups:
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        group = order[lo:hi]
         d = int(dist[group[0]])
         kept = group[:event_cap]
-        span = steps[start:start + kept.size, :int(level[kept].max()) + 1]
-        start += kept.size
-        width = span.shape[1] * n
         positions = np.empty((kept.size, d), dtype=np.int64)
-        # a block of rows at a time keeps the bit expansion small
-        for lo in range(0, kept.size, _POSITION_ROWS):
-            block = pattern_bits[span[lo:lo + _POSITION_ROWS]]
-            at = np.flatnonzero(block).reshape(-1, d)
-            at -= np.arange(block.shape[0])[:, None] * width
-            positions[lo:lo + block.shape[0]] = at
+        # a block of events at a time keeps the encoded bits small; the
+        # inputs are cut after their last 1, and the zero inputs past an
+        # event's end, in state 0, emit nothing
+        for start in range(0, kept.size, _POSITION_ROWS):
+            rows = kept[start:start + _POSITION_ROWS]
+            inputs = np.unpackbits(np.ascontiguousarray(
+                words[:, rows].T, dtype=">u8").view(np.uint8), axis=1)
+            inputs = inputs[:, :np.flatnonzero(inputs.any(axis=0))[-1] + 1]
+            coded = encode(trellis, inputs)
+            positions[start:start + rows.size] = (
+                np.flatnonzero(coded).reshape(-1, d) % coded.shape[1])
         entries[d] = SpectrumEntry(
             distance=d,
             event_count=int(group.size),

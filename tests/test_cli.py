@@ -347,6 +347,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "numerical error" in err and "seed=123" in err
 
+    def test_file_system_error_on_write_exits_1(self, cfg_file, tmp_path,
+                                                monkeypatch, capsys):
+        def denied(curve, path):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(cli, "sweep", fake_curve)
+        monkeypatch.setattr(BerCurve, "to_csv", denied)
+        assert cli.main(["simulate", "--config", str(cfg_file),
+                         "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Permission denied" in err
+
     @pytest.mark.parametrize("source", [["--config", "{cfg}"],
                                         ["--preset", "fig3_interleaver"]])
     def test_worker_count_above_the_cap_exits_1(self, cfg_file, tmp_path,

@@ -445,9 +445,11 @@ class TestDistanceSpectrum:
             assert spectrum.multiplicity(d) == count
             assert spectrum.input_weight(d) == weight
 
+    # 1003,1777 has events of up to 71 steps, past one 64-bit word of inputs
     @pytest.mark.parametrize("generators,d_max", [("5,7", 12),
                                                   ("133,171", 16),
-                                                  ("561,753", 16)])
+                                                  ("561,753", 16),
+                                                  ("1003,1777", 18)])
     @pytest.mark.parametrize("event_cap", [10_000, 7, 1])
     def test_matches_depth_first_reference(self, generators, d_max, event_cap):
         trellis = build_trellis(CodeSpec.from_octal(generators))

@@ -59,24 +59,29 @@ def tiny_config(**overrides) -> SimConfig:
 # interleaver period of at most 4 streams of 16QAM and a depth or run of
 # at most 8, and K = 7 or 8 fits every generator set.  m_r, m_t and n_s
 # are drawn to fit the matrices and arrays, so only their invalid tokens
-# are listed.
-_INT_TOKENS = (("1", "2", "3", "4", "8", "16"),
-               ("0", "-1", "2.5", "x", "", "100000", "9" * 30, "1" + "0" * 400))
+# are listed.  Each invalid token fails alone in ``BASE_TEXT``
+# (``adversarial_run`` with the adversarial interleaver); a label has none.
+_BAD_INTS = ("-1", "2.5", "x", "")
+_HUGE_INTS = ("9" * 30, "1" + "0" * 400)
+_INT_TOKENS = (("1", "2", "3", "4", "8", "16"), ("0",) + _BAD_INTS)
 _FUZZ_TOKENS = {
-    "m_r": ((), ("0", "-2", "3", "2.5", "x")),
-    "m_t": ((), ("0", "-2", "3", "2.5", "x")),
+    "m_r": ((), ("0", "-2", "2.5", "x")),
+    "m_t": ((), ("0", "-2", "2.5", "x")),
+    "n_r": (_INT_TOKENS[0], _INT_TOKENS[1] + _HUGE_INTS),
+    "n_t": (_INT_TOKENS[0], _INT_TOKENS[1] + _HUGE_INTS),
     "n_s": ((), ("0", "-1", "33", "2.5", "x")),
     "paths": (("1", "2", "3"),
               ("0", "-1", "2.5", "1e308", "nan", "1; 2", "x")),
     "beta_db": (("-20", "0", "-30"),
                 ("1e18", "-1e18", "inf", "-inf", "nan", "-20 -30; -10", "x")),
-    "frame_bits": (("64", "128"), _INT_TOKENS[1]),
-    "depth": (("2", "4", "8"), _INT_TOKENS[1]),
-    "adversarial_run": (("1", "3", "8"), _INT_TOKENS[1]),
+    "frame_bits": (("64", "128"), _INT_TOKENS[1] + _HUGE_INTS),
+    "depth": (("2", "4", "8"), _INT_TOKENS[1] + _HUGE_INTS),
+    "adversarial_run": (("1", "3", "8"), _BAD_INTS + _HUGE_INTS),
+    "master_seed": (_INT_TOKENS[0], _BAD_INTS),
     "constraint_length": (("7", "8"), ("1", "2", "40", "x")),
-    "spacing": (("0.5", "1"), ("0", "-1", "nan", "inf", "1e300", "1e308", "x")),
-    "angle_min_deg": (("-90", "-60", "0"), ("nan", "-inf", "1e308", "60", "x")),
-    "angle_max_deg": (("60", "90"), ("nan", "inf", "-1e308", "-60", "x")),
+    "spacing": (("0.5", "1"), ("0", "-1", "nan", "inf", "1e308", "x")),
+    "angle_min_deg": (("-90", "-60", "0"), ("nan", "-inf", "1e308", "90", "x")),
+    "angle_max_deg": (("60", "90"), ("nan", "inf", "-1e308", "-90", "x")),
     "modulation": (("bpsk", "qpsk", "16QAM"), ("256qam", "")),
     "interleaver": (("structured", "random", "adversarial"), ("fancy", "")),
     "generators": (("5,7", "133,171", "25,33,37", "3,5"),
@@ -84,8 +89,14 @@ _FUZZ_TOKENS = {
     "snr_db": (("0,4,8", "0:2:6", "0"),
                ("8,4,0", "0:-2:8", "0:1:1e12", "-1e308:1:1e308", "0:1:inf",
                 "nan", "x", "")),
-    "label": (("tiny", ""), ("a = b",)),
+    "label": (("tiny", "a = b", ""), ()),
 }
+
+
+def _invalid_tokens(key):
+    return _FUZZ_TOKENS.get(key, _INT_TOKENS)[1]
+
+
 _JUNK_LINES = ("bogus_key = 1", "m_r 1", "# comment", "", "m_r = 2")
 
 
@@ -103,8 +114,9 @@ def config_texts(draw):
     keys = set(harness._REQUIRED)
     keys |= draw(st.sets(st.sampled_from(sorted(harness._KEYS)), max_size=8))
     fault = draw(st.sampled_from((None, None, "value", "key", "line")))
-    bad = draw(st.sampled_from(
-        sorted(harness._REQUIRED if fault == "key" else keys)))
+    bad = draw(st.sampled_from(sorted(
+        harness._REQUIRED if fault == "key"
+        else {key for key in keys if _invalid_tokens(key)})))
     if fault == "key":
         keys.discard(bad)
 
@@ -125,7 +137,7 @@ def config_texts(draw):
     lines = []
     for key in sorted(keys):
         if fault == "value" and key == bad:
-            value = draw(st.sampled_from(_FUZZ_TOKENS.get(key, _INT_TOKENS)[1]))
+            value = draw(st.sampled_from(_invalid_tokens(key)))
         elif key in values:
             value = values[key]
         else:
@@ -257,6 +269,9 @@ class TestParseConfig:
         ("m_r = 1000", "too large"),
         ("n_r = 10000000", "too large"),
         ("rf_chains_per_stream = -1", "rf_chains_per_stream"),
+        ("snr_db = 8:2:0", "snr_db grid is empty"),
+        ("adversarial_run = -1", "adversarial_run cannot be negative"),
+        ("angle_min_deg = 10\nangle_max_deg = 10", "empty azimuth range"),
     ])
     def test_rejects_malformed_input(self, mutation, needle):
         key = mutation.split(" = ")[0].split("\n")[0].split()[0]
@@ -265,6 +280,17 @@ class TestParseConfig:
         text = "\n".join(lines) + "\n" + mutation + "\n"
         with pytest.raises(ConfigurationError, match=needle):
             parse_config(text)
+
+    @pytest.mark.parametrize("key,token", [
+        (key, token) for key in harness._KEYS for token in _invalid_tokens(key)
+    ], ids=lambda v: v[:12])
+    def test_each_invalid_fuzz_token_fails_alone(self, key, token):
+        lines = [ln for ln in BASE_TEXT.splitlines()
+                 if not ln.startswith(key + " ")]
+        if key == "adversarial_run":
+            lines.append("interleaver = adversarial")
+        with pytest.raises(ConfigurationError):
+            parse_config("\n".join(lines + [f"{key} = {token}"]) + "\n")
 
     def test_path_total_does_not_wrap(self):
         # four pairs of 4e18 paths sum past the int64 range
