@@ -138,11 +138,9 @@ def event_usage_counts(subs: np.ndarray, n_substreams: int,
     event's differing-bit offsets relative to its start, shape (d,), or a
     stack of events of one distance, shape (..., d).  An event may start
     anywhere, so every start offset (modulo the subchannel sequence's
-    period) is tried.  Returns (alpha_min, missed) where alpha_min is the
-    smallest usage count among subchannels the event actually touches,
-    minimized over offsets, and ``missed`` says whether some offset
-    leaves a subchannel unused entirely: two scalars for one event,
-    else two arrays of shape ``positions.shape[:-1]``.
+    period) is tried.  Returns alpha_min, the smallest usage count among
+    subchannels the event actually touches, minimized over offsets: a
+    scalar for one event, else an array of shape ``positions.shape[:-1]``.
     """
     positions = np.asarray(positions)
     if period is None:
@@ -154,7 +152,6 @@ def event_usage_counts(subs: np.ndarray, n_substreams: int,
     rows = np.arange(n_events)[:, None] * n_substreams
     never = np.iinfo(np.int64).max
     alpha = np.full(n_events, never)
-    missed = np.zeros(n_events, dtype=bool)
     for offset in range(period):
         cells = ext[offset:][events]
         cells += rows
@@ -162,11 +159,9 @@ def event_usage_counts(subs: np.ndarray, n_substreams: int,
         counts = counts.reshape(n_events, n_substreams)
         np.minimum(alpha, np.where(counts > 0, counts, never).min(axis=1),
                    out=alpha)
-        missed |= (counts == 0).any(axis=1)
     if positions.ndim == 1:
-        return int(alpha[0]), bool(missed[0])
-    shape = positions.shape[:-1]
-    return alpha.reshape(shape), missed.reshape(shape)
+        return int(alpha[0])
+    return alpha.reshape(positions.shape[:-1])
 
 
 @dataclass
@@ -182,14 +177,12 @@ class BoundReport:
     infinite (the diversity protection is void).
     """
 
-    snr_linear: np.ndarray
     pep: np.ndarray
     pep_high_snr: np.ndarray
     union_bound: np.ndarray
     diversity: float
     alpha_min_leading: int
     coverage_ok: bool
-    spectrum_truncated: bool
 
 
 def union_bound_ber(spectrum: DistanceSpectrum, interleaver: bicm.Interleaver,
@@ -216,20 +209,17 @@ def union_bound_ber(spectrum: DistanceSpectrum, interleaver: bicm.Interleaver,
     subs = interleaver.subchannels()
     period = _sequence_period(subs)
 
-    distances = spectrum.distances()
-    truncated = any(spectrum.entries[d].storage_truncated for d in distances)
-
     if not coverage.coverage_ok:
         exact, high = pep_bound(fit, d_min, 0.0, n_s, n_t, l_t, snr)
-        return BoundReport(snr, exact, high, np.full_like(snr, np.inf),
-                           diversity, 0, False, truncated)
+        return BoundReport(exact, high, np.full_like(snr, np.inf),
+                           diversity, 0, False)
 
     # total input weight per distinct alpha_min value, as exact ints
     weight_at_alpha: dict[int, int] = {}
     alpha_min_leading = None
-    for d in distances:
+    for d in spectrum.distances():
         entry = spectrum.entries[d]
-        alpha, _ = event_usage_counts(subs, n_s, entry.positions, period)
+        alpha = event_usage_counts(subs, n_s, entry.positions, period)
         values, which = np.unique(alpha, return_inverse=True)
         sums = np.zeros(values.size, dtype=np.int64)
         np.add.at(sums, which, entry.input_weights)
@@ -248,8 +238,8 @@ def union_bound_ber(spectrum: DistanceSpectrum, interleaver: bicm.Interleaver,
         union += weight * exact
     pep, pep_high = pep_bound(fit, d_min, alpha_min_leading, n_s, n_t, l_t, snr)
 
-    return BoundReport(snr, pep, pep_high, union, diversity,
-                       int(alpha_min_leading), True, truncated)
+    return BoundReport(pep, pep_high, union, diversity,
+                       int(alpha_min_leading), True)
 
 
 def estimate_slope(snr_db, ber, window: int = 4) -> float:

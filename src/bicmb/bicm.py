@@ -69,9 +69,6 @@ class Constellation:
                 out[i, b] = np.flatnonzero(bits[:, i] == b)
         return out
 
-    def map_labels(self, labels: np.ndarray) -> np.ndarray:
-        return self.points[labels]
-
 
 def _gray_axis(levels: int) -> np.ndarray:
     """Gray-labeled PAM amplitudes, index = label value.
@@ -136,9 +133,6 @@ class Interleaver:
     def symbol_ids(self) -> np.ndarray:
         """Distinct id of the (symbol time, subchannel) slot of each coded bit."""
         return self.positions // self.bits_per_symbol
-
-    def bit_positions(self) -> np.ndarray:
-        return self.positions % self.bits_per_symbol
 
     def inverse(self) -> np.ndarray:
         inv = np.empty_like(self.positions)
@@ -311,7 +305,7 @@ def map_frame(coded_bits: np.ndarray, interleaver: Interleaver,
     for i in range(1, m):
         labels <<= 1
         labels |= bits[..., source[:, i]]
-    return constellation.map_labels(labels).reshape(
+    return constellation.points[labels].reshape(
         bits.shape[:-1] + (interleaver.n_symbols, interleaver.n_substreams))
 
 

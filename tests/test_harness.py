@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from bicmb import channel, harness
 from bicmb.beamforming import predicted_gains, singular_values
 from bicmb.channel import ArrayGeometry, FadingProfile, draw_channel
+from bicmb.coding import free_distance
 from bicmb.errors import ConfigurationError, NumericalError
 from bicmb.harness import (
     BerCurve,
@@ -57,10 +58,14 @@ def tiny_config(**overrides) -> SimConfig:
 # Parse-only fuzz alphabet: (valid, invalid) tokens per key.  Valid
 # tokens combine into a valid text: frames of 64 bits or more hold any
 # interleaver period of at most 4 streams of 16QAM and a depth or run of
-# at most 8, and K = 7 or 8 fits every generator set.  m_r, m_t and n_s
-# are drawn to fit the matrices and arrays, so only their invalid tokens
-# are listed.  Each invalid token fails alone in ``BASE_TEXT``
-# (``adversarial_run`` with the adversarial interleaver); a label has none.
+# at most 8, and K = 7 or 8 fits every generator set.  The one exception
+# is an adversarial interleaver with ``adversarial_run`` left out, whose
+# run is the code's free distance: at 10 for 133,171, 4 streams of 16QAM
+# have a period of 160 code bits, above a 64-bit frame's 140 or 142.
+# m_r, m_t and n_s are drawn to fit the matrices and arrays, so only
+# their invalid tokens are listed.  Each invalid token fails alone in
+# ``BASE_TEXT`` (``adversarial_run`` with the adversarial interleaver); a
+# label has none.
 _BAD_INTS = ("-1", "2.5", "x", "")
 _HUGE_INTS = ("9" * 30, "1" + "0" * 400)
 _INT_TOKENS = (("1", "2", "3", "4", "8", "16"), ("0",) + _BAD_INTS)
@@ -352,18 +357,34 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="too large"):
             with_n_r(largest + 1)
 
-    @pytest.mark.parametrize("mutation", [
-        "depth = {}", "interleaver = adversarial\nadversarial_run = {}"])
-    def test_interleaver_period_is_bounded_by_the_frame(self, mutation):
+    @pytest.mark.parametrize("mutation,key,accepted,rejected", [
         # one BPSK stream; a frame holds (128 + 2) * 2 = 260 code bits
-        key = mutation.split("\n")[-1].split(" = ")[0]
+        pytest.param("depth = {}", "depth", 260, 261, id="depth = {}"),
+        pytest.param("interleaver = adversarial\nadversarial_run = {}",
+                     "adversarial_run", 260, 261,
+                     id="interleaver = adversarial\nadversarial_run = {}"),
+        # a period of 16 * 2 * 1 = 32 against (frame_bits + 6) * 2 code bits
+        pytest.param("interleaver = random\nn_s = 16\nn_r = 16\nn_t = 16\n"
+                     "modulation = qpsk\ngenerators = 133,171\n"
+                     "frame_bits = {}", "n_s", 10, 8, id="random"),
+        # run 0 is the free distance 10: a period of 3 * 1 * 10 = 30
+        pytest.param("interleaver = adversarial\nadversarial_run = 0\n"
+                     "n_s = 3\ngenerators = 133,171\nframe_bits = {}",
+                     "adversarial_run", 9, 8, id="adversarial_run = 0"),
+    ])
+    def test_interleaver_period_is_bounded_by_the_frame(
+            self, mutation, key, accepted, rejected):
+        # the accepted value makes the period equal a frame's code bits
+        def with_value(value):
+            text = mutation.format(value)
+            keys = {line.split(" = ")[0] for line in text.splitlines()}
+            lines = [line for line in BASE_TEXT.splitlines()
+                     if line.split(" = ")[0] not in keys]
+            return parse_config("\n".join(lines + [text]) + "\n")
 
-        def with_run(run):
-            return parse_config(BASE_TEXT + mutation.format(run) + "\n")
-
-        assert getattr(with_run(260), key) == 260
-        with pytest.raises(ConfigurationError, match=key):
-            with_run(261)
+        assert isinstance(with_value(accepted), SimConfig)
+        with pytest.raises(ConfigurationError, match=f"{key} is too large"):
+            with_value(rejected)
 
     @settings(max_examples=300, deadline=None)
     @given(text=config_texts())
@@ -401,6 +422,15 @@ class TestParseConfig:
                           * int(cfg.profile.paths.sum()))
         assert rt.sub_frames == max(
             1, harness._SUBBATCH_SURVIVOR_BYTES // frame_bytes)
+        # the interleaver period n_s * m * run fits one frame's code bits
+        if cfg.interleaver == "structured":
+            run = cfg.depth
+        elif cfg.interleaver == "adversarial":
+            run = cfg.adversarial_run or free_distance(rt.trellis)
+        else:
+            run = 1
+        m = rt.constellation.bits_per_symbol
+        assert cfg.n_s * m * run <= rt.n_coded
 
     def test_missing_required_keys(self):
         with pytest.raises(ConfigurationError, match="missing"):
@@ -755,13 +785,19 @@ class TestSweep:
         text = path.read_text()
         assert harness.BER_CSV_HEADER in text
         assert f"# config_hash={tiny_config().config_hash}" in text
-        back = BerCurve.from_csv(path)
-        np.testing.assert_array_equal(back.snr_db, curve.snr_db)
-        np.testing.assert_array_equal(back.frames, curve.frames)
-        np.testing.assert_array_equal(back.bits, curve.bits)
-        np.testing.assert_array_equal(back.bit_errors, curve.bit_errors)
-        np.testing.assert_array_equal(back.warning_flags, curve.warning_flags)
-        assert back.provenance["config_hash"] == curve.provenance["config_hash"]
+        lines = text.splitlines()
+        rows = [line.split(",") for line in
+                lines[lines.index(harness.BER_CSV_HEADER) + 1:]]
+        np.testing.assert_array_equal([float(r[0]) for r in rows],
+                                      curve.snr_db)
+        np.testing.assert_array_equal([int(r[1]) for r in rows], curve.frames)
+        np.testing.assert_array_equal([int(r[2]) for r in rows], curve.bits)
+        np.testing.assert_array_equal([int(r[3]) for r in rows],
+                                      curve.bit_errors)
+        np.testing.assert_array_equal([r[5] == "1" for r in rows],
+                                      curve.warning_flags)
+        assert (f"# config_hash={curve.provenance['config_hash']}"
+                in lines)
 
 
 def _spectrum_draws(config: SimConfig, draws: int) -> list:
