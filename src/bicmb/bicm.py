@@ -101,7 +101,7 @@ def make_constellation(name: str) -> Constellation:
         axis = _gray_axis(4)
         pts = (axis[:, None] + 1j * axis[None, :]).reshape(-1) / np.sqrt(10.0)
         return Constellation("16qam", 4, pts)
-    raise ConfigurationError(f"unknown constellation {name!r}")
+    raise ConfigurationError(f"unknown modulation {name!r}")
 
 
 @dataclass(frozen=True)
@@ -241,13 +241,12 @@ class CriteriaReport:
     """Outcome of the two interleaver design checks.
 
     consecutive_ok : no two consecutive coded bits share a symbol
-    coverage_ok    : every window of ``window`` consecutive coded bits
-                     touches all subchannels
+    coverage_ok    : every window of the checked length of consecutive
+                     coded bits touches all subchannels
     """
 
     consecutive_ok: bool
     coverage_ok: bool
-    window: int
 
     @property
     def ok(self) -> bool:
@@ -261,7 +260,7 @@ def check_criteria(interleaver: Interleaver, window: int | None = None) -> Crite
         window = interleaver.n_substreams
     if window < interleaver.n_substreams:
         # fewer slots than subchannels can never cover them all
-        return CriteriaReport(False, False, window)
+        return CriteriaReport(False, False)
 
     ids = interleaver.symbol_ids()
     consecutive_ok = bool(np.all(ids[1:] != ids[:-1]))
@@ -278,7 +277,7 @@ def check_criteria(interleaver: Interleaver, window: int | None = None) -> Crite
         if gaps.max() > window:
             coverage_ok = False
             break
-    return CriteriaReport(consecutive_ok, coverage_ok, window)
+    return CriteriaReport(consecutive_ok, coverage_ok)
 
 
 def map_frame(coded_bits: np.ndarray, interleaver: Interleaver,

@@ -99,13 +99,11 @@ def _selected_configs(args, workers: int | None = None) -> dict[str, SimConfig]:
             raise ConfigurationError(
                 f"unknown variant {args.variant!r}; have {sorted(variants)}")
         variants = {args.variant: variants[args.variant]}
-    if args.config is not None:
-        if args.seed is not None:
-            variants = {k: replace(v, master_seed=args.seed)
-                        for k, v in variants.items()}
-        if workers is not None:
-            variants = {k: replace(v, workers=workers)
-                        for k, v in variants.items()}
+    overrides = {key: value for key, value in
+                 (("master_seed", args.seed), ("workers", workers))
+                 if value is not None and args.config is not None}
+    if overrides:
+        variants = {k: replace(v, **overrides) for k, v in variants.items()}
     return variants
 
 

@@ -26,7 +26,7 @@ from .beamforming import (_path_singular_values, predicted_gains,
                           singular_values)
 from .channel import (ArrayGeometry, FadingProfile, draw_channels,
                       draw_path_sets, linear_to_db)
-from .coding import (CodeSpec, build_trellis, encode, free_distance,
+from .coding import (CodeSpec, Trellis, build_trellis, encode, free_distance,
                      viterbi_decode)
 from .errors import ConfigurationError, NumericalError
 
@@ -76,8 +76,9 @@ _MAX_WORKERS = 64
 # Points an snr_db start:step:stop range may hold (presets have <= 8).
 _MAX_SNR_POINTS = 10_000
 
-_MODULATIONS = ("bpsk", "qpsk", "16qam")
-_INTERLEAVERS = ("structured", "random", "adversarial")
+# Largest |snr_db| (presets use 1-28 dB): noise variances, their squares
+# and a frame's summed decoder metrics stay far inside the float range.
+_MAX_SNR_DB = 1000.0
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,12 @@ class SimConfig:
     ``adversarial_run`` of 0 means "use the code's free distance".
     ``rf_chains_per_stream`` is recorded for documentation only; the
     unconstrained beamformer does not use it.
+
+    The last check builds the link's ``trellis``, ``constellation`` and
+    ``bit_interleaver``; the builders in ``coding`` and ``bicm`` state
+    their own rules, and a catastrophic code is rejected.  The coded
+    frame is zero-padded up to the interleaver period; the pad bits'
+    metrics are dropped before decoding.
     """
 
     m_r: int
@@ -112,6 +119,9 @@ class SimConfig:
     angle_range_deg: tuple = (-90.0, 90.0)
     rf_chains_per_stream: int = 2
     label: str = ""
+    trellis: Trellis = field(init=False, repr=False)
+    constellation: bicm.Constellation = field(init=False, repr=False)
+    bit_interleaver: bicm.Interleaver = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.profile.m_r != self.m_r or self.profile.m_t != self.m_t:
@@ -126,37 +136,17 @@ class SimConfig:
         if self.n_s > min(self.m_r * self.n_r, self.m_t * self.n_t):
             raise ConfigurationError(
                 "n_s cannot exceed the composite channel dimensions")
-        if self.modulation not in _MODULATIONS:
-            raise ConfigurationError(f"unknown modulation {self.modulation!r}")
-        if self.interleaver not in _INTERLEAVERS:
-            raise ConfigurationError(f"unknown interleaver {self.interleaver!r}")
-        m = bicm.make_constellation(self.modulation).bits_per_symbol
-        if (self.interleaver == "structured" and self.n_s == 1 and self.depth < 2
-                and m > 1):
-            raise ConfigurationError(
-                "the structured interleaver needs depth >= 2 for a single "
-                "stream of multi-bit symbols")
         grid = tuple(float(v) for v in self.snr_grid_db)
         if len(grid) == 0:
             raise ConfigurationError("snr_db grid is empty")
-        if not all(math.isfinite(v) for v in grid):
-            raise ConfigurationError("snr_db values must be finite")
+        if not all(abs(v) <= _MAX_SNR_DB for v in grid):
+            raise ConfigurationError(
+                f"snr_db values must be finite and within "
+                f"+-{_MAX_SNR_DB:g} dB")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigurationError("snr_db grid must be strictly increasing")
         if self.adversarial_run < 0:
             raise ConfigurationError("adversarial_run cannot be negative")
-        # A frame is padded to a multiple of the interleaver period
-        # n_s * m * run; a period within one frame's code bits keeps the
-        # padding under one frame.
-        code_bits = self.n_steps * self.code.n_out
-        period = self.n_s * m * self._interleaver_run
-        if period > code_bits:
-            key = {"structured": "depth",
-                   "adversarial": "adversarial_run"}.get(self.interleaver, "n_s")
-            raise ConfigurationError(
-                f"{key} is too large: the {self.interleaver} interleaver's "
-                f"period n_s * bits_per_symbol * run = {period} exceeds the "
-                f"{code_bits} code bits of a frame")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed cannot be negative")
         if not np.any(self.profile.beta > 0):
@@ -184,6 +174,45 @@ class SimConfig:
             raise ConfigurationError("empty azimuth range")
         object.__setattr__(self, "snr_grid_db", grid)
         object.__setattr__(self, "angle_range_deg", (float(lo), float(hi)))
+        trellis = build_trellis(self.code)
+        if trellis.catastrophic:
+            raise ConfigurationError(
+                "the code has a zero-weight loop (catastrophic generator set)")
+        constellation = bicm.make_constellation(self.modulation)
+        m = constellation.bits_per_symbol
+        # each interleaver permutes whole periods of n_s * m * run code bits
+        if self.interleaver == "structured":
+            build, run = bicm.structured_interleaver, self.depth
+            arg = run
+        elif self.interleaver == "adversarial":
+            build = bicm.adversarial_interleaver
+            run = arg = self.adversarial_run or free_distance(trellis)
+        elif self.interleaver == "random":
+            build, run = bicm.random_interleaver, 1
+            arg = np.random.default_rng(np.random.SeedSequence(
+                self.master_seed, spawn_key=(_NS_INTERLEAVER,)))
+        else:
+            raise ConfigurationError(
+                f"unknown interleaver {self.interleaver!r}")
+        # a period within one frame's code bits keeps the padding under
+        # one frame
+        code_bits = self.n_steps * self.code.n_out
+        period = self.n_s * m * run
+        if period > code_bits:
+            key = {"structured": "depth",
+                   "adversarial": "adversarial_run"}.get(self.interleaver, "n_s")
+            raise ConfigurationError(
+                f"{key} is too large: the {self.interleaver} interleaver's "
+                f"period n_s * bits_per_symbol * run = {period} exceeds the "
+                f"{code_bits} code bits of a frame")
+        try:
+            itl = build(-(-code_bits // period) * period, self.n_s, m, arg)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        object.__setattr__(self, "modulation", constellation.name)
+        object.__setattr__(self, "trellis", trellis)
+        object.__setattr__(self, "constellation", constellation)
+        object.__setattr__(self, "bit_interleaver", itl)
 
     @property
     def l_t(self) -> int:
@@ -194,18 +223,6 @@ class SimConfig:
         """Trellis steps of one terminated frame: its bits and K - 1
         flush steps."""
         return self.frame_bits + self.code.constraint_length - 1
-
-    @functools.cached_property
-    def _interleaver_run(self) -> int:
-        """Run r of the interleaver period n_s * bits_per_symbol * r: the
-        depth, the adversarial run (the code's free distance when 0), or
-        1 for the random interleaver."""
-        if self.interleaver == "structured":
-            return self.depth
-        if self.interleaver == "adversarial":
-            return (self.adversarial_run
-                    or free_distance(build_trellis(self.code)))
-        return 1
 
     @property
     def frame_bytes(self) -> int:
@@ -416,7 +433,6 @@ def parse_config(text: str) -> SimConfig:
 
     lo, hi = SimConfig.angle_range_deg
     angles = (vals.pop("angle_min_deg", lo), vals.pop("angle_max_deg", hi))
-    vals["modulation"] = vals["modulation"].lower()
     return SimConfig(profile=profile, code=code,
                      snr_grid_db=_parse_snr_grid(vals.pop("snr_db")),
                      angle_range_deg=angles, **vals)
@@ -433,7 +449,7 @@ def load_config(path) -> SimConfig:
 
 @dataclass
 class Runtime:
-    """Objects derived from a config once and reused across frames.
+    """A config's link objects, reused across frames.
 
     ``sub_frames`` is the most frames one sub-batch holds.
     """
@@ -447,34 +463,11 @@ class Runtime:
 
 
 def build_runtime(config: SimConfig) -> Runtime:
-    """Build trellis, constellation, and interleaver for a config.
+    """The link the config built, and the sub-batch size that the
+    current budget gives its frames.
 
-    The coded frame is zero-padded up to the interleaver period; pad
-    bits ride along as filler and their metrics are dropped before
-    decoding.
+    Warns when there are more streams than paths.
     """
-    trellis = build_trellis(config.code)
-    if trellis.catastrophic:
-        raise ConfigurationError(
-            "the code has a zero-weight loop (catastrophic generator set)")
-    constellation = bicm.make_constellation(config.modulation)
-    m = constellation.bits_per_symbol
-    n_coded = config.n_steps * config.code.n_out
-
-    # each interleaver permutes whole periods of n_s * m * run code bits
-    run = config._interleaver_run
-    if config.interleaver == "structured":
-        build, arg = bicm.structured_interleaver, run
-    elif config.interleaver == "adversarial":
-        build, arg = bicm.adversarial_interleaver, run
-    else:
-        build = bicm.random_interleaver
-        arg = np.random.default_rng(
-            np.random.SeedSequence(config.master_seed,
-                                   spawn_key=(_NS_INTERLEAVER,)))
-    period = config.n_s * m * run
-    itl = build(-(-n_coded // period) * period, config.n_s, m, arg)
-
     if config.n_s > config.l_t:
         warnings.warn(
             f"n_s={config.n_s} exceeds the total path count {config.l_t}; "
@@ -482,10 +475,10 @@ def build_runtime(config: SimConfig) -> Runtime:
 
     return Runtime(
         config=config,
-        trellis=trellis,
-        constellation=constellation,
-        interleaver=itl,
-        n_coded=n_coded,
+        trellis=config.trellis,
+        constellation=config.constellation,
+        interleaver=config.bit_interleaver,
+        n_coded=config.n_steps * config.code.n_out,
         sub_frames=max(1, _SUBBATCH_SURVIVOR_BYTES // config.frame_bytes),
     )
 

@@ -282,6 +282,18 @@ class TestArgumentHandling:
                      "n_s = 16\nmodulation = qpsk\ngenerators = 133,171\n"
                      "snr_db = 0,4,8\nframe_bits = 8\ninterleaver = random",
                      "n_s is too large", id="random"),
+        ("snr_db = 0,4,8", "snr_db = 4000", "snr_db"),
+        ("snr_db = 0,4,8", "snr_db = -4000", "snr_db"),
+        ("generators = 5,7", "generators = 3,5", "catastrophic"),
+        # all 100 draws of this random interleaver fail the criteria
+        pytest.param("modulation = bpsk\ngenerators = 5,7\nsnr_db = 0,4,8\n"
+                     "frame_bits = 128\nmin_errors = 20\nmax_frames = 64\n"
+                     "batch_frames = 8\nmaster_seed = 7",
+                     "modulation = 16qam\ngenerators = 5,7\nsnr_db = 0,4,8\n"
+                     "frame_bits = 8\nmin_errors = 20\nmax_frames = 64\n"
+                     "batch_frames = 8\nmaster_seed = 13\n"
+                     "interleaver = random",
+                     "no valid random interleaver", id="random draws"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "analyze",
                                          "channel-stats"])
@@ -480,7 +492,8 @@ class TestAnalyze:
         # four variants share one code; the second call builds it again
         assert len(built) == 2
 
-    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate",
+                                         "channel-stats"])
     def test_catastrophic_code_exits_1(self, tmp_path, capsys, command):
         p = tmp_path / "cat.cfg"
         p.write_text(TINY_CFG.replace("generators = 5,7", "generators = 3,5"))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicmb import channel, harness
+from bicmb import bicm, channel, harness
 from bicmb.beamforming import predicted_gains, singular_values
 from bicmb.channel import ArrayGeometry, FadingProfile, draw_channel
 from bicmb.coding import free_distance
@@ -277,11 +277,17 @@ class TestParseConfig:
         ("snr_db = 8:2:0", "snr_db grid is empty"),
         ("adversarial_run = -1", "adversarial_run cannot be negative"),
         ("angle_min_deg = 10\nangle_max_deg = 10", "empty azimuth range"),
+        ("snr_db = 4000", "snr_db"),
+        ("snr_db = -4000", "snr_db"),
+        ("generators = 3,5", "catastrophic"),
+        # all 100 draws of this random interleaver fail the criteria
+        ("interleaver = random\nmodulation = 16qam\nframe_bits = 8\n"
+         "master_seed = 13", "no valid random interleaver"),
     ])
     def test_rejects_malformed_input(self, mutation, needle):
-        key = mutation.split(" = ")[0].split("\n")[0].split()[0]
+        keys = {ln.split()[0] for ln in mutation.splitlines()}
         lines = [ln for ln in BASE_TEXT.splitlines()
-                 if not ln.startswith(key + " ")]
+                 if not ln or ln.split()[0] not in keys]
         text = "\n".join(lines) + "\n" + mutation + "\n"
         with pytest.raises(ConfigurationError, match=needle):
             parse_config(text)
@@ -321,6 +327,18 @@ class TestParseConfig:
             harness._simulate_frames(build_runtime(cfg), 0, range(4))
         with pytest.raises(ConfigurationError, match="too large"):
             tiny_config(spacing=float(spacing) * 2)
+
+    def test_extreme_snrs_run_with_finite_values(self):
+        # n_t 10^(-snr/10) and the squared distances stay finite at both
+        # ends, and noise of variance 4e-100 never flips a bit
+        top = harness._MAX_SNR_DB
+        for snr, most in ((-top, 256), (top, 0)):
+            rt = build_runtime(tiny_config(snr_grid_db=(snr,)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert harness._simulate_frames(rt, 0, range(2)) <= most
+        with pytest.raises(ConfigurationError, match="snr_db"):
+            tiny_config(snr_grid_db=(np.nextafter(top, np.inf),))
 
     def test_worker_count_is_bounded(self):
         assert tiny_config(workers=harness._MAX_WORKERS).workers == 64
@@ -401,21 +419,21 @@ class TestParseConfig:
     @settings(max_examples=200, deadline=None)
     @given(text=small_link_texts())
     def test_accepted_text_runs_two_frames(self, text):
-        # a config error at parse or build is fine; anything accepted must
-        # run, with the n_s > L_t notice as the one expected warning
+        # a config error at parse is fine; anything accepted must build
+        # and run, with the n_s > L_t notice as the one expected warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             warnings.filterwarnings(
                 "ignore", message=r"n_s=\d+ exceeds the total path count")
             try:
-                rt = build_runtime(parse_config(text))
+                cfg = parse_config(text)
             except ConfigurationError:
                 return
+            rt = build_runtime(cfg)
             errors = harness._simulate_frames(rt, 0, range(2))
         assert 0 <= errors <= 2 * rt.config.frame_bits
         # a frame holds the larger of its survivors, one byte per trellis
         # step and state, and its 16-byte steering factor values
-        cfg = rt.config
         k = cfg.code.constraint_length
         frame_bytes = max((cfg.frame_bits + k - 1) << (k - 1),
                           16 * (cfg.m_r * cfg.n_r + cfg.m_t * cfg.n_t)
@@ -461,7 +479,8 @@ class TestConfigHash:
             tiny_config(**{field: b}).config_hash
 
     @settings(max_examples=200, deadline=None)
-    @given(grid=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+    @given(grid=st.lists(st.floats(min_value=-harness._MAX_SNR_DB,
+                                   max_value=harness._MAX_SNR_DB),
                          min_size=1, max_size=4, unique=True).map(sorted),
            spacing=st.floats(min_value=0.0, exclude_min=True,
                              max_value=1e306),
@@ -544,6 +563,26 @@ class TestBuildRuntime:
                                       b.interleaver.positions)
         assert not np.array_equal(a.interleaver.positions,
                                   c.interleaver.positions)
+
+    def test_a_config_builds_its_link_once(self, monkeypatch):
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+        monkeypatch.setattr(harness, "build_trellis",
+                            counting("trellis", harness.build_trellis))
+        monkeypatch.setattr(
+            bicm, "adversarial_interleaver",
+            counting("interleaver", bicm.adversarial_interleaver))
+        # run 0: the interleaver's run is the code's free distance
+        cfg = parse_config(BASE_TEXT.replace("snr_db = 0,4,8", "snr_db = 8")
+                           + "interleaver = adversarial\n")
+        build_runtime(cfg)
+        sweep(cfg)
+        assert sorted(calls) == ["interleaver", "trellis"]
 
     def test_warns_when_streams_outnumber_paths(self):
         cfg = tiny_config(m_t=1, n_s=3,
