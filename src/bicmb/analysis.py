@@ -111,12 +111,14 @@ def pep_bound(fit: GammaFit, d_min: float, alpha_min: float, n_s: int,
 
     Returns (exact, high_snr) with
     exact = 0.5 * (1 + scale * d_min^2 * alpha_min * n_s * n_t * snr / (4 l_t))^(-shape);
-    the high-SNR form drops the 1 and decays as snr^(-shape).
+    the high-SNR form drops the 1 and decays as snr^(-shape).  At low
+    SNR with a large shape that form exceeds the float range, and it is
+    then ``inf``, its value, without a warning.
     """
     snr = np.asarray(snr, dtype=np.float64)
     coeff = fit.scale * d_min ** 2 * alpha_min * n_s * n_t * snr / (4.0 * l_t)
     exact = 0.5 * (1.0 + coeff) ** (-fit.shape)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         high = 0.5 * coeff ** (-fit.shape)
     return exact, high
 

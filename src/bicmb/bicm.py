@@ -308,11 +308,6 @@ def map_frame(coded_bits: np.ndarray, interleaver: Interleaver,
         bits.shape[:-1] + (interleaver.n_symbols, interleaver.n_substreams))
 
 
-# Frames are processed in blocks whose squared-distance planes (this many
-# float64 entries, 1 MiB) stay in cache while the minima read them.
-_METRIC_BLOCK_ENTRIES = 1 << 17
-
-
 def bit_metrics(received: np.ndarray, gains: np.ndarray,
                 constellation: Constellation) -> np.ndarray:
     """Max-log metrics for every label bit of every received symbol.
@@ -322,6 +317,10 @@ def bit_metrics(received: np.ndarray, gains: np.ndarray,
     amplitudes, (n_substreams,) or (B, n_substreams).  Entry
     [..., t, s, i, b] is min over x with label bit i = b of
     |y[..., t, s] - gains[..., s] * x|^2.
+
+    One squared-distance plane the size of ``received`` is held per
+    constellation point; the sweep passes blocks of frames small enough
+    for those planes to stay in cache.
     """
     y = np.asarray(received)
     lam = np.asarray(gains, dtype=np.float64)
@@ -329,33 +328,20 @@ def bit_metrics(received: np.ndarray, gains: np.ndarray,
         raise ValueError("received must be ([B,] n_symbols, n_substreams) "
                          "with one gain per substream")
 
-    m = constellation.bits_per_symbol
-    out = np.empty(y.shape + (m, 2))
-    frames = y.reshape((-1,) + y.shape[-2:])
-    frame_gains = lam.reshape(-1, y.shape[-1])
-    frame_out = out.reshape(frames.shape + (m, 2))
-    subsets = constellation.subsets()
-    entries = max(1, y.shape[-2] * y.shape[-1] * constellation.size)
-    step = max(1, _METRIC_BLOCK_ENTRIES // entries)
-    for lo in range(0, frames.shape[0], step):
-        _metric_block(frames[lo:lo + step], frame_gains[lo:lo + step],
-                      constellation.points, subsets, frame_out[lo:lo + step])
-    return out
-
-
-def _metric_block(y, gains, points, subsets, out) -> None:
-    """:func:`bit_metrics` of a (B, n_symbols, n_substreams) block, into ``out``."""
     # one contiguous plane of squared distances per constellation point
-    scaled = gains[:, None, :]
+    scaled = lam[..., None, :]
+    points = constellation.points
     diff = np.empty(y.shape, dtype=complex)
     d2 = np.empty((points.size,) + y.shape)
     for p, point in enumerate(points):
         np.subtract(y, scaled * point, out=diff)
         np.square(np.abs(diff, out=d2[p]), out=d2[p])
+    del diff
 
     # max-log: the minimum over each label subset is exact in any order
+    out = np.empty(y.shape + (constellation.bits_per_symbol, 2))
     low = np.empty(y.shape)
-    for i, bit_subsets in enumerate(subsets):
+    for i, bit_subsets in enumerate(constellation.subsets()):
         for b, members in enumerate(bit_subsets):
             if members.size == 1:
                 out[..., i, b] = d2[members[0]]
@@ -364,6 +350,7 @@ def _metric_block(y, gains, points, subsets, out) -> None:
             for p in members[2:]:
                 np.minimum(low, d2[p], out=low)
             out[..., i, b] = low
+    return out
 
 
 def deinterleave_metrics(metrics: np.ndarray, interleaver: Interleaver,

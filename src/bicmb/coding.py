@@ -42,6 +42,11 @@ EVENT_STORAGE_CAP = 10_000
 # would ask for terabytes); the cap admits every shipped code (K <= 9).
 _MAX_CONSTRAINT_LENGTH = 10
 
+# Trellis steps whose pattern costs and survivor decisions the decoder's
+# forward pass holds at once before packing the decisions to bits; a
+# 64-state, 205-frame chunk keeps both in about 1.3 MB.
+_DECODE_CHUNK_STEPS = 64
+
 # Events whose bit positions are expanded at once in ``distance_spectrum``.
 _POSITION_ROWS = 512
 
@@ -245,6 +250,11 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
     -------
     uint8 array of ``T - (K - 1)`` message bits, shape (msg_len,) or
     (B, msg_len) matching the input batching.
+
+    The forward pass runs ``_DECODE_CHUNK_STEPS`` steps at a time and
+    stores each survivor decision as one bit, packed along the frame
+    axis, so besides ``branch_costs`` the decoder holds a (T, S, B / 8)
+    byte table and one chunk's pattern costs and decisions.
     """
     costs = np.asarray(branch_costs, dtype=np.float64)
     single = costs.ndim == 3
@@ -258,7 +268,6 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
         raise ValueError("terminated decoding needs at least K steps")
     n_states = trellis.n_states
 
-    pattern_costs = _pattern_costs(costs)
     pred_state = trellis.pred_state
     ps0, ps1 = pred_state[:, 0], pred_state[:, 1]
     pp0, pp1 = trellis.pred_pattern[:, 0], trellis.pred_pattern[:, 1]
@@ -268,31 +277,47 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
     cand0 = np.empty_like(metric)
     cand1 = np.empty_like(metric)
     branch = np.empty_like(metric)
-    # survivor[t, s, b] is True when s's predecessor slot 1 survived.
-    survivor = np.empty((T, n_states, B), dtype=bool)
-    # The trellis tables index in range, so mode="clip" never clips; it
-    # lets np.take write straight into ``out`` instead of buffering.
-    for t in range(T):
-        pc = pattern_costs[t]
-        np.take(metric, ps0, axis=0, out=cand0, mode="clip")
-        cand0 += np.take(pc, pp0, axis=0, out=branch, mode="clip")
-        np.take(metric, ps1, axis=0, out=cand1, mode="clip")
-        cand1 += np.take(pc, pp1, axis=0, out=branch, mode="clip")
-        # strict <: the lower predecessor state (slot 0) wins ties
-        np.less(cand1, cand0, out=survivor[t])
-        np.minimum(cand0, cand1, out=cand0)
-        metric, cand0 = cand0, metric
+    decisions = np.empty((min(T, _DECODE_CHUNK_STEPS), n_states, B),
+                         dtype=bool)
+    # Bit 7 - b % 8 of survivor[t, s, b // 8] is set when s's
+    # predecessor slot 1 survived in frame b.
+    survivor = np.empty((T, n_states, -(-B // 8)), dtype=np.uint8)
+    for t0 in range(0, T, _DECODE_CHUNK_STEPS):
+        pattern_costs = _pattern_costs(costs[:, t0:t0 + _DECODE_CHUNK_STEPS])
+        steps = pattern_costs.shape[0]
+        # The trellis tables index in range, so mode="clip" never clips;
+        # it lets np.take write straight into ``out`` instead of buffering.
+        for t in range(steps):
+            pc = pattern_costs[t]
+            np.take(metric, ps0, axis=0, out=cand0, mode="clip")
+            cand0 += np.take(pc, pp0, axis=0, out=branch, mode="clip")
+            np.take(metric, ps1, axis=0, out=cand1, mode="clip")
+            cand1 += np.take(pc, pp1, axis=0, out=branch, mode="clip")
+            # strict <: the lower predecessor state (slot 0) wins ties
+            np.less(cand1, cand0, out=decisions[t])
+            np.minimum(cand0, cand1, out=cand0)
+            metric, cand0 = cand0, metric
+        survivor[t0:t0 + steps] = np.packbits(decisions[:steps], axis=-1)
+    del pattern_costs, decisions
 
-    # the flush leaves every code word in state 0
-    state = np.zeros(B, dtype=np.intp)
+    # The flush leaves every code word in state 0.  Each step reads frame
+    # b's byte of its state's row and tests its bit; entry 2 * s + k of
+    # the flat predecessor tables is slot k of state s.
+    n_bytes = survivor.shape[2]
     cols = np.arange(B)
-    decided = np.empty((B, T), dtype=np.uint8)
+    byte_col = cols >> 3
+    bit = (1 << (7 - (cols & 7))).astype(np.uint8)
+    flat_pred_input = trellis.pred_input.ravel()
+    flat_pred_state = pred_state.ravel()
+    state = np.zeros(B, dtype=np.intp)
+    decided = np.empty((T, B), dtype=np.uint8)
     for t in range(T - 1, -1, -1):
-        k = survivor[t, state, cols].astype(np.intp)
-        decided[:, t] = trellis.pred_input[state, k]
-        state = pred_state[state, k]
+        byte = survivor[t].take(state * n_bytes + byte_col)
+        slot = 2 * state + ((byte & bit) != 0)
+        decided[t] = flat_pred_input.take(slot)
+        state = flat_pred_state.take(slot)
 
-    bits = decided[:, : T - (K - 1)]
+    bits = decided[: T - (K - 1)].T
     return bits[0] if single else bits
 
 

@@ -56,18 +56,22 @@ _NS_SPECTRUM = 2
 # peak memory by 2 and 6 MiB; one chunk of all draws by 65 MiB.
 _SPECTRUM_CHUNK = 32
 
-# Decoder survivor bytes (one bool per step, state and frame),
+# Decoder survivor bytes (one byte charged per step, state and frame),
 # steering-factor bytes (16 per complex value), or a spectrum study's
 # channel-matrix bytes, that one sub-batch may hold.  A batch runs
 # through the link in sub-batches of at most this many frames, so its
 # working set does not grow with batch_frames: the 64-state desk
 # presets allow 254 frames of 1030 steps, and a 64 x 128 composite
 # array with 128-bit frames 682.  Over the five desk
-# benchmark sweeps (one BLAS thread), 254-frame sub-batches peaked at
-# 88 MiB and whole 1024-frame batches at 204 MiB, at about the same
-# speed; 64-frame sub-batches ran 1.5x slower, as the decoder's
+# benchmark sweeps (one BLAS thread), 205-frame sub-batches peaked at
+# 52 MiB and whole 1024-frame batches at 94 MiB, at about the same
+# speed; 64-frame sub-batches ran 1.5-1.8x slower, as the decoder's
 # per-step calls dominate.
 _SUBBATCH_SURVIVOR_BYTES = 16 << 20
+
+# Frames are demapped in blocks whose squared-distance planes (this many
+# float64 entries, 1 MiB) stay in cache while the minima read them.
+_METRIC_BLOCK_ENTRIES = 1 << 17
 
 # Each worker is a forked process, and the pool starts all of them at
 # its first task, so the count is bounded whatever the core count.
@@ -283,8 +287,12 @@ class SimConfig:
 def _frame_bytes(n_steps: int, k: int, m_r: int, n_r: int, m_t: int,
                  n_t: int, l_t: int) -> int:
     """Bytes one frame holds in a sub-batch: the larger of its decoder
-    survivors (one bool per trellis step and state) and its steering
+    survivors (one byte per trellis step and state) and its steering
     factors U and V, (m_r n_r + m_t n_t) x l_t complex values.
+
+    The decoder stores each survivor decision as one bit, but a
+    decision is still charged one byte, so ``sub_frames`` and the
+    budget's limits on a frame are those of a byte-per-decision table.
 
     The steering factors stay the bound although most frames take their
     gains from the l_t x l_t Gram matrices: a side where a frame nearly
@@ -508,8 +516,10 @@ def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
 
     Each frame's channel generator draws its paths, and its frame
     generator the message, then the real and the imaginary noise parts.
-    Every stage runs once on the whole sub-batch and treats frames
-    independently, so results do not depend on how frames are grouped.
+    The gain stage, the encoder and the decoder run once on the whole
+    sub-batch, the demap stage once per block of frames.  Every stage
+    treats frames independently, so results do not depend on how
+    frames are grouped.
     """
     config = rt.config
     rx, tx, angles = config.geometry
@@ -527,37 +537,47 @@ def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
     del paths
 
     itl = rt.interleaver
+    constellation = rt.constellation
     B = len(frames)
     n_sym, n_s = itl.n_symbols, itl.n_substreams
-    messages = np.empty((B, config.frame_bits), dtype=np.int64)
-    noise_re = np.empty((B, n_sym, n_s))
-    noise_im = np.empty((B, n_sym, n_s))
-    for b, rng in enumerate(_frame_rngs(config, snr_idx, frames, 1)):
+    rngs = _frame_rngs(config, snr_idx, frames, 1)
+    messages = np.empty((B, config.frame_bits), dtype=np.uint8)
+    for b, rng in enumerate(rngs):
         messages[b] = rng.integers(0, 2, config.frame_bits)
-        rng.standard_normal(out=noise_re[b])
-        rng.standard_normal(out=noise_im[b])
 
     # pad bits past the code's output are zeros and get dropped after demap
     coded = np.zeros((B, itl.n_coded), dtype=np.uint8)
     coded[:, :rt.n_coded] = encode(rt.trellis, messages)
-    x = bicm.map_frame(coded, itl, rt.constellation)
-    del coded
     # noise variance n_t / snr keeps the per-antenna transmit power fixed
     noise_var = config.n_t / 10.0 ** (config.snr_grid_db[snr_idx] / 10.0)
-    # y = gains * x + sqrt(noise_var / 2) * (re + 1j im), built in place:
-    # the parts add in either order to the same bits
-    y = np.empty(x.shape, dtype=complex)
     scale = np.sqrt(noise_var / 2.0)
-    np.multiply(noise_re, scale, out=y.real)
-    np.multiply(noise_im, scale, out=y.imag)
-    del noise_re, noise_im
-    y += gains[:, None, :] * x
-    del x
-    metrics = bicm.bit_metrics(y, gains, rt.constellation)
-    del y
-    costs = bicm.deinterleave_metrics(metrics, itl, rt.n_coded)
-    del metrics
-    costs = costs.reshape(B, config.n_steps, config.code.n_out, 2)
+    # Frames run from channel output to decoder costs a block at a time,
+    # so only the (B, n_coded, 2) costs span the whole sub-batch.
+    step = max(1, _METRIC_BLOCK_ENTRIES // (n_sym * n_s * constellation.size))
+    costs = np.empty((B, config.n_steps, config.code.n_out, 2))
+    coded_costs = costs.reshape(B, rt.n_coded, 2)
+    for lo in range(0, B, step):
+        hi = min(B, lo + step)
+        re = np.empty((hi - lo, n_sym, n_s))
+        im = np.empty_like(re)
+        for b in range(lo, hi):
+            rngs[b].standard_normal(out=re[b - lo])
+            rngs[b].standard_normal(out=im[b - lo])
+        x = bicm.map_frame(coded[lo:hi], itl, constellation)
+        # y = gains * x + sqrt(noise_var / 2) * (re + 1j im), built in
+        # place: the parts add in either order to the same bits
+        y = np.empty(x.shape, dtype=complex)
+        np.multiply(re, scale, out=y.real)
+        np.multiply(im, scale, out=y.imag)
+        del re, im
+        y += gains[lo:hi, None, :] * x
+        del x
+        metrics = bicm.bit_metrics(y, gains[lo:hi], constellation)
+        del y
+        coded_costs[lo:hi] = bicm.deinterleave_metrics(metrics, itl,
+                                                       rt.n_coded)
+        del metrics
+    del rngs, coded
     decoded = viterbi_decode(rt.trellis, costs)
     return int((decoded != messages).sum())
 

@@ -478,6 +478,24 @@ class TestAnalyze:
         assert "# coverage_ok=0" in content
         assert "inf" in content
 
+    def test_high_snr_form_past_the_float_range_is_inf(self, tmp_path):
+        # 40 paths give a Gamma shape near 40, so at -100 dB the form
+        # 0.5 * coeff^(-shape) is far above the float range
+        text = (TINY_CFG.replace("n_r = 4", "n_r = 64")
+                .replace("n_t = 4", "n_t = 64")
+                .replace("paths = 2", "paths = 40")
+                .replace("generators = 5,7", "generators = 133,171")
+                .replace("snr_db = 0,4,8", "snr_db = -100"))
+        p = tmp_path / "low.cfg"
+        p.write_text(text)
+        out = tmp_path / "bounds.csv"
+        assert cli.main(["analyze", "--config", str(p),
+                         "--out", str(out)]) == cli.EXIT_OK
+        header, row = out.read_text().strip().splitlines()[-2:]
+        assert header == cli.ANALYZE_CSV_HEADER
+        snr_db, _, pep_high_snr = row.split(",")[:3]
+        assert (snr_db, pep_high_snr) == ("-100", "inf")
+
 
     def test_one_spectrum_per_code_per_call(self, tmp_path, monkeypatch):
         built = []

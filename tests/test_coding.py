@@ -156,13 +156,17 @@ def assert_matches_reference(spectrum, want):
         assert entry.input_weights.tolist() == weights
 
 
+# Integer-valued bit costs, so path metrics tie often.
+TIE_VALUES = (0.0, 1.0, 2.0)
+
+
 def tie_costs(trellis, steps, frames=None):
-    """Integer-valued bit costs in 0..2, so path metrics tie often."""
+    """Bit costs drawn from ``TIE_VALUES``."""
     shape = (steps, trellis.n_out, 2)
     if frames is not None:
         shape = (frames,) + shape
     return hnp.arrays(np.float64, shape,
-                      elements=st.sampled_from([0.0, 1.0, 2.0]))
+                      elements=st.sampled_from(TIE_VALUES))
 
 
 def reference_viterbi(trellis, costs):
@@ -396,6 +400,21 @@ class TestViterbi:
         for b in range(frames):
             np.testing.assert_array_equal(batch[b],
                                           viterbi_decode(trellis, costs[b]))
+
+    @pytest.mark.parametrize("octal,n_bits,frames", [
+        ("133,171", 150, 1), ("133,171", 150, 7), ("133,171", 150, 9),
+        ("133,171", 150, 17), ("3,1", 200, 9), ("1167,1545", 60, 9)])
+    def test_ties_past_chunk_and_byte_boundaries(self, octal, n_bits,
+                                                 frames):
+        # Every row runs more steps than one forward-pass chunk; 9 and 17
+        # frames leave a partly filled last byte of packed survivors.
+        trellis = build_trellis(CodeSpec.from_octal(octal))
+        steps = n_bits + trellis.spec.constraint_length - 1
+        assert steps > coding._DECODE_CHUNK_STEPS
+        rng = np.random.default_rng(1000 * frames + steps)
+        costs = rng.choice(TIE_VALUES, (frames, steps, trellis.n_out, 2))
+        want = np.array([reference_viterbi(trellis, c) for c in costs])
+        assert viterbi_decode(trellis, costs).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("frames", [1, 7, 300])

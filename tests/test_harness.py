@@ -5,6 +5,7 @@ Sweep tests run deliberately tiny configs (small arrays, short frames)
 so the whole file stays fast while still exercising the real chain.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from bicmb import bicm, channel, harness
 from bicmb.beamforming import predicted_gains, singular_values
 from bicmb.channel import ArrayGeometry, FadingProfile, draw_channel
-from bicmb.coding import free_distance
+from bicmb.coding import free_distance, viterbi_decode
 from bicmb.errors import ConfigurationError, NumericalError
 from bicmb.harness import (
     BerCurve,
@@ -665,6 +666,57 @@ class TestSubBatches:
         # 5 frames give [4, 4, 4], 7 give [6, 6]
         assert max(rows) <= frames
         assert max(rows) - min(rows) <= 1
+
+    @pytest.mark.parametrize("modulation", ["bpsk", "16qam"])
+    @pytest.mark.parametrize("frames,blocks", [(1, [1] * 12),
+                                               (5, [5, 5, 2])])
+    def test_demap_blocks_do_not_change_decoder_costs(
+            self, monkeypatch, modulation, frames, blocks):
+        rt = build_runtime(tiny_config(modulation=modulation))
+        real_decode = harness.viterbi_decode
+        seen = []
+
+        def recording_decode(trellis, costs):
+            seen.append(costs.copy())
+            return real_decode(trellis, costs)
+
+        monkeypatch.setattr(harness, "viterbi_decode", recording_decode)
+        whole = harness._simulate_frames(rt, 1, range(12))
+        itl = rt.interleaver
+        frame_entries = (itl.n_symbols * itl.n_substreams
+                         * rt.constellation.size)
+        assert harness._METRIC_BLOCK_ENTRIES >= 12 * frame_entries
+        monkeypatch.setattr(harness, "_METRIC_BLOCK_ENTRIES",
+                            frames * frame_entries)
+        rows = []
+        real_metrics = bicm.bit_metrics
+
+        def recording_metrics(y, gains, constellation):
+            rows.append(y.shape[0])
+            return real_metrics(y, gains, constellation)
+
+        monkeypatch.setattr(bicm, "bit_metrics", recording_metrics)
+        assert harness._simulate_frames(rt, 1, range(12)) == whole
+        assert rows == blocks
+        assert seen[1].tobytes() == seen[0].tobytes()
+
+    def test_sub_batch_and_decoder_peak_memory(self):
+        # 28.0 MiB when the decoder kept one bool per survivor decision
+        # and every demap stage spanned the whole sub-batch
+        rt = build_runtime(preset("fig3_interleaver").variants["structured"])
+        frames, steps = 205, rt.config.n_steps
+        costs = np.random.default_rng(3).standard_normal((frames, steps, 2, 2))
+        tracemalloc.start()
+        try:
+            harness._simulate_frames(rt, 0, range(frames))
+            _, sub_batch_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            viterbi_decode(rt.trellis, costs)
+            _, decoder_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sub_batch_peak < 20 << 20
+        assert decoder_peak < steps * rt.trellis.n_states * frames
 
     def test_decoder_never_sees_more_than_one_sub_batch(self, monkeypatch):
         cfg = tiny_config(batch_frames=12, max_frames=24, min_errors=10 ** 6)
