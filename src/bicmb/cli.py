@@ -142,18 +142,18 @@ def _cmd_simulate(args) -> int:
 def _write_bound_csv(path: Path, cfg: SimConfig, spectra: dict) -> None:
     """Write one config's bound CSV; ``spectra`` caches each code's
     spectrum across the configs of one call."""
-    rt = build_runtime(cfg)
+    build_runtime(cfg)
     if cfg.code not in spectra:
         try:
             spectra[cfg.code] = distance_spectrum(
-                rt.trellis, free_distance(rt.trellis) + _SPECTRUM_MARGIN)
+                cfg.trellis, free_distance(cfg.trellis) + _SPECTRUM_MARGIN)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
     spectrum = spectra[cfg.code]
     fit = gamma_fit(cfg.profile)
     grid = np.asarray(cfg.snr_grid_db)
-    report = union_bound_ber(spectrum, rt.interleaver, fit, rt.constellation,
-                             n_t=cfg.n_t, l_t=cfg.l_t,
+    report = union_bound_ber(spectrum, cfg.bit_interleaver, fit,
+                             cfg.constellation, n_t=cfg.n_t, l_t=cfg.l_t,
                              snr_grid=10.0 ** (grid / 10.0))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_hash={cfg.config_hash}\n")

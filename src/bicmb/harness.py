@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bicm
+from .analysis import estimate_slope
 from .beamforming import (_path_singular_values, predicted_gains,
                           singular_values)
 from .channel import (ArrayGeometry, FadingProfile, draw_channels,
@@ -137,6 +138,11 @@ class SimConfig:
                 raise ConfigurationError(f"{name} must be a positive integer")
         if self.workers > _MAX_WORKERS:
             raise ConfigurationError(f"workers cannot exceed {_MAX_WORKERS}")
+        # the CLI names a config's output file after its label
+        if self.label in (".", "..") or any(c in self.label for c in "/\\\0"):
+            raise ConfigurationError(
+                f"label {self.label!r} cannot be '.' or '..' or contain "
+                f"'/', '\\' or NUL")
         if self.n_s > min(self.m_r * self.n_r, self.m_t * self.n_t):
             raise ConfigurationError(
                 "n_s cannot exceed the composite channel dimensions")
@@ -168,7 +174,7 @@ class SimConfig:
             raise ConfigurationError(
                 f"spacing {self.spacing!r} is too large for the array size: "
                 f"steering phases overflow")
-        self.frame_bytes    # rejects a frame above the sub-batch budget
+        self.sub_frames    # rejects a frame above the sub-batch budget
         lo, hi = self.angle_range_deg
         # a ULA aliases azimuths past +-90 degrees onto the half plane
         if not (-90.0 <= lo <= 90.0 and -90.0 <= hi <= 90.0):
@@ -200,7 +206,7 @@ class SimConfig:
                 f"unknown interleaver {self.interleaver!r}")
         # a period within one frame's code bits keeps the padding under
         # one frame
-        code_bits = self.n_steps * self.code.n_out
+        code_bits = self.code_bits
         period = self.n_s * m * run
         if period > code_bits:
             key = {"structured": "depth",
@@ -229,10 +235,17 @@ class SimConfig:
         return self.frame_bits + self.code.constraint_length - 1
 
     @property
-    def frame_bytes(self) -> int:
-        """Bytes one frame holds in a sub-batch (see ``_frame_bytes``)."""
-        return _frame_bytes(self.n_steps, self.code.constraint_length,
-                            self.m_r, self.n_r, self.m_t, self.n_t, self.l_t)
+    def code_bits(self) -> int:
+        """Code bits of one frame, before the interleaver's padding."""
+        return self.n_steps * self.code.n_out
+
+    @property
+    def sub_frames(self) -> int:
+        """Most frames one sub-batch holds under the current budget (see
+        ``_frame_bytes``)."""
+        return max(1, _SUBBATCH_SURVIVOR_BYTES // _frame_bytes(
+            self.n_steps, self.code.constraint_length,
+            self.m_r, self.n_r, self.m_t, self.n_t, self.l_t))
 
     @property
     def geometry(self) -> tuple:
@@ -452,43 +465,16 @@ def load_config(path) -> SimConfig:
 
 
 # ---------------------------------------------------------------------------
-# per-config runtime objects
+# the sweep
 
 
-@dataclass
-class Runtime:
-    """A config's link objects, reused across frames.
-
-    ``sub_frames`` is the most frames one sub-batch holds.
-    """
-
-    config: SimConfig
-    trellis: object
-    constellation: bicm.Constellation
-    interleaver: bicm.Interleaver
-    n_coded: int
-    sub_frames: int
-
-
-def build_runtime(config: SimConfig) -> Runtime:
-    """The link the config built, and the sub-batch size that the
-    current budget gives its frames.
-
-    Warns when there are more streams than paths.
-    """
+def build_runtime(config: SimConfig) -> None:
+    """Warn when there are more streams than paths: the extra streams
+    ride zero-gain modes.  ``sweep`` and ``analyze`` call it on entry."""
     if config.n_s > config.l_t:
         warnings.warn(
             f"n_s={config.n_s} exceeds the total path count {config.l_t}; "
             f"extra streams ride zero-gain modes", stacklevel=2)
-
-    return Runtime(
-        config=config,
-        trellis=config.trellis,
-        constellation=config.constellation,
-        interleaver=config.bit_interleaver,
-        n_coded=config.n_steps * config.code.n_out,
-        sub_frames=max(1, _SUBBATCH_SURVIVOR_BYTES // config.frame_bytes),
-    )
 
 
 def _frame_seed(config: SimConfig, snr_idx: int, frame_idx: int):
@@ -510,7 +496,7 @@ def _frame_rngs(config: SimConfig, snr_idx: int, frames: range,
         for f in frames]
 
 
-def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
+def _simulate_frames(config: SimConfig, snr_idx: int, frames: range) -> int:
     """Run one sub-batch of frames through the link; return its
     info-bit error count.
 
@@ -521,7 +507,6 @@ def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
     treats frames independently, so results do not depend on how
     frames are grouped.
     """
-    config = rt.config
     rx, tx, angles = config.geometry
     paths = draw_path_sets(config.profile,
                            _frame_rngs(config, snr_idx, frames, 0), angles)
@@ -536,8 +521,8 @@ def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
     # peak holds few sub-batch arrays at a time
     del paths
 
-    itl = rt.interleaver
-    constellation = rt.constellation
+    itl = config.bit_interleaver
+    constellation = config.constellation
     B = len(frames)
     n_sym, n_s = itl.n_symbols, itl.n_substreams
     rngs = _frame_rngs(config, snr_idx, frames, 1)
@@ -547,15 +532,15 @@ def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
 
     # pad bits past the code's output are zeros and get dropped after demap
     coded = np.zeros((B, itl.n_coded), dtype=np.uint8)
-    coded[:, :rt.n_coded] = encode(rt.trellis, messages)
+    coded[:, :config.code_bits] = encode(config.trellis, messages)
     # noise variance n_t / snr keeps the per-antenna transmit power fixed
     noise_var = config.n_t / 10.0 ** (config.snr_grid_db[snr_idx] / 10.0)
     scale = np.sqrt(noise_var / 2.0)
     # Frames run from channel output to decoder costs a block at a time,
-    # so only the (B, n_coded, 2) costs span the whole sub-batch.
+    # so only the (B, code_bits, 2) costs span the whole sub-batch.
     step = max(1, _METRIC_BLOCK_ENTRIES // (n_sym * n_s * constellation.size))
     costs = np.empty((B, config.n_steps, config.code.n_out, 2))
-    coded_costs = costs.reshape(B, rt.n_coded, 2)
+    coded_costs = costs.reshape(B, config.code_bits, 2)
     for lo in range(0, B, step):
         hi = min(B, lo + step)
         re = np.empty((hi - lo, n_sym, n_s))
@@ -575,10 +560,10 @@ def _simulate_frames(rt: Runtime, snr_idx: int, frames: range) -> int:
         metrics = bicm.bit_metrics(y, gains[lo:hi], constellation)
         del y
         coded_costs[lo:hi] = bicm.deinterleave_metrics(metrics, itl,
-                                                       rt.n_coded)
+                                                       config.code_bits)
         del metrics
     del rngs, coded
-    decoded = viterbi_decode(rt.trellis, costs)
+    decoded = viterbi_decode(config.trellis, costs)
     return int((decoded != messages).sum())
 
 
@@ -616,7 +601,6 @@ class BerCurve:
         return self.bit_errors / np.maximum(self.bits, 1)
 
     def diversity_estimate(self, window: int = 4) -> float:
-        from .analysis import estimate_slope
         return estimate_slope(self.snr_db, self.ber, window)
 
     def to_csv(self, path) -> None:
@@ -640,7 +624,7 @@ def sweep(config: SimConfig) -> BerCurve:
     Each batch runs as the list of ``_sub_batches``, mapped in order
     either in this process or on the worker pool.
     """
-    rt = build_runtime(config)
+    build_runtime(config)
     pool = None
     run = map
     if config.workers > 1:
@@ -652,13 +636,13 @@ def sweep(config: SimConfig) -> BerCurve:
         errors = np.zeros(n_pts, dtype=np.int64)
         warn = np.zeros(n_pts, dtype=bool)
         for si in range(n_pts):
+            simulate = functools.partial(_simulate_frames, config, si)
             done = 0
             errs = 0
             while done < config.max_frames and errs < config.min_errors:
                 b = min(config.batch_frames, config.max_frames - done)
-                errs += sum(run(functools.partial(_simulate_frames, rt, si),
-                                _sub_batches(done, done + b, rt.sub_frames,
-                                             config.workers)))
+                errs += sum(run(simulate, _sub_batches(
+                    done, done + b, config.sub_frames, config.workers)))
                 done += b
             frames[si] = done
             errors[si] = errs

@@ -38,7 +38,7 @@ from bicmb.coding import (
     free_distance,
     viterbi_decode,
 )
-from bicmb.harness import build_runtime, parse_config, preset, sweep
+from bicmb.harness import parse_config, preset, sweep
 
 
 def report(n, ok, detail):
@@ -182,12 +182,11 @@ def test_criterion_6_bound_dominates_simulation(preset_curves):
     checked = 0
     for key, cfg in p.variants.items():
         curve = curves["fig5_colocated_vs_distributed"][key]
-        rt = build_runtime(cfg)
-        spectrum = distance_spectrum(rt.trellis,
-                                     free_distance(rt.trellis) + 6)
+        spectrum = distance_spectrum(cfg.trellis,
+                                     free_distance(cfg.trellis) + 6)
         rep = union_bound_ber(
-            spectrum, rt.interleaver, gamma_fit(cfg.profile),
-            rt.constellation, n_t=cfg.n_t, l_t=cfg.l_t,
+            spectrum, cfg.bit_interleaver, gamma_fit(cfg.profile),
+            cfg.constellation, n_t=cfg.n_t, l_t=cfg.l_t,
             snr_grid=10.0 ** (np.asarray(cfg.snr_grid_db) / 10.0))
         solid = curve.bit_errors >= 200
         checked += int(solid.sum())

@@ -338,6 +338,19 @@ class TestArgumentHandling:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["../escaped", "{tmp}/abs"])
+    def test_label_cannot_name_a_file_outside_out(self, tmp_path, capsys,
+                                                  label):
+        p = tmp_path / "escape.cfg"
+        p.write_text(TINY_CFG.replace(
+            "label = tiny", f"label = {label.replace('{tmp}', str(tmp_path))}"))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["simulate", "--config", str(p),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "label" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == [p, out]
+
     def test_spectrum_preset_cannot_simulate(self, tmp_path, capsys):
         assert cli.main(["simulate", "--preset", "fig2_spectrum",
                          "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
@@ -496,6 +509,14 @@ class TestAnalyze:
         snr_db, _, pep_high_snr = row.split(",")[:3]
         assert (snr_db, pep_high_snr) == ("-100", "inf")
 
+    def test_warns_when_streams_outnumber_paths(self, tmp_path):
+        # three streams over the two paths of the 1 x 1 link
+        p = tmp_path / "ns3.cfg"
+        p.write_text(TINY_CFG.replace("n_s = 1", "n_s = 3"))
+        out = tmp_path / "bounds.csv"
+        with pytest.warns(UserWarning, match="zero-gain"):
+            assert cli.main(["analyze", "--config", str(p),
+                             "--out", str(out)]) == cli.EXIT_OK
 
     def test_one_spectrum_per_code_per_call(self, tmp_path, monkeypatch):
         built = []

@@ -1,12 +1,14 @@
-"""Config parsing, hashing, runtime construction, the Monte Carlo sweep
+"""Config parsing, hashing, the link a config builds, the Monte Carlo sweep
 machinery, spectrum statistics, and the experiment presets.
 
 Sweep tests run deliberately tiny configs (small arrays, short frames)
 so the whole file stays fast while still exercising the real chain.
 """
 
+import pickle
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,7 +54,6 @@ master_seed = 7
 
 def tiny_config(**overrides) -> SimConfig:
     cfg = parse_config(BASE_TEXT)
-    from dataclasses import replace
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -65,8 +66,7 @@ def tiny_config(**overrides) -> SimConfig:
 # have a period of 160 code bits, above a 64-bit frame's 140 or 142.
 # m_r, m_t and n_s are drawn to fit the matrices and arrays, so only
 # their invalid tokens are listed.  Each invalid token fails alone in
-# ``BASE_TEXT`` (``adversarial_run`` with the adversarial interleaver); a
-# label has none.
+# ``BASE_TEXT`` (``adversarial_run`` with the adversarial interleaver).
 _BAD_INTS = ("-1", "2.5", "x", "")
 _HUGE_INTS = ("9" * 30, "1" + "0" * 400)
 _INT_TOKENS = (("1", "2", "3", "4", "8", "16"), ("0",) + _BAD_INTS)
@@ -95,7 +95,7 @@ _FUZZ_TOKENS = {
     "snr_db": (("0,4,8", "0:2:6", "0"),
                ("8,4,0", "0:-2:8", "0:1:1e12", "-1e308:1:1e308", "0:1:inf",
                 "nan", "x", "")),
-    "label": (("tiny", "a = b", ""), ()),
+    "label": (("tiny", "a = b", ""), ("..", ".", "a/b", "/abs", "a\\b")),
 }
 
 
@@ -281,6 +281,13 @@ class TestParseConfig:
         ("snr_db = 4000", "snr_db"),
         ("snr_db = -4000", "snr_db"),
         ("generators = 3,5", "catastrophic"),
+        # a label names an output file inside the CLI's --out
+        ("label = ../escaped", "label"),
+        ("label = /abs/path", "label"),
+        ("label = a\\b", "label"),
+        ("label = a\0b", "label"),
+        ("label = .", "label"),
+        ("label = ..", "label"),
         # all 100 draws of this random interleaver fail the criteria
         ("interleaver = random\nmodulation = 16qam\nframe_bits = 8\n"
          "master_seed = 13", "no valid random interleaver"),
@@ -325,7 +332,7 @@ class TestParseConfig:
         cfg = tiny_config(spacing=float(spacing))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            harness._simulate_frames(build_runtime(cfg), 0, range(4))
+            harness._simulate_frames(cfg, 0, range(4))
         with pytest.raises(ConfigurationError, match="too large"):
             tiny_config(spacing=float(spacing) * 2)
 
@@ -334,10 +341,10 @@ class TestParseConfig:
         # ends, and noise of variance 4e-100 never flips a bit
         top = harness._MAX_SNR_DB
         for snr, most in ((-top, 256), (top, 0)):
-            rt = build_runtime(tiny_config(snr_grid_db=(snr,)))
+            cfg = tiny_config(snr_grid_db=(snr,))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert harness._simulate_frames(rt, 0, range(2)) <= most
+                assert harness._simulate_frames(cfg, 0, range(2)) <= most
         with pytest.raises(ConfigurationError, match="snr_db"):
             tiny_config(snr_grid_db=(np.nextafter(top, np.inf),))
 
@@ -372,7 +379,7 @@ class TestParseConfig:
             return parse_config(BASE_TEXT.replace("n_r = 4", f"n_r = {n_r}"))
 
         assert largest == 524284
-        assert build_runtime(with_n_r(largest)).sub_frames == 1
+        assert with_n_r(largest).sub_frames == 1
         with pytest.raises(ConfigurationError, match="too large"):
             with_n_r(largest + 1)
 
@@ -430,26 +437,26 @@ class TestParseConfig:
                 cfg = parse_config(text)
             except ConfigurationError:
                 return
-            rt = build_runtime(cfg)
-            errors = harness._simulate_frames(rt, 0, range(2))
-        assert 0 <= errors <= 2 * rt.config.frame_bits
+            build_runtime(cfg)
+            errors = harness._simulate_frames(cfg, 0, range(2))
+        assert 0 <= errors <= 2 * cfg.frame_bits
         # a frame holds the larger of its survivors, one byte per trellis
         # step and state, and its 16-byte steering factor values
         k = cfg.code.constraint_length
         frame_bytes = max((cfg.frame_bits + k - 1) << (k - 1),
                           16 * (cfg.m_r * cfg.n_r + cfg.m_t * cfg.n_t)
                           * int(cfg.profile.paths.sum()))
-        assert rt.sub_frames == max(
+        assert cfg.sub_frames == max(
             1, harness._SUBBATCH_SURVIVOR_BYTES // frame_bytes)
         # the interleaver period n_s * m * run fits one frame's code bits
         if cfg.interleaver == "structured":
             run = cfg.depth
         elif cfg.interleaver == "adversarial":
-            run = cfg.adversarial_run or free_distance(rt.trellis)
+            run = cfg.adversarial_run or free_distance(cfg.trellis)
         else:
             run = 1
-        m = rt.constellation.bits_per_symbol
-        assert cfg.n_s * m * run <= rt.n_coded
+        m = cfg.constellation.bits_per_symbol
+        assert cfg.n_s * m * run <= cfg.code_bits
 
     def test_missing_required_keys(self):
         with pytest.raises(ConfigurationError, match="missing"):
@@ -537,33 +544,34 @@ class TestConfigEquality:
 
 
 class TestBuildRuntime:
+    """The link a config builds when it is made, and ``build_runtime``'s
+    warning."""
+
     def test_sizes_and_padding(self):
         cfg = tiny_config(n_s=1, depth=8)
-        rt = build_runtime(cfg)
         k = cfg.code.constraint_length
         assert cfg.n_steps == cfg.frame_bits + k - 1
-        assert rt.n_coded == 2 * cfg.n_steps
+        assert cfg.code_bits == 2 * cfg.n_steps
         period = cfg.n_s * 1 * cfg.depth
-        assert rt.interleaver.n_coded % period == 0
-        assert rt.interleaver.n_coded >= rt.n_coded
-        assert rt.interleaver.kind == "structured"
+        assert cfg.bit_interleaver.n_coded % period == 0
+        assert cfg.bit_interleaver.n_coded >= cfg.code_bits
+        assert cfg.bit_interleaver.kind == "structured"
 
     def test_adversarial_run_defaults_to_free_distance(self):
         cfg = tiny_config(interleaver="adversarial")
-        rt = build_runtime(cfg)
-        assert rt.interleaver.kind == "adversarial"
+        assert cfg.bit_interleaver.kind == "adversarial"
         # free distance of the 4-state code is 5: bits 0..4 share stream 0
-        subs = rt.interleaver.subchannels()
+        subs = cfg.bit_interleaver.subchannels()
         assert cfg.n_s == 1 or np.all(subs[:5] == subs[0])
 
     def test_random_interleaver_is_seed_deterministic(self):
-        a = build_runtime(tiny_config(interleaver="random"))
-        b = build_runtime(tiny_config(interleaver="random"))
-        c = build_runtime(tiny_config(interleaver="random", master_seed=8))
-        np.testing.assert_array_equal(a.interleaver.positions,
-                                      b.interleaver.positions)
-        assert not np.array_equal(a.interleaver.positions,
-                                  c.interleaver.positions)
+        a = tiny_config(interleaver="random")
+        b = tiny_config(interleaver="random")
+        c = tiny_config(interleaver="random", master_seed=8)
+        np.testing.assert_array_equal(a.bit_interleaver.positions,
+                                      b.bit_interleaver.positions)
+        assert not np.array_equal(a.bit_interleaver.positions,
+                                  c.bit_interleaver.positions)
 
     def test_a_config_builds_its_link_once(self, monkeypatch):
         calls = []
@@ -591,15 +599,19 @@ class TestBuildRuntime:
         with pytest.warns(UserWarning, match="zero-gain"):
             build_runtime(cfg)
 
+    def test_sweep_warns_when_streams_outnumber_paths(self):
+        cfg = tiny_config(m_t=1, n_s=3,
+                          profile=FadingProfile.homogeneous(1, 1, -20.0, 2),
+                          snr_grid_db=(8.0,), max_frames=8)
+        with pytest.warns(UserWarning, match="zero-gain"):
+            sweep(cfg)
 
-def split_runtime(monkeypatch, cfg: SimConfig, frames: int):
+
+def set_sub_frames(monkeypatch, cfg: SimConfig, frames: int):
     """Set the survivor budget to ``frames`` frames of ``cfg``."""
-    rt = build_runtime(cfg)
     monkeypatch.setattr(harness, "_SUBBATCH_SURVIVOR_BYTES",
-                        frames * cfg.n_steps * rt.trellis.n_states)
-    rt = build_runtime(cfg)
-    assert rt.sub_frames == frames
-    return rt
+                        frames * cfg.n_steps * cfg.trellis.n_states)
+    assert cfg.sub_frames == frames
 
 
 def record_decoder_rows(monkeypatch) -> list:
@@ -618,15 +630,15 @@ def record_decoder_rows(monkeypatch) -> list:
 class TestSubBatches:
     def test_budget_sets_the_sub_batch_frames(self):
         # 16 MiB of survivors hold 254 frames of 1030 steps on 64 states
-        desk = build_runtime(preset("fig3_interleaver").variants["structured"])
+        desk = preset("fig3_interleaver").variants["structured"]
         assert desk.sub_frames == 254
-        assert build_runtime(tiny_config()).sub_frames >= 64
+        assert tiny_config().sub_frames >= 64
         # 2 MiB of steering factors per frame outweigh its survivors
         wide = parse_config(BASE_TEXT.replace("m_r = 1", "m_r = 2")
                             .replace("m_t = 1", "m_t = 2")
                             .replace("n_r = 4", "n_r = 4096")
                             .replace("n_t = 4", "n_t = 4096"))
-        assert build_runtime(wide).sub_frames == 8
+        assert wide.sub_frames == 8
 
     @settings(max_examples=300, deadline=None)
     @given(lo=st.integers(0, 10 ** 6), n=st.integers(1, 5000),
@@ -655,11 +667,11 @@ class TestSubBatches:
     @pytest.mark.parametrize("frames", [1, 5, 7])
     def test_sub_batches_do_not_change_errors(self, monkeypatch, frames):
         cfg = tiny_config()
-        whole = harness._simulate_frames(build_runtime(cfg), 1, range(12))
+        whole = harness._simulate_frames(cfg, 1, range(12))
         assert whole > 0
-        rt = split_runtime(monkeypatch, cfg, frames)
+        set_sub_frames(monkeypatch, cfg, frames)
         rows = record_decoder_rows(monkeypatch)
-        assert sum(harness._simulate_frames(rt, 1, part)
+        assert sum(harness._simulate_frames(cfg, 1, part)
                    for part in harness._sub_batches(0, 12, frames, 1)) \
             == whole
         assert sum(rows) == 12
@@ -672,7 +684,7 @@ class TestSubBatches:
                                                (5, [5, 5, 2])])
     def test_demap_blocks_do_not_change_decoder_costs(
             self, monkeypatch, modulation, frames, blocks):
-        rt = build_runtime(tiny_config(modulation=modulation))
+        cfg = tiny_config(modulation=modulation)
         real_decode = harness.viterbi_decode
         seen = []
 
@@ -681,10 +693,10 @@ class TestSubBatches:
             return real_decode(trellis, costs)
 
         monkeypatch.setattr(harness, "viterbi_decode", recording_decode)
-        whole = harness._simulate_frames(rt, 1, range(12))
-        itl = rt.interleaver
+        whole = harness._simulate_frames(cfg, 1, range(12))
+        itl = cfg.bit_interleaver
         frame_entries = (itl.n_symbols * itl.n_substreams
-                         * rt.constellation.size)
+                         * cfg.constellation.size)
         assert harness._METRIC_BLOCK_ENTRIES >= 12 * frame_entries
         monkeypatch.setattr(harness, "_METRIC_BLOCK_ENTRIES",
                             frames * frame_entries)
@@ -696,32 +708,32 @@ class TestSubBatches:
             return real_metrics(y, gains, constellation)
 
         monkeypatch.setattr(bicm, "bit_metrics", recording_metrics)
-        assert harness._simulate_frames(rt, 1, range(12)) == whole
+        assert harness._simulate_frames(cfg, 1, range(12)) == whole
         assert rows == blocks
         assert seen[1].tobytes() == seen[0].tobytes()
 
     def test_sub_batch_and_decoder_peak_memory(self):
         # 28.0 MiB when the decoder kept one bool per survivor decision
         # and every demap stage spanned the whole sub-batch
-        rt = build_runtime(preset("fig3_interleaver").variants["structured"])
-        frames, steps = 205, rt.config.n_steps
+        cfg = preset("fig3_interleaver").variants["structured"]
+        frames, steps = 205, cfg.n_steps
         costs = np.random.default_rng(3).standard_normal((frames, steps, 2, 2))
         tracemalloc.start()
         try:
-            harness._simulate_frames(rt, 0, range(frames))
+            harness._simulate_frames(cfg, 0, range(frames))
             _, sub_batch_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            viterbi_decode(rt.trellis, costs)
+            viterbi_decode(cfg.trellis, costs)
             _, decoder_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert sub_batch_peak < 20 << 20
-        assert decoder_peak < steps * rt.trellis.n_states * frames
+        assert decoder_peak < steps * cfg.trellis.n_states * frames
 
     def test_decoder_never_sees_more_than_one_sub_batch(self, monkeypatch):
         cfg = tiny_config(batch_frames=12, max_frames=24, min_errors=10 ** 6)
         whole = sweep(cfg)
-        split_runtime(monkeypatch, cfg, 5)
+        set_sub_frames(monkeypatch, cfg, 5)
         rows = record_decoder_rows(monkeypatch)
         split = sweep(cfg)
         # 3 points of 2 batches of 12 frames, each batch 4 + 4 + 4
@@ -732,7 +744,7 @@ class TestSubBatches:
     def test_svd_failure_in_a_later_sub_batch_reports_its_frame(
             self, monkeypatch):
         cfg = tiny_config()
-        rt = split_runtime(monkeypatch, cfg, 5)
+        set_sub_frames(monkeypatch, cfg, 5)
         real_svd = np.linalg.svd
         stacks = []
         single_calls = []
@@ -752,8 +764,8 @@ class TestSubBatches:
 
         monkeypatch.setattr(np.linalg, "svd", flaky_svd)
         with pytest.raises(NumericalError, match="during sweep") as info:
-            for part in harness._sub_batches(10, 22, rt.sub_frames, 1):
-                harness._simulate_frames(rt, 2, part)
+            for part in harness._sub_batches(10, 22, cfg.sub_frames, 1):
+                harness._simulate_frames(cfg, 2, part)
         # frames 10-13, 14-17, 18-21: the failing frame is 14 + 2
         assert stacks == [4, 4]
         assert info.value.seed.entropy == cfg.master_seed
@@ -763,15 +775,13 @@ class TestSubBatches:
 class TestSpanDecomposition:
     def test_batches_do_not_change_per_frame_results(self):
         cfg = tiny_config()
-        rt = build_runtime(cfg)
-        whole = harness._simulate_frames(rt, 1, range(12))
-        parts = sum(harness._simulate_frames(rt, 1, range(lo, hi))
+        whole = harness._simulate_frames(cfg, 1, range(12))
+        parts = sum(harness._simulate_frames(cfg, 1, range(lo, hi))
                     for lo, hi in [(0, 5), (5, 6), (6, 12)])
         assert whole == parts
 
     def test_svd_failure_reports_the_failing_frame_seed(self, monkeypatch):
         cfg = tiny_config()
-        rt = build_runtime(cfg)
         real_svd = np.linalg.svd
         single_calls = []
 
@@ -785,7 +795,7 @@ class TestSpanDecomposition:
 
         monkeypatch.setattr(np.linalg, "svd", flaky_svd)
         with pytest.raises(NumericalError, match="during sweep") as info:
-            harness._simulate_frames(rt, 2, range(10, 18))
+            harness._simulate_frames(cfg, 2, range(10, 18))
         seed = info.value.seed
         assert seed.entropy == cfg.master_seed
         assert seed.spawn_key == (0, 2, 13)
@@ -793,18 +803,16 @@ class TestSpanDecomposition:
 
     def test_error_free_at_extreme_snr_and_reproducible(self):
         cfg = tiny_config(snr_grid_db=(0.0, 90.0))
-        rt = build_runtime(cfg)
-        assert harness._simulate_frames(rt, 1, range(8)) == 0
-        errs = harness._simulate_frames(rt, 0, range(8))
+        assert harness._simulate_frames(cfg, 1, range(8)) == 0
+        errs = harness._simulate_frames(cfg, 0, range(8))
         assert errs > 0
-        assert harness._simulate_frames(rt, 0, range(8)) == errs
+        assert harness._simulate_frames(cfg, 0, range(8)) == errs
 
     def test_never_forms_a_channel_matrix(self, monkeypatch):
         cfg = tiny_config(m_t=2, n_s=2,
                           profile=FadingProfile.from_db([[-20.0, -30.0]],
                                                         [[2, 3]]))
-        rt = build_runtime(cfg)
-        want = harness._simulate_frames(rt, 1, range(8))
+        want = harness._simulate_frames(cfg, 1, range(8))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the sweep assembled a channel matrix")
@@ -819,7 +827,7 @@ class TestSpanDecomposition:
         monkeypatch.setattr(harness, "draw_channels", forbidden)
         monkeypatch.setattr(channel, "draw_channels", forbidden)
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        assert harness._simulate_frames(rt, 1, range(8)) == want
+        assert harness._simulate_frames(cfg, 1, range(8)) == want
         # one stack of 4 x 5 cores: 4 receive elements, 5 paths
         assert shapes == [(8, 4, 5)]
 
@@ -850,6 +858,19 @@ class TestSweep:
         np.testing.assert_array_equal(a.bit_errors, b.bit_errors)
         np.testing.assert_array_equal(a.frames, b.frames)
         assert not np.array_equal(a.bit_errors, c.bit_errors)
+
+    def test_random_interleaver_reaches_workers_unchanged(self, tmp_path):
+        # each pool task pickles the config with the interleaver it drew
+        cfg = tiny_config(interleaver="random", n_s=2)
+        again = pickle.loads(pickle.dumps(cfg))
+        assert (again.bit_interleaver.positions.tobytes()
+                == cfg.bit_interleaver.positions.tobytes())
+        blobs = []
+        for workers in (1, 2):
+            path = tmp_path / f"workers{workers}.csv"
+            sweep(replace(cfg, workers=workers)).to_csv(path)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_warning_flag_at_unreachable_stop_rule(self):
         cfg = tiny_config(snr_grid_db=(30.0,), min_errors=10_000,
