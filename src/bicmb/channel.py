@@ -204,18 +204,29 @@ def ula_response(phi, geometry: ArrayGeometry) -> np.ndarray:
     return a / np.sqrt(geometry.n_elements)
 
 
-def _draw_block(l: int, rng: np.random.Generator, lo: float, hi: float):
-    """Real and imaginary gain parts, then arrival and departure
-    azimuths, of one path set; this draw order is part of the
-    reproducibility contract."""
+def _check_angle_range(angle_range) -> None:
+    lo, hi = angle_range
     if not lo < hi:
         raise ValueError("empty azimuth interval")
-    return (rng.standard_normal(l), rng.standard_normal(l),
-            rng.uniform(lo, hi, l), rng.uniform(lo, hi, l))
 
 
-def _path_set(re, im, aoa, aod) -> PathSet:
-    return PathSet((re + 1j * im) / np.sqrt(2.0), aoa, aod)
+def _draw_block(rng: np.random.Generator, lo: float, hi: float,
+                normal: np.ndarray, angle: np.ndarray) -> None:
+    """Draw one path set of l paths: its real then imaginary gain parts
+    into ``normal`` and its arrival then departure azimuths into
+    ``angle``, 2l entries each.  This draw order is part of the
+    reproducibility contract; a generator fills one call of 2l values
+    as it would two calls of l."""
+    rng.standard_normal(out=normal)
+    angle[:] = rng.uniform(lo, hi, angle.size)
+
+
+def _path_set(normal, angle, first, second) -> PathSet:
+    """The paths of draw buffers whose columns ``first`` hold the real
+    gain parts and arrival azimuths, and ``second`` the imaginary parts
+    and departure azimuths."""
+    return PathSet((normal[..., first] + 1j * normal[..., second])
+                   / np.sqrt(2.0), angle[..., first], angle[..., second])
 
 
 def draw_paths(l: int, rng: np.random.Generator,
@@ -223,7 +234,10 @@ def draw_paths(l: int, rng: np.random.Generator,
     """Draw one path set: CN(0,1) gains and uniform azimuths."""
     if l < 1:
         raise ValueError("path count must be at least 1")
-    return _path_set(*_draw_block(l, rng, *angle_range))
+    _check_angle_range(angle_range)
+    normal, angle = np.empty((2, 2 * l))
+    _draw_block(rng, *angle_range, normal, angle)
+    return _path_set(normal, angle, slice(0, l), slice(l, 2 * l))
 
 
 def subchannel_matrix(paths: PathSet, rx: ArrayGeometry, tx: ArrayGeometry,
@@ -259,15 +273,23 @@ def draw_path_sets(profile: FadingProfile, rngs,
     in the column order of ``profile.path_pairs``.
 
     Draw b takes its paths from ``rngs[b]``, pair by pair in that order,
-    with the draws of :func:`draw_paths`.
+    with the draws of :func:`draw_paths`.  Pair k's block of l paths
+    starting at column s fills columns [2s, 2s + 2l) of draw b's buffer
+    rows, and one gather after the loop puts its paths in columns
+    [s, s + l).
     """
-    parts = np.empty((4, len(rngs), profile.total_paths))
-    counts = profile.paths.ravel().tolist()
-    starts = np.cumsum([0] + counts).tolist()
+    _check_angle_range(angle_range)
+    counts = profile.paths.ravel()
+    starts = np.cumsum(counts) - counts
+    normal = np.empty((len(rngs), 2 * profile.total_paths))
+    angle = np.empty_like(normal)
+    blocks = [slice(2 * s, 2 * (s + l))
+              for s, l in zip(starts.tolist(), counts.tolist())]
     for b, rng in enumerate(rngs):
-        for start, l in zip(starts, counts):
-            parts[:, b, start:start + l] = _draw_block(l, rng, *angle_range)
-    return _path_set(*parts)
+        for block in blocks:
+            _draw_block(rng, *angle_range, normal[b, block], angle[b, block])
+    first = np.arange(profile.total_paths) + np.repeat(starts, counts)
+    return _path_set(normal, angle, first, first + np.repeat(counts, counts))
 
 
 def draw_channels(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,

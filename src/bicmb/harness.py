@@ -16,10 +16,10 @@ import functools
 import hashlib
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import bicm
 from .analysis import estimate_slope
@@ -138,11 +138,13 @@ class SimConfig:
                 raise ConfigurationError(f"{name} must be a positive integer")
         if self.workers > _MAX_WORKERS:
             raise ConfigurationError(f"workers cannot exceed {_MAX_WORKERS}")
-        # the CLI names a config's output file after its label
-        if self.label in (".", "..") or any(c in self.label for c in "/\\\0"):
+        # the CLI names a config's output file after its label, and the
+        # CSV writes it on one comment line
+        if (self.label in (".", "..") or any(c in self.label for c in "/\\")
+                or not self.label.isprintable()):
             raise ConfigurationError(
                 f"label {self.label!r} cannot be '.' or '..' or contain "
-                f"'/', '\\' or NUL")
+                f"'/', '\\' or a control character")
         if self.n_s > min(self.m_r * self.n_r, self.m_t * self.n_t):
             raise ConfigurationError(
                 "n_s cannot exceed the composite channel dimensions")
@@ -484,28 +486,129 @@ def _frame_seed(config: SimConfig, snr_idx: int, frame_idx: int):
                                   spawn_key=(_NS_FRAME, snr_idx, frame_idx))
 
 
+# SeedSequence's hash constants (numpy.random.SeedSequence, pool of 4
+# words): entropy words are hashed with the A pair, output words with B.
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value: int) -> list:
+    """Little-endian 32-bit words of a nonnegative int; 0 is one word."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int):
+    """The (xor, multiplier) pair of each successive hash step."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield init, nxt
+        init = nxt
+
+
+# The steps below take a Python int or a uint32 array alike: every
+# product is reduced mod 2**32 before it meets an array.
+def _hashmix(value, consts):
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)
+             & _MASK32)
+    return value ^ value >> 16
+
+
+def _spawn_seed_words(seed: int, prefix: tuple, frames: range,
+                      child: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(*prefix, f, child))
+    .generate_state(4, np.uint64)`` for every f of the consecutive
+    ``frames``, as one (len(frames), 4) uint64 array.
+
+    This is SeedSequence's algorithm over all frames at once: the seed's
+    words, zero-padded to the pool, then the spawn key's are hashed into
+    the pool, which gives 8 output words.  Words before the frame index
+    are the same for every frame and stay Python ints.  A frame index
+    of 2**32 or more has more words, so frames are hashed in groups of
+    one word count.
+    """
+    entropy = _uint32_words(seed)
+    entropy += [0] * (_POOL_WORDS - len(entropy))
+    for key in prefix:
+        entropy += _uint32_words(key)
+    out = np.empty((len(frames), 2 * _POOL_WORDS), dtype=np.uint32)
+    lo = frames.start
+    while lo < frames.stop:
+        n_words = len(_uint32_words(lo))
+        hi = min(frames.stop, 1 << 32 * n_words)
+        # the words of lo + k, carried in uint64 (a sub-batch has far
+        # fewer than 2**32 frames)
+        index = np.arange(hi - lo, dtype=np.uint64)
+        frame_words = []
+        for i in range(n_words):
+            index += lo >> 32 * i & _MASK32
+            frame_words.append((index & _MASK32).astype(np.uint32))
+            index >>= 32
+        words = entropy + frame_words + _uint32_words(child)
+        consts = _hash_constants(_INIT_A, _MULT_A)
+        pool = [_hashmix(w, consts) for w in words[:_POOL_WORDS]]
+        for src in range(_POOL_WORDS):
+            for dst in range(_POOL_WORDS):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+        for w in words[_POOL_WORDS:]:
+            for dst in range(_POOL_WORDS):
+                pool[dst] = _mix(pool[dst], _hashmix(w, consts))
+        consts = _hash_constants(_INIT_B, _MULT_B)
+        for i in range(2 * _POOL_WORDS):
+            out[lo - frames.start:hi - frames.start, i] = _hashmix(
+                pool[i % _POOL_WORDS], consts)
+        lo = hi
+    # word pairs (low, high) make each uint64, whatever the byte order
+    return out[:, 0::2].astype(np.uint64) | out[:, 1::2].astype(np.uint64) << 32
+
+
+class _SeedWords(ISeedSequence):
+    """Precomputed PCG64 seed words: a ``PCG64`` built on them has the
+    state that the SeedSequence they came from would give it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only a PCG64 seed, 4 uint64 words, is stored")
+        return self.words
+
+
 def _frame_rngs(config: SimConfig, snr_idx: int, frames: range,
                 child: int) -> list:
-    """One generator per frame from child ``child`` of the frame's root.
-
-    Building the child seed directly is state-identical to
-    ``_frame_seed(...).spawn(2)[child]`` and skips the root.
-    """
-    return [np.random.default_rng(np.random.SeedSequence(
-        config.master_seed, spawn_key=(_NS_FRAME, snr_idx, f, child)))
-        for f in frames]
+    """One generator per frame of the consecutive ``frames`` from child
+    ``child`` of the frame's root, state-identical to
+    ``default_rng(_frame_seed(...).spawn(2)[child])``."""
+    words = _spawn_seed_words(config.master_seed, (_NS_FRAME, snr_idx),
+                              frames, child)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w)))
+            for w in words]
 
 
 def _simulate_frames(config: SimConfig, snr_idx: int, frames: range) -> int:
     """Run one sub-batch of frames through the link; return its
     info-bit error count.
 
-    Each frame's channel generator draws its paths, and its frame
-    generator the message, then the real and the imaginary noise parts.
-    The gain stage, the encoder and the decoder run once on the whole
-    sub-batch, the demap stage once per block of frames.  Every stage
-    treats frames independently, so results do not depend on how
-    frames are grouped.
+    The seed words of every frame's two generators are hashed in one
+    pass.  Each frame's channel generator draws its paths, and its frame
+    generator the message, then the real and the imaginary noise parts
+    in one call.  The gain stage, the encoder and the decoder run once
+    on the whole sub-batch, the demap stage once per block of frames.
+    Every stage treats frames independently, so results do not depend
+    on how frames are grouped.
     """
     rx, tx, angles = config.geometry
     paths = draw_path_sets(config.profile,
@@ -543,18 +646,17 @@ def _simulate_frames(config: SimConfig, snr_idx: int, frames: range) -> int:
     coded_costs = costs.reshape(B, config.code_bits, 2)
     for lo in range(0, B, step):
         hi = min(B, lo + step)
-        re = np.empty((hi - lo, n_sym, n_s))
-        im = np.empty_like(re)
+        # one call per frame draws the real, then the imaginary parts
+        noise = np.empty((hi - lo, 2, n_sym, n_s))
         for b in range(lo, hi):
-            rngs[b].standard_normal(out=re[b - lo])
-            rngs[b].standard_normal(out=im[b - lo])
+            rngs[b].standard_normal(out=noise[b - lo])
         x = bicm.map_frame(coded[lo:hi], itl, constellation)
         # y = gains * x + sqrt(noise_var / 2) * (re + 1j im), built in
         # place: the parts add in either order to the same bits
         y = np.empty(x.shape, dtype=complex)
-        np.multiply(re, scale, out=y.real)
-        np.multiply(im, scale, out=y.imag)
-        del re, im
+        np.multiply(noise[:, 0], scale, out=y.real)
+        np.multiply(noise[:, 1], scale, out=y.imag)
+        del noise
         y += gains[lo:hi, None, :] * x
         del x
         metrics = bicm.bit_metrics(y, gains[lo:hi], constellation)
@@ -628,6 +730,10 @@ def sweep(config: SimConfig) -> BerCurve:
     pool = None
     run = map
     if config.workers > 1:
+        # imported here: the pool's modules (multiprocessing, sockets)
+        # would otherwise load, and take memory, in every single-worker
+        # process and CLI call
+        from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=config.workers)
         run = pool.map
     try:

@@ -106,9 +106,9 @@ class TestPathSets:
         g = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2.0)
         aoa = rng.uniform(-np.pi / 2, np.pi / 2, 3)
         aod = rng.uniform(-np.pi / 2, np.pi / 2, 3)
-        np.testing.assert_allclose(ps.gains, g)
-        np.testing.assert_allclose(ps.aoa, aoa)
-        np.testing.assert_allclose(ps.aod, aod)
+        np.testing.assert_array_equal(ps.gains, g)
+        np.testing.assert_array_equal(ps.aoa, aoa)
+        np.testing.assert_array_equal(ps.aod, aod)
 
 
 class TestSubchannelMatrix:

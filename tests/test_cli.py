@@ -4,7 +4,11 @@ exercised through a stubbed sweep; everything else runs the real chain
 on tiny configs.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +63,19 @@ def fake_curve(cfg):
         warning_flags=np.zeros(n, dtype=bool),
         provenance={"config_hash": cfg.config_hash},
     )
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only a multi-worker sweep uses the pool, so a fresh process that
+    # imports the CLI does not load its modules
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, bicmb.cli; print(sorted(m for m in sys.modules if "
+            "m in ('concurrent.futures', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestCodeInfo:

@@ -95,7 +95,8 @@ _FUZZ_TOKENS = {
     "snr_db": (("0,4,8", "0:2:6", "0"),
                ("8,4,0", "0:-2:8", "0:1:1e12", "-1e308:1:1e308", "0:1:inf",
                 "nan", "x", "")),
-    "label": (("tiny", "a = b", ""), ("..", ".", "a/b", "/abs", "a\\b")),
+    "label": (("tiny", "a = b", ""), ("..", ".", "a/b", "/abs", "a\\b",
+                                      "a\nb", "a\tb", "\x7f")),
 }
 
 
@@ -299,6 +300,13 @@ class TestParseConfig:
         text = "\n".join(lines) + "\n" + mutation + "\n"
         with pytest.raises(ConfigurationError, match=needle):
             parse_config(text)
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\tb", "\x7f",
+                                       "a\x00b", "\u2028"])
+    def test_label_with_a_control_character_is_rejected(self, label):
+        # the CSV writes the label on one comment line above its header
+        with pytest.raises(ConfigurationError, match="label"):
+            tiny_config(label=label)
 
     @pytest.mark.parametrize("key,token", [
         (key, token) for key in harness._KEYS for token in _invalid_tokens(key)
@@ -830,6 +838,52 @@ class TestSpanDecomposition:
         assert harness._simulate_frames(cfg, 1, range(8)) == want
         # one stack of 4 x 5 cores: 4 receive elements, 5 paths
         assert shapes == [(8, 4, 5)]
+
+
+_FRAME_BASES = (0, 2**32, 2**64)
+
+
+class TestFrameStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**200), snr_idx=st.integers(0, 2**40),
+           child=st.sampled_from((0, 1)), base=st.sampled_from(_FRAME_BASES),
+           offset=st.integers(-4, 3), count=st.integers(0, 6))
+    def test_seed_words_are_those_of_seed_sequence(self, seed, snr_idx,
+                                                   child, base, offset,
+                                                   count):
+        # ranges near 2**32 and 2**64 straddle a change of word count
+        lo = max(0, base + offset)
+        frames = range(lo, lo + count)
+        got = harness._spawn_seed_words(seed, (harness._NS_FRAME, snr_idx),
+                                        frames, child)
+        assert got.shape == (count, 4) and got.dtype == np.uint64
+        for row, f in zip(got, frames):
+            want = np.random.SeedSequence(
+                seed, spawn_key=(harness._NS_FRAME, snr_idx, f, child))
+            np.testing.assert_array_equal(row,
+                                          want.generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("seed,frames", [
+        (7, range(0, 5)), (2**100 + 3, range(2**32 - 2, 2**32 + 2))])
+    def test_generators_equal_default_rng_of_the_frame_child(self, seed,
+                                                             frames):
+        cfg = tiny_config(master_seed=seed)
+        for child in (0, 1):
+            rngs = harness._frame_rngs(cfg, 2, frames, child)
+            for rng, f in zip(rngs, frames, strict=True):
+                want = np.random.default_rng(harness._frame_seed(
+                    cfg, 2, f).spawn(2)[child])
+                assert rng.bit_generator.state == want.bit_generator.state
+                assert rng.random() == want.random()
+
+    def test_seed_words_serve_only_a_pcg64_seed(self):
+        words = harness._spawn_seed_words(1, (0, 0), range(1), 0)[0]
+        seed = harness._SeedWords(words)
+        assert seed.generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError):
+            seed.generate_state(8, np.uint64)
+        with pytest.raises(ValueError):
+            seed.generate_state(4, np.uint32)
 
 
 class TestSweep:
