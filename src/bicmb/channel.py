@@ -208,23 +208,31 @@ def _check_angle_range(angle_range) -> None:
     lo, hi = angle_range
     if not lo < hi:
         raise ValueError("empty azimuth interval")
+    # Generator.uniform refused such a span; lo + (hi - lo) * u would
+    # give inf and nan azimuths
+    if not np.isfinite(hi - lo):
+        raise ValueError("azimuth interval must be finite")
 
 
-def _draw_block(rng: np.random.Generator, lo: float, hi: float,
-                normal: np.ndarray, angle: np.ndarray) -> None:
+def _draw_block(rng: np.random.Generator, normal: np.ndarray,
+                angle: np.ndarray) -> None:
     """Draw one path set of l paths: its real then imaginary gain parts
-    into ``normal`` and its arrival then departure azimuths into
-    ``angle``, 2l entries each.  This draw order is part of the
-    reproducibility contract; a generator fills one call of 2l values
-    as it would two calls of l."""
+    into ``normal`` and the unit uniforms of its arrival then departure
+    azimuths into ``angle``, 2l entries each.  This draw order is part
+    of the reproducibility contract; a generator fills one call of 2l
+    values as it would two calls of l."""
     rng.standard_normal(out=normal)
-    angle[:] = rng.uniform(lo, hi, angle.size)
+    rng.random(out=angle)
 
 
-def _path_set(normal, angle, first, second) -> PathSet:
+def _path_set(normal, angle, first, second, angle_range) -> PathSet:
     """The paths of draw buffers whose columns ``first`` hold the real
-    gain parts and arrival azimuths, and ``second`` the imaginary parts
-    and departure azimuths."""
+    gain parts and arrival azimuth uniforms, and ``second`` the
+    imaginary parts and departure azimuth uniforms.  A uniform u maps to
+    ``lo + (hi - lo) * u``, the formula of ``Generator.uniform``, so the
+    azimuths are those that ``uniform(lo, hi)`` would draw."""
+    lo, hi = angle_range
+    angle = lo + (hi - lo) * angle
     return PathSet((normal[..., first] + 1j * normal[..., second])
                    / np.sqrt(2.0), angle[..., first], angle[..., second])
 
@@ -236,8 +244,9 @@ def draw_paths(l: int, rng: np.random.Generator,
         raise ValueError("path count must be at least 1")
     _check_angle_range(angle_range)
     normal, angle = np.empty((2, 2 * l))
-    _draw_block(rng, *angle_range, normal, angle)
-    return _path_set(normal, angle, slice(0, l), slice(l, 2 * l))
+    _draw_block(rng, normal, angle)
+    return _path_set(normal, angle, slice(0, l), slice(l, 2 * l),
+                     angle_range)
 
 
 def subchannel_matrix(paths: PathSet, rx: ArrayGeometry, tx: ArrayGeometry,
@@ -287,9 +296,10 @@ def draw_path_sets(profile: FadingProfile, rngs,
               for s, l in zip(starts.tolist(), counts.tolist())]
     for b, rng in enumerate(rngs):
         for block in blocks:
-            _draw_block(rng, *angle_range, normal[b, block], angle[b, block])
+            _draw_block(rng, normal[b, block], angle[b, block])
     first = np.arange(profile.total_paths) + np.repeat(starts, counts)
-    return _path_set(normal, angle, first, first + np.repeat(counts, counts))
+    return _path_set(normal, angle, first, first + np.repeat(counts, counts),
+                     angle_range)
 
 
 def draw_channels(profile: FadingProfile, rx: ArrayGeometry, tx: ArrayGeometry,

@@ -117,9 +117,11 @@ class Trellis:
     next_state, out_pattern : (S, 2) int arrays
         Successor state and emitted bit pattern for (state, input).  The
         pattern packs the n output bits with generator 0 in the MSB.
-    pred_state, pred_input, pred_pattern : (S, 2) int arrays
+    pred_state, pred_pattern : (S, 2) int arrays
         The two incoming transitions of each state, sorted by ascending
-        predecessor state (decoder ties break toward index 0).
+        predecessor state (decoder ties break toward index 0).  Both
+        enter state s on input ``s >> (K - 2)``, its most significant
+        bit.
     taps : (n, K) uint8 array
         taps[j, i] multiplies input u[t - i] in generator j, so row j is
         the bit expansion of generators[j], MSB first.
@@ -134,7 +136,6 @@ class Trellis:
     next_state: np.ndarray
     out_pattern: np.ndarray
     pred_state: np.ndarray
-    pred_input: np.ndarray
     pred_pattern: np.ndarray
     taps: np.ndarray
     weight: np.ndarray
@@ -172,11 +173,9 @@ def build_trellis(spec: CodeSpec) -> Trellis:
     weight = out_bits.sum(axis=2)
 
     pred_state = ((2 * states) % n_states)[:, None] + inputs
-    pred_input = np.repeat((states >> (K - 2))[:, None], 2, axis=1)
-    pred_pattern = out_pattern[pred_state, pred_input]
+    pred_pattern = out_pattern[pred_state, (states >> (K - 2))[:, None]]
 
-    return Trellis(spec, next_state, out_pattern,
-                   pred_state, pred_input, pred_pattern,
+    return Trellis(spec, next_state, out_pattern, pred_state, pred_pattern,
                    taps.astype(np.uint8), weight,
                    _has_zero_weight_loop(weight, next_state))
 
@@ -254,7 +253,10 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
     The forward pass runs ``_DECODE_CHUNK_STEPS`` steps at a time and
     stores each survivor decision as one bit, packed along the frame
     axis, so besides ``branch_costs`` the decoder holds a (T, S, B / 8)
-    byte table and one chunk's pattern costs and decisions.
+    byte table and one chunk's pattern costs and decisions.  A step
+    gathers both predecessor slots of every state in one ``take`` and
+    their branch costs in another; the traceback reads each decoded bit
+    off the state it enters.
     """
     costs = np.asarray(branch_costs, dtype=np.float64)
     single = costs.ndim == 3
@@ -266,56 +268,50 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
     B, T = costs.shape[:2]
     if T < K:
         raise ValueError("terminated decoding needs at least K steps")
-    n_states = trellis.n_states
+    S = trellis.n_states
+    # Row s of the flat tables is slot 0 of state s, row S + s its slot 1.
+    pred_state = trellis.pred_state.T.ravel()
+    pred_pattern = trellis.pred_pattern.T.ravel()
 
-    pred_state = trellis.pred_state
-    ps0, ps1 = pred_state[:, 0], pred_state[:, 1]
-    pp0, pp1 = trellis.pred_pattern[:, 0], trellis.pred_pattern[:, 1]
-
-    metric = np.full((n_states, B), np.inf)
+    metric = np.full((S, B), np.inf)
     metric[0] = 0.0  # encoder always starts in state 0
-    cand0 = np.empty_like(metric)
-    cand1 = np.empty_like(metric)
-    branch = np.empty_like(metric)
-    decisions = np.empty((min(T, _DECODE_CHUNK_STEPS), n_states, B),
+    cand = np.empty((2 * S, B))
+    branch = np.empty_like(cand)
+    # The frame axis is padded to whole bytes, its pad columns zeroed
+    # once, so a chunk packs in one flat call.  Bit 7 - b % 8 of
+    # survivor[t, s, b // 8] is set when s's slot 1 survived in frame b.
+    n_bytes = -(-B // 8)
+    decisions = np.zeros((min(T, _DECODE_CHUNK_STEPS), S, 8 * n_bytes),
                          dtype=bool)
-    # Bit 7 - b % 8 of survivor[t, s, b // 8] is set when s's
-    # predecessor slot 1 survived in frame b.
-    survivor = np.empty((T, n_states, -(-B // 8)), dtype=np.uint8)
+    survivor = np.empty((T, S, n_bytes), dtype=np.uint8)
     for t0 in range(0, T, _DECODE_CHUNK_STEPS):
         pattern_costs = _pattern_costs(costs[:, t0:t0 + _DECODE_CHUNK_STEPS])
         steps = pattern_costs.shape[0]
         # The trellis tables index in range, so mode="clip" never clips;
-        # it lets np.take write straight into ``out`` instead of buffering.
+        # it lets take write straight into ``out`` instead of buffering.
         for t in range(steps):
-            pc = pattern_costs[t]
-            np.take(metric, ps0, axis=0, out=cand0, mode="clip")
-            cand0 += np.take(pc, pp0, axis=0, out=branch, mode="clip")
-            np.take(metric, ps1, axis=0, out=cand1, mode="clip")
-            cand1 += np.take(pc, pp1, axis=0, out=branch, mode="clip")
+            metric.take(pred_state, axis=0, out=cand, mode="clip")
+            cand += pattern_costs[t].take(pred_pattern, axis=0, out=branch,
+                                          mode="clip")
             # strict <: the lower predecessor state (slot 0) wins ties
-            np.less(cand1, cand0, out=decisions[t])
-            np.minimum(cand0, cand1, out=cand0)
-            metric, cand0 = cand0, metric
-        survivor[t0:t0 + steps] = np.packbits(decisions[:steps], axis=-1)
-    del pattern_costs, decisions
+            np.less(cand[S:], cand[:S], out=decisions[t, :, :B])
+            np.minimum(cand[:S], cand[S:], out=metric)
+        survivor[t0:t0 + steps] = np.packbits(
+            decisions[:steps].ravel()).reshape(steps, S, n_bytes)
+    del pattern_costs, decisions, cand, branch
 
     # The flush leaves every code word in state 0.  Each step reads frame
-    # b's byte of its state's row and tests its bit; entry 2 * s + k of
-    # the flat predecessor tables is slot k of state s.
-    n_bytes = survivor.shape[2]
+    # b's byte of its state's row and tests its bit; the input that
+    # enters state s is its most significant bit.
     cols = np.arange(B)
     byte_col = cols >> 3
     bit = (1 << (7 - (cols & 7))).astype(np.uint8)
-    flat_pred_input = trellis.pred_input.ravel()
-    flat_pred_state = pred_state.ravel()
     state = np.zeros(B, dtype=np.intp)
     decided = np.empty((T, B), dtype=np.uint8)
     for t in range(T - 1, -1, -1):
+        decided[t] = state >> (K - 2)
         byte = survivor[t].take(state * n_bytes + byte_col)
-        slot = 2 * state + ((byte & bit) != 0)
-        decided[t] = flat_pred_input.take(slot)
-        state = flat_pred_state.take(slot)
+        state = pred_state.take(state + S * ((byte & bit) != 0))
 
     bits = decided[: T - (K - 1)].T
     return bits[0] if single else bits

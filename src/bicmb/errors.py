@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ConfigurationError(ValueError):
     """Raised when a config file, preset, or parameter set is inconsistent."""
@@ -14,7 +16,11 @@ class NumericalError(RuntimeError):
     """
 
     def __init__(self, message, seed=None, index=None):
-        if seed is not None:
+        if isinstance(seed, np.random.SeedSequence):
+            # its repr spans several lines
+            message = (f"{message} (reproduce with seed=SeedSequence("
+                       f"entropy={seed.entropy}, spawn_key={seed.spawn_key}))")
+        elif seed is not None:
             message = f"{message} (reproduce with seed={seed})"
         super().__init__(message)
         self.seed = seed

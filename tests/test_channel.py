@@ -7,6 +7,8 @@ tolerances a few standard errors wide.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bicmb.channel import (
     ArrayGeometry,
@@ -89,6 +91,10 @@ class TestPathSets:
             draw_paths(0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             draw_paths(2, np.random.default_rng(0), angle_range=(1.0, 1.0))
+        # a span past the float range has no uniform azimuths
+        for span in [(-np.inf, 0.0), (-1e308, 1e308)]:
+            with pytest.raises(ValueError, match="finite"):
+                draw_paths(2, np.random.default_rng(0), angle_range=span)
 
     def test_gain_moments_and_angle_support(self):
         rng = np.random.default_rng(7)
@@ -109,6 +115,22 @@ class TestPathSets:
         np.testing.assert_array_equal(ps.gains, g)
         np.testing.assert_array_equal(ps.aoa, aoa)
         np.testing.assert_array_equal(ps.aod, aod)
+
+    @settings(max_examples=100, deadline=None)
+    @given(l=st.integers(1, 6), lo=st.floats(-1e3, 1e3),
+           hi=st.floats(-1e3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_azimuths_equal_uniform_draws(self, l, lo, hi, seed):
+        # the azimuths are mapped from unit uniforms with the formula of
+        # Generator.uniform; a platform where the two differ fails here
+        assume(lo < hi)
+        rng = np.random.default_rng(seed)
+        ps = draw_paths(l, rng, angle_range=(lo, hi))
+        ref = np.random.default_rng(seed)
+        ref.standard_normal(2 * l)
+        angles = ref.uniform(lo, hi, 2 * l)
+        assert ps.aoa.tobytes() == angles[:l].tobytes()
+        assert ps.aod.tobytes() == angles[l:].tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSubchannelMatrix:

@@ -410,6 +410,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "numerical error" in err and "seed=123" in err
 
+    def test_numerical_error_seed_sequence_is_one_line(self, cfg_file,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+        seed = np.random.SeedSequence(1, spawn_key=(0, 0, 0))
+
+        def boom(cfg):
+            raise NumericalError("SVD failed to converge during sweep",
+                                 seed=seed)
+        monkeypatch.setattr(cli, "sweep", boom)
+        assert cli.main(["simulate", "--config", str(cfg_file),
+                         "--out", str(tmp_path / "x.csv")]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical error: SVD failed to converge during sweep (reproduce "
+            "with seed=SeedSequence(entropy=1, spawn_key=(0, 0, 0)))\n")
+
     def test_file_system_error_on_write_exits_1(self, cfg_file, tmp_path,
                                                 monkeypatch, capsys):
         def denied(curve, path):

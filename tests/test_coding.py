@@ -248,8 +248,7 @@ class TestTrellis:
                                         min_size=n, max_size=n)))
         trellis = build_trellis(CodeSpec(gens, k))
         n_states = 1 << (k - 1)
-        for name in ("next_state", "pred_state", "pred_input",
-                     "pred_pattern"):
+        for name in ("next_state", "pred_state", "pred_pattern"):
             assert getattr(trellis, name).dtype == np.int64
         assert trellis.taps.dtype == np.uint8
         assert trellis.taps.tolist() == [[int(b) for b in f"{g:0{k}b}"]
@@ -271,8 +270,11 @@ class TestTrellis:
             trellis.weight, [[bin(p).count("1") for p in row]
                              for row in out_pattern.tolist()])
 
-        prev, bit = trellis.pred_state, trellis.pred_input
+        # both predecessors enter state s on input s >> (k - 2), the bit
+        # the decoder's traceback reads off each state
+        prev = trellis.pred_state
         states = np.arange(n_states, dtype=np.int64)
+        bit = np.stack([states >> (k - 2)] * 2, axis=1)
         np.testing.assert_array_equal(trellis.next_state[prev, bit],
                                       np.stack([states, states], axis=1))
         np.testing.assert_array_equal(trellis.pred_pattern,
@@ -403,11 +405,15 @@ class TestViterbi:
 
     @pytest.mark.parametrize("octal,n_bits,frames", [
         ("133,171", 150, 1), ("133,171", 150, 7), ("133,171", 150, 9),
-        ("133,171", 150, 17), ("3,1", 200, 9), ("1167,1545", 60, 9)])
+        ("133,171", 150, 17), ("3,1", 200, 9), ("1167,1545", 60, 9),
+        ("133,171", 150, 8), ("133,171", 150, 16), ("133,171", 59, 9),
+        ("133,171", 122, 9)])
     def test_ties_past_chunk_and_byte_boundaries(self, octal, n_bits,
                                                  frames):
         # Every row runs more steps than one forward-pass chunk; 9 and 17
-        # frames leave a partly filled last byte of packed survivors.
+        # frames leave a partly filled last byte of packed survivors, 8
+        # and 16 fill whole bytes, and 65 and 128 steps end one step past
+        # a chunk and on a chunk's last step.
         trellis = build_trellis(CodeSpec.from_octal(octal))
         steps = n_bits + trellis.spec.constraint_length - 1
         assert steps > coding._DECODE_CHUNK_STEPS

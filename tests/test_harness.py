@@ -808,6 +808,10 @@ class TestSpanDecomposition:
         assert seed.entropy == cfg.master_seed
         assert seed.spawn_key == (0, 2, 13)
         assert len(single_calls) == 4
+        # the message names the seed on one line
+        assert str(info.value) == (
+            "SVD failed to converge during sweep (reproduce with seed="
+            f"SeedSequence(entropy={cfg.master_seed}, spawn_key=(0, 2, 13)))")
 
     def test_error_free_at_extreme_snr_and_reproducible(self):
         cfg = tiny_config(snr_grid_db=(0.0, 90.0))
