@@ -133,21 +133,20 @@ def _sequence_period(seq: np.ndarray) -> int:
 
 
 def event_usage_counts(subs: np.ndarray, n_substreams: int,
-                       positions: np.ndarray, period: int | None = None):
+                       positions: np.ndarray, period: int) -> np.ndarray:
     """Worst-case subchannel usage of error events under all placements.
 
-    ``subs`` maps coded-bit index to subchannel; ``positions`` are an
-    event's differing-bit offsets relative to its start, shape (d,), or a
-    stack of events of one distance, shape (..., d).  An event may start
-    anywhere, so every start offset (modulo the subchannel sequence's
-    period) is tried.  Returns alpha_min, the smallest usage count among
-    subchannels the event actually touches, minimized over offsets: a
-    scalar for one event, else an array of shape ``positions.shape[:-1]``.
+    ``subs`` maps coded-bit index to subchannel and repeats with
+    ``period``; ``positions`` is an (E, d) stack of events of one
+    distance, each row the differing-bit offsets relative to the event's
+    start.  An event may start anywhere, so every start offset modulo
+    the period is tried.  Returns the (E,) alpha_min values: for each
+    event, the smallest usage count among subchannels it actually
+    touches, minimized over offsets.
     """
-    positions = np.asarray(positions)
-    if period is None:
-        period = _sequence_period(subs)
-    events = positions.reshape(-1, positions.shape[-1])
+    events = np.asarray(positions)
+    if events.ndim != 2:
+        raise ValueError("positions must be an (E, d) stack of events")
     n_events = events.shape[0]
     # subs repeated far enough that offset + position never wraps
     ext = np.resize(subs, period + int(events.max(initial=0)))
@@ -161,9 +160,7 @@ def event_usage_counts(subs: np.ndarray, n_substreams: int,
         counts = counts.reshape(n_events, n_substreams)
         np.minimum(alpha, np.where(counts > 0, counts, never).min(axis=1),
                    out=alpha)
-    if positions.ndim == 1:
-        return int(alpha[0])
-    return alpha.reshape(positions.shape[:-1])
+    return alpha
 
 
 @dataclass

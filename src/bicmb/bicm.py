@@ -30,6 +30,8 @@ __all__ = [
     "deinterleave_metrics",
 ]
 
+_INTERLEAVER_DRAWS = 100  # random interleaver draws before a rejection
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -182,8 +184,7 @@ def structured_interleaver(n_coded: int, n_substreams: int, bits_per_symbol: int
 
 
 def random_interleaver(n_coded: int, n_substreams: int, bits_per_symbol: int,
-                       rng: np.random.Generator,
-                       max_tries: int = 100) -> Interleaver:
+                       rng: np.random.Generator) -> Interleaver:
     """Random interleaver, redrawn until both design criteria hold.
 
     Subchannels still rotate bit by bit (that is what makes full
@@ -196,7 +197,7 @@ def random_interleaver(n_coded: int, n_substreams: int, bits_per_symbol: int,
 
     k = np.arange(n_coded)
     s = k % n_substreams
-    for _ in range(max_tries):
+    for _ in range(_INTERLEAVER_DRAWS):
         positions = np.empty(n_coded, dtype=np.int64)
         for sub in range(n_substreams):
             slots = rng.permutation(per_stream)
@@ -207,7 +208,7 @@ def random_interleaver(n_coded: int, n_substreams: int, bits_per_symbol: int,
         if report.ok:
             return itl
     raise ConfigurationError(
-        f"no valid random interleaver found in {max_tries} draws "
+        f"no valid random interleaver found in {_INTERLEAVER_DRAWS} draws "
         f"(n_coded={n_coded}, n_substreams={n_substreams}, m={bits_per_symbol})"
     )
 
@@ -282,16 +283,15 @@ def check_criteria(interleaver: Interleaver, window: int | None = None) -> Crite
 
 def map_frame(coded_bits: np.ndarray, interleaver: Interleaver,
               constellation: Constellation) -> np.ndarray:
-    """Interleave and modulate one coded frame, or a batch of them.
+    """Interleave and modulate a batch of coded frames.
 
-    ``coded_bits`` is (n_coded,) or (B, n_coded).  Returns the complex
-    transmit symbols, (n_symbols, n_substreams) per frame with one row
-    per symbol time, and the batch axis kept.
+    ``coded_bits`` is (B, n_coded).  Returns the complex transmit
+    symbols, (B, n_symbols, n_substreams) with one row per symbol time.
     """
     bits = np.asarray(coded_bits)
-    if bits.ndim not in (1, 2) or bits.shape[-1] != interleaver.n_coded:
-        raise ValueError(
-            f"expected {interleaver.n_coded} coded bits per frame, got {bits.shape}")
+    if bits.ndim != 2 or bits.shape[1] != interleaver.n_coded:
+        raise ValueError(f"expected (B, {interleaver.n_coded}) coded bits, "
+                         f"got {bits.shape}")
     m = constellation.bits_per_symbol
     if m != interleaver.bits_per_symbol:
         raise ValueError("interleaver and constellation disagree on bits per symbol")
@@ -300,23 +300,22 @@ def map_frame(coded_bits: np.ndarray, interleaver: Interleaver,
     # symbol's m slots form its label, MSB first.
     bits = bits.astype(np.uint8, copy=False)
     source = interleaver.inverse().reshape(-1, m)
-    labels = bits[..., source[:, 0]]
+    labels = bits[:, source[:, 0]]
     for i in range(1, m):
         labels <<= 1
-        labels |= bits[..., source[:, i]]
+        labels |= bits[:, source[:, i]]
     return constellation.points[labels].reshape(
-        bits.shape[:-1] + (interleaver.n_symbols, interleaver.n_substreams))
+        bits.shape[0], interleaver.n_symbols, interleaver.n_substreams)
 
 
 def bit_metrics(received: np.ndarray, gains: np.ndarray,
                 constellation: Constellation) -> np.ndarray:
     """Max-log metrics for every label bit of every received symbol.
 
-    ``received`` has shape (n_symbols, n_substreams), or (B, n_symbols,
-    n_substreams) for a batch, and ``gains`` holds the per-substream
-    amplitudes, (n_substreams,) or (B, n_substreams).  Entry
-    [..., t, s, i, b] is min over x with label bit i = b of
-    |y[..., t, s] - gains[..., s] * x|^2.
+    ``received`` has shape (B, n_symbols, n_substreams) and ``gains``
+    holds the per-substream amplitudes, (B, n_substreams).  Entry
+    [f, t, s, i, b] is min over x with label bit i = b of
+    |y[f, t, s] - gains[f, s] * x|^2.
 
     One squared-distance plane the size of ``received`` is held per
     constellation point; the sweep passes blocks of frames small enough
@@ -324,12 +323,12 @@ def bit_metrics(received: np.ndarray, gains: np.ndarray,
     """
     y = np.asarray(received)
     lam = np.asarray(gains, dtype=np.float64)
-    if y.ndim not in (2, 3) or lam.shape != y.shape[:-2] + y.shape[-1:]:
-        raise ValueError("received must be ([B,] n_symbols, n_substreams) "
-                         "with one gain per substream")
+    if y.ndim != 3 or lam.shape != (y.shape[0], y.shape[2]):
+        raise ValueError("received must be (B, n_symbols, n_substreams) "
+                         "with (B, n_substreams) gains")
 
     # one contiguous plane of squared distances per constellation point
-    scaled = lam[..., None, :]
+    scaled = lam[:, None, :]
     points = constellation.points
     diff = np.empty(y.shape, dtype=complex)
     d2 = np.empty((points.size,) + y.shape)
@@ -357,12 +356,14 @@ def deinterleave_metrics(metrics: np.ndarray, interleaver: Interleaver,
                          n_bits: int | None = None) -> np.ndarray:
     """Reorder per-bit metrics back to coded order.
 
-    ``metrics`` is the ([B,] n_symbols, n_substreams, m, 2) array from
-    :func:`bit_metrics`; the result is ([B,] n_bits, 2), row k holding
-    the two costs of coded bit k.  ``n_bits`` defaults to every coded
-    bit; a smaller count drops the trailing pad bits without gathering
-    them.
+    ``metrics`` is the (B, n_symbols, n_substreams, m, 2) array from
+    :func:`bit_metrics`; the result is (B, n_bits, 2), row k of a frame
+    holding the two costs of its coded bit k.  ``n_bits`` defaults to
+    every coded bit; a smaller count drops the trailing pad bits without
+    gathering them.
     """
     metrics = np.asarray(metrics)
-    flat = metrics.reshape(metrics.shape[:-4] + (interleaver.n_coded, 2))
-    return np.take(flat, interleaver.positions[:n_bits], axis=-2)
+    if metrics.ndim != 5:
+        raise ValueError("metrics must be (B, n_symbols, n_substreams, m, 2)")
+    flat = metrics.reshape(metrics.shape[0], interleaver.n_coded, 2)
+    return np.take(flat, interleaver.positions[:n_bits], axis=1)

@@ -37,6 +37,9 @@ __all__ = [
 # vectors onto each other.
 DEFAULT_ANGLE_RANGE = (-np.pi / 2, np.pi / 2)
 
+# Largest |beta| in dB of a subarray pair with power, as for snr_db.
+_MAX_BETA_DB = 1000.0
+
 
 def db_to_linear(db):
     """Power ratio from decibels; too large a ratio is ``inf``."""
@@ -119,11 +122,20 @@ class FadingProfile:
             raise ConfigurationError("beta coefficients must be nonnegative")
         if np.any(paths < 1):
             raise ConfigurationError("every subarray pair needs at least one path")
+        # beta**2 overflows in the Gamma fit past about +-1541 dB; a pair
+        # at -inf dB has no power and stays allowed
+        lo, hi = db_to_linear(-_MAX_BETA_DB), db_to_linear(_MAX_BETA_DB)
+        outside = (beta != 0) & ((beta < lo) | (beta > hi))
         if self.beta_db is not None:
             beta_db = np.asarray(self.beta_db, dtype=np.float64)
             if beta_db.shape != beta.shape:
                 raise ConfigurationError("beta_db must match the beta matrix")
+            # a finite dB value far enough below underflows to zero power
+            outside |= np.isfinite(beta_db) & (np.abs(beta_db) > _MAX_BETA_DB)
             object.__setattr__(self, "beta_db", beta_db)
+        if np.any(outside):
+            raise ConfigurationError(
+                f"nonzero beta values must lie within +-{_MAX_BETA_DB:g} dB")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "paths", paths)
 

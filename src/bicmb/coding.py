@@ -197,34 +197,33 @@ def _has_zero_weight_loop(w_branch: np.ndarray, next_state: np.ndarray) -> bool:
 
 
 def encode(trellis: Trellis, message: np.ndarray) -> np.ndarray:
-    """Encode a binary message and flush the register back to state 0.
+    """Encode a batch of binary messages, flushing each back to state 0.
 
-    ``message`` is one message (L,) or a batch (B, L).  Returns the
-    ``n * (L + K - 1)`` coded bits of each message, interleaved
-    first-generator-first, with the batch axis kept.
+    ``message`` is a (B, L) bit array.  Returns the (B, n * (L + K - 1))
+    coded bits, each row interleaved first-generator-first.
     """
     msg = np.asarray(message)
-    if msg.ndim not in (1, 2) or msg.size == 0:
-        raise ValueError("message must be a non-empty (L,) or (B, L) bit array")
+    if msg.ndim != 2 or msg.size == 0:
+        raise ValueError("message must be a non-empty (B, L) bit array")
     if not np.all((msg == 0) | (msg == 1)):
         raise ValueError("message must be binary")
     bits = msg.astype(np.uint8)
 
     n = trellis.n_out
     K = trellis.spec.constraint_length
-    length = bits.shape[-1]
+    B, length = bits.shape
     steps = length + K - 1
-    out = np.empty(bits.shape[:-1] + (steps, n), dtype=np.uint8)
-    acc = np.empty(bits.shape[:-1] + (steps,), dtype=np.uint8)
+    out = np.empty((B, steps, n), dtype=np.uint8)
+    acc = np.empty((B, steps), dtype=np.uint8)
     for j in range(n):
         # Output j at step t is the XOR of the inputs u[t - i] over taps i;
         # the K - 1 flush steps see only the zero-padded tail.
         acc[:] = 0
         for i in np.flatnonzero(trellis.taps[j]):
             span = min(length, steps - i)
-            acc[..., i:i + span] ^= bits[..., :span]
-        out[..., j] = acc
-    return out.reshape(bits.shape[:-1] + (steps * n,))
+            acc[:, i:i + span] ^= bits[:, :span]
+        out[:, :, j] = acc
+    return out.reshape(B, steps * n)
 
 
 def _pattern_bits(n: int) -> np.ndarray:
@@ -239,16 +238,15 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    branch_costs : array, shape (T, n, 2) or (B, T, n, 2)
-        ``branch_costs[..., t, j, b]`` is the cost of deciding coded bit j
+    branch_costs : array, shape (B, T, n, 2)
+        ``branch_costs[f, t, j, b]`` is the cost of deciding coded bit j
         of step t equal to b.  A branch costs the sum over its n bits, a
         path the sum over its branches.  The path starts and ends in
         state 0, and the K - 1 flush steps are stripped from the result.
 
     Returns
     -------
-    uint8 array of ``T - (K - 1)`` message bits, shape (msg_len,) or
-    (B, msg_len) matching the input batching.
+    (B, T - (K - 1)) uint8 array of message bits.
 
     The forward pass runs ``_DECODE_CHUNK_STEPS`` steps at a time and
     stores each survivor decision as one bit, packed along the frame
@@ -259,11 +257,8 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
     off the state it enters.
     """
     costs = np.asarray(branch_costs, dtype=np.float64)
-    single = costs.ndim == 3
-    if single:
-        costs = costs[None]
     if costs.ndim != 4 or costs.shape[2] != trellis.n_out or costs.shape[3] != 2:
-        raise ValueError("branch_costs must have shape (..., T, n, 2)")
+        raise ValueError("branch_costs must have shape (B, T, n, 2)")
     K = trellis.spec.constraint_length
     B, T = costs.shape[:2]
     if T < K:
@@ -313,8 +308,7 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
         byte = survivor[t].take(state * n_bytes + byte_col)
         state = pred_state.take(state + S * ((byte & bit) != 0))
 
-    bits = decided[: T - (K - 1)].T
-    return bits[0] if single else bits
+    return decided[: T - (K - 1)].T
 
 
 def _pattern_costs(costs: np.ndarray) -> np.ndarray:
@@ -415,8 +409,7 @@ def _extend(in_w: np.ndarray, words: np.ndarray, idx: np.ndarray,
     return in_w[rows] + u, grown
 
 
-def distance_spectrum(trellis: Trellis, d_max: int,
-                      event_cap: int = EVENT_STORAGE_CAP) -> DistanceSpectrum:
+def distance_spectrum(trellis: Trellis, d_max: int) -> DistanceSpectrum:
     """Enumerate every error event of output weight <= d_max.
 
     Breadth-first search over paths leaving state 0, one trellis step per
@@ -429,8 +422,6 @@ def distance_spectrum(trellis: Trellis, d_max: int,
     loop off state 0) and a search past ``_MAX_SPECTRUM_PATHS`` paths
     raise ``ValueError``.
     """
-    if event_cap < 1:
-        raise ValueError("event_cap must keep at least one event per distance")
     d_free_val = free_distance(trellis)
     if d_max < d_free_val:
         raise ValueError(f"d_max={d_max} is below the free distance {d_free_val}")
@@ -499,13 +490,13 @@ def distance_spectrum(trellis: Trellis, d_max: int,
     # never decides it.
     order = np.lexsort((*~words[::-1], dist))
 
-    # Each distance's events in that order; the first event_cap are stored.
+    # Each distance's events in that order; the first ones are stored.
     bounds = np.flatnonzero(np.diff(dist[order], prepend=-1, append=-1))
     entries: dict[int, SpectrumEntry] = {}
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         group = order[lo:hi]
         d = int(dist[group[0]])
-        kept = group[:event_cap]
+        kept = group[:EVENT_STORAGE_CAP]
         positions = np.empty((kept.size, d), dtype=np.int64)
         # a block of events at a time keeps the encoded bits small; the
         # inputs are cut after their last 1, and the zero inputs past an

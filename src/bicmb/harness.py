@@ -166,17 +166,13 @@ class SimConfig:
                 "fading profile has no power in any subarray pair")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ConfigurationError("spacing must be a positive finite number")
-        # the largest steering phase is below 2 pi * spacing * N; an N past
-        # the float range overflows as well
-        try:
-            phase = 2 * math.pi * self.spacing * max(self.n_r, self.n_t)
-        except OverflowError:
-            phase = math.inf
+        self.sub_frames    # rejects a frame over budget; bounds N to 2**20
+        # the largest steering phase is below 2 pi * spacing * N
+        phase = 2 * math.pi * self.spacing * max(self.n_r, self.n_t)
         if not math.isfinite(phase):
             raise ConfigurationError(
                 f"spacing {self.spacing!r} is too large for the array size: "
                 f"steering phases overflow")
-        self.sub_frames    # rejects a frame above the sub-batch budget
         lo, hi = self.angle_range_deg
         # a ULA aliases azimuths past +-90 degrees onto the half plane
         if not (-90.0 <= lo <= 90.0 and -90.0 <= hi <= 90.0):
@@ -268,7 +264,9 @@ class SimConfig:
         """
         beta_db = self.profile.beta_db
         if beta_db is None:
-            beta_db = linear_to_db(np.maximum(self.profile.beta, 1e-300))
+            # a pair with no power reads back from -inf dB
+            with np.errstate(divide="ignore"):
+                beta_db = linear_to_db(self.profile.beta)
         values = {key: getattr(self, key, None) for key in _KEYS
                   if key not in ("workers", "label")}
         # the keys that are not fields of the same name

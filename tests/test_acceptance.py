@@ -95,7 +95,7 @@ def brute_force_min_codeword_weight(trellis, max_msg_bits):
             if not value & 1:
                 continue  # leading zeros only shift the event
             msg = np.array([(value >> i) & 1 for i in range(n_bits)])
-            w = int(encode(trellis, msg).sum())
+            w = int(encode(trellis, msg[None]).sum())
             best = w if best is None else min(best, w)
     return best
 
@@ -110,7 +110,7 @@ def test_criterion_3_code_constants():
 
     # all 256 8-bit messages, encoded once
     msgs = ((np.arange(256)[:, None] >> np.arange(8)[None, ::-1]) & 1)
-    codewords = np.stack([encode(t4, m).reshape(-1, 2) for m in msgs])
+    codewords = np.stack([encode(t4, m[None]).reshape(-1, 2) for m in msgs])
     steps = codewords.shape[1]
     rng = np.random.default_rng(1003)
     mismatches = 0
@@ -120,7 +120,7 @@ def test_criterion_3_code_constants():
                            np.arange(2)[None, None, :],
                            codewords].sum(axis=(1, 2))
         ml = msgs[np.argmin(path_costs)]
-        vit = viterbi_decode(t4, costs)
+        vit = viterbi_decode(t4, costs[None])[0]
         mismatches += int(not np.array_equal(ml, vit))
     ok = ok_dfree and mismatches == 0
     assert report(3, ok, f"d_free ok={ok_dfree}, ML mismatches={mismatches}"), \

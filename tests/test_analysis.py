@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from bicmb import coding
 from bicmb.analysis import (
+    _sequence_period,
     diversity_gain,
     estimate_slope,
     event_usage_counts,
@@ -136,41 +138,49 @@ class TestPepBound:
         assert lt2 == pytest.approx(base * 2.0 ** k)
 
 
+def usage(subs, n_s, pos):
+    """alpha_min of one event: a batch of one at the detected period, as
+    the union bound calls it."""
+    return int(event_usage_counts(subs, n_s, np.asarray(pos)[None],
+                                  _sequence_period(subs))[0])
+
+
 class TestEventUsageCounts:
     def test_round_robin_two_streams(self):
         subs = np.arange(8) % 2
-        assert event_usage_counts(subs, 2, np.array([0, 1, 2])) == 1
+        assert usage(subs, 2, [0, 1, 2]) == 1
 
     def test_even_positions_miss_a_stream(self):
         subs = np.arange(8) % 2
         # both bits land on one subchannel at every offset
-        assert event_usage_counts(subs, 2, np.array([0, 2])) == 2
+        assert usage(subs, 2, [0, 2]) == 2
 
     def test_single_stream(self):
-        assert event_usage_counts(np.zeros(6, dtype=int), 1,
-                                  np.array([0, 3])) == 2
+        assert usage(np.zeros(6, dtype=int), 1, [0, 3]) == 2
 
     def test_explicit_period_matches_detected(self):
         subs = np.arange(12) % 3
         pos = np.array([0, 1, 4])
-        assert event_usage_counts(subs, 3, pos) == \
-            event_usage_counts(subs, 3, pos, period=3)
+        assert usage(subs, 3, pos) == \
+            event_usage_counts(subs, 3, pos[None], period=3)[0]
 
     def test_worst_offset_is_found(self):
         # pattern 0,0,1,1 with positions (0,1): odd offsets touch both
         # streams once (alpha 1), even offsets use a single stream twice
         # (alpha 2), so the scan reports alpha 1
         subs = np.tile([0, 0, 1, 1], 3)
-        assert event_usage_counts(subs, 2, np.array([0, 1])) == 1
+        assert usage(subs, 2, [0, 1]) == 1
 
     def test_stack_equals_row_by_row_calls(self):
         rng = np.random.default_rng(5)
         subs = rng.integers(0, 3, 60)
-        pos = np.sort(rng.choice(40, size=(4, 5, 6)), axis=-1)
-        alpha = event_usage_counts(subs, 3, pos)
-        assert alpha.shape == (4, 5)
-        for idx in np.ndindex(4, 5):
-            assert alpha[idx] == event_usage_counts(subs, 3, pos[idx])
+        pos = np.sort(rng.choice(40, size=(20, 6)), axis=-1)
+        period = _sequence_period(subs)
+        alpha = event_usage_counts(subs, 3, pos, period)
+        assert alpha.shape == (20,)
+        for e in range(20):
+            assert alpha[e] == \
+                event_usage_counts(subs, 3, pos[e:e + 1], period)[0]
 
     def test_matches_a_scan_of_every_offset(self):
         # all n offsets, one 3-D compare: no period, bincount or tiling
@@ -181,7 +191,7 @@ class TestEventUsageCounts:
             smat = subs[(np.arange(48)[:, None] + pos[None, :]) % 48]
             counts = (smat[:, :, None] == np.arange(3)).sum(axis=1)
             want = int(np.where(counts > 0, counts, 10 ** 9).min())
-            assert event_usage_counts(subs, 3, pos) == want
+            assert usage(subs, 3, pos) == want
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +225,7 @@ class TestUnionBound:
         for d in spectrum.distances():
             entry = spectrum.entries[d]
             for pos, w in zip(entry.positions, entry.input_weights):
-                alpha = event_usage_counts(subs, 2, pos)
+                alpha = usage(subs, 2, pos)
                 exact, _ = pep_bound(fit, c.min_distance, alpha, 2, 16, 8, snr)
                 want += w * exact
         np.testing.assert_allclose(rep.union_bound, want, rtol=1e-12)
@@ -256,8 +266,9 @@ def block_shuffled_interleaver(n_coded, rng):
 
 
 def per_event_union_bound(spectrum, itl, fit, c, n_t, l_t, snr):
-    """The union bound from one 1-D event_usage_counts call per event:
-    exact input weights per alpha, summed in ascending alpha."""
+    """The union bound from one event_usage_counts call per event, each
+    a batch of one: exact input weights per alpha, summed in ascending
+    alpha."""
     subs = itl.subchannels()
     n_s = itl.n_substreams
     weight_at_alpha = {}
@@ -266,7 +277,7 @@ def per_event_union_bound(spectrum, itl, fit, c, n_t, l_t, snr):
         entry = spectrum.entries[d]
         worst = None
         for pos, w in zip(entry.positions, entry.input_weights.tolist()):
-            alpha = event_usage_counts(subs, n_s, pos)
+            alpha = usage(subs, n_s, pos)
             weight_at_alpha[alpha] = weight_at_alpha.get(alpha, 0) + w
             worst = alpha if worst is None else min(worst, alpha)
         if d == spectrum.d_free:
@@ -285,9 +296,10 @@ def per_event_union_bound(spectrum, itl, fit, c, n_t, l_t, snr):
 class TestUnionBoundEqualsPerEventLoop:
     @pytest.mark.parametrize("kind", ["structured", "random", "shuffled"])
     @pytest.mark.parametrize("event_cap", [10_000, 3])
-    def test_bytewise(self, kind, event_cap):
+    def test_bytewise(self, kind, event_cap, monkeypatch):
         trellis = build_trellis(CodeSpec.from_octal("5,7"))
-        spectrum = distance_spectrum(trellis, 11, event_cap=event_cap)
+        monkeypatch.setattr(coding, "EVENT_STORAGE_CAP", event_cap)
+        spectrum = distance_spectrum(trellis, 11)
         rng = np.random.default_rng(11)
         itl = {"structured": lambda: structured_interleaver(240, 3, 1),
                "random": lambda: random_interleaver(240, 3, 1, rng),

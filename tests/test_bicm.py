@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicmb import bicm
+from bicmb.analysis import event_usage_counts
 from bicmb.bicm import (
     adversarial_interleaver,
     bit_metrics,
@@ -20,6 +22,7 @@ from bicmb.bicm import (
     random_interleaver,
     structured_interleaver,
 )
+from bicmb.coding import CodeSpec, build_trellis, encode, viterbi_decode
 from bicmb.errors import ConfigurationError
 
 
@@ -125,12 +128,14 @@ class TestRandomInterleaver:
         b = random_interleaver(120, 2, 1, np.random.default_rng(5))
         np.testing.assert_array_equal(a.positions, b.positions)
 
-    def test_redraws_until_criteria_hold(self):
+    def test_redraws_until_criteria_hold(self, monkeypatch):
         # this seed's first draw puts consecutive bits in one symbol ...
+        monkeypatch.setattr(bicm, "_INTERLEAVER_DRAWS", 1)
         with pytest.raises(ConfigurationError):
-            random_interleaver(16, 1, 2, np.random.default_rng(1), max_tries=1)
+            random_interleaver(16, 1, 2, np.random.default_rng(1))
         # ... and a later draw passes
-        itl = random_interleaver(16, 1, 2, np.random.default_rng(1), max_tries=50)
+        monkeypatch.setattr(bicm, "_INTERLEAVER_DRAWS", 50)
+        itl = random_interleaver(16, 1, 2, np.random.default_rng(1))
         assert check_criteria(itl).ok
 
 
@@ -169,8 +174,10 @@ class TestInterleaverProperties:
             depth = max(depth, 2)
         n_coded = n_s * m * depth * blocks
         structured = structured_interleaver(n_coded, n_s, m, depth=depth)
-        rand = random_interleaver(n_coded, n_s, m, np.random.default_rng(seed),
-                                  max_tries=1000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bicm, "_INTERLEAVER_DRAWS", 1000)
+            rand = random_interleaver(n_coded, n_s, m,
+                                      np.random.default_rng(seed))
         adversarial = adversarial_interleaver(n_s * m * run * blocks, n_s, m,
                                               run=run)
         for itl in (structured, rand, adversarial):
@@ -185,19 +192,20 @@ class TestMapFrame:
     def test_bpsk_single_stream_is_sign_map(self):
         itl = structured_interleaver(12, 1, 1, depth=2)
         bits = np.array([0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1])
-        sym = map_frame(bits, itl, make_constellation("bpsk"))
-        assert sym.shape == (12, 1)
+        sym = map_frame(bits[None], itl, make_constellation("bpsk"))
+        assert sym.shape == (1, 12, 1)
         flat = np.empty(12, dtype=int)
         flat[itl.positions] = bits
-        np.testing.assert_allclose(sym[:, 0], 1.0 - 2.0 * flat)
+        np.testing.assert_allclose(sym[0, :, 0], 1.0 - 2.0 * flat)
 
     def test_shape_and_length_validation(self):
         itl = structured_interleaver(64, 2, 2, depth=2)
         c = make_constellation("qpsk")
         with pytest.raises(ValueError):
-            map_frame(np.zeros(63, dtype=int), itl, c)
+            map_frame(np.zeros((1, 63), dtype=int), itl, c)
         with pytest.raises(ValueError):
-            map_frame(np.zeros(64, dtype=int), itl, make_constellation("16qam"))
+            map_frame(np.zeros((1, 64), dtype=int), itl,
+                      make_constellation("16qam"))
         with pytest.raises(ValueError):
             map_frame(np.zeros((1, 2, 64), dtype=int), itl, c)
 
@@ -207,16 +215,16 @@ class TestMapFrame:
         itl = structured_interleaver(n_s * c.bits_per_symbol * 8 * 2, n_s,
                                      c.bits_per_symbol, depth=8)
         rng = np.random.default_rng(17)
-        bits = rng.integers(0, 2, itl.n_coded)
+        bits = rng.integers(0, 2, (1, itl.n_coded))
         x = map_frame(bits, itl, c)
-        gains = rng.uniform(0.5, 2.0, n_s)
-        y = gains[None, :] * x
+        gains = rng.uniform(0.5, 2.0, (1, n_s))
+        y = gains[:, None, :] * x
         metrics = bit_metrics(y, gains, c)
-        costs = deinterleave_metrics(metrics, itl)
-        np.testing.assert_array_equal(np.argmin(costs, axis=1), bits)
+        costs = deinterleave_metrics(metrics, itl)[0]
+        np.testing.assert_array_equal(np.argmin(costs, axis=1), bits[0])
         # the transmitted bit has exactly zero metric without noise
-        np.testing.assert_allclose(costs[np.arange(itl.n_coded), bits], 0.0,
-                                   atol=1e-12)
+        np.testing.assert_allclose(costs[np.arange(itl.n_coded), bits[0]],
+                                   0.0, atol=1e-12)
 
 
 class TestBitMetrics:
@@ -240,17 +248,17 @@ class TestBitMetrics:
     def test_shape_validation(self):
         c = make_constellation("bpsk")
         with pytest.raises(ValueError):
-            bit_metrics(np.zeros(8, dtype=complex), np.ones(1), c)
+            bit_metrics(np.zeros((1, 8), dtype=complex), np.ones((1, 1)), c)
         with pytest.raises(ValueError):
-            bit_metrics(np.zeros((8, 2), dtype=complex), np.ones(3), c)
+            bit_metrics(np.zeros((1, 8, 2), dtype=complex), np.ones((1, 3)), c)
         with pytest.raises(ValueError):
             bit_metrics(np.zeros((2, 8, 2), dtype=complex), np.ones((3, 2)), c)
 
     def test_deinterleave_orders_by_coded_index(self):
         itl = structured_interleaver(48, 2, 2, depth=2)
         # sentinel metrics: value encodes the flat slot
-        flat = np.arange(96, dtype=float).reshape(12, 2, 2, 2)
-        out = deinterleave_metrics(flat, itl)
+        flat = np.arange(96, dtype=float).reshape(1, 12, 2, 2, 2)
+        out = deinterleave_metrics(flat, itl)[0]
         np.testing.assert_array_equal(out[:, 0], 2.0 * itl.positions)
         np.testing.assert_array_equal(out[:, 1], 2.0 * itl.positions + 1.0)
 
@@ -273,8 +281,9 @@ class TestBatchedStages:
         costs = deinterleave_metrics(metrics, itl)
         assert costs.shape == (frames, itl.n_coded, 2)
         for f in range(frames):
-            assert map_frame(bits[f], itl, c).tobytes() == x[f].tobytes()
-            single = bit_metrics(y[f], gains[f], c)
+            one = slice(f, f + 1)
+            assert map_frame(bits[one], itl, c).tobytes() == x[f].tobytes()
+            single = bit_metrics(y[one], gains[one], c)
             assert single.tobytes() == metrics[f].tobytes()
             assert deinterleave_metrics(single, itl).tobytes() == \
                 costs[f].tobytes()
@@ -285,3 +294,27 @@ class TestBatchedStages:
         full = deinterleave_metrics(metrics, itl)
         np.testing.assert_array_equal(
             deinterleave_metrics(metrics, itl, n_bits=41), full[:, :41])
+
+
+def _single_item_calls():
+    """Each batch-only stage called on one item without its batch axis."""
+    trellis = build_trellis(CodeSpec.from_octal("5,7"))
+    itl = structured_interleaver(48, 2, 2, depth=2)
+    c = make_constellation("qpsk")
+    return {
+        "encode": lambda: encode(trellis, np.zeros(8, dtype=np.uint8)),
+        "map_frame": lambda: map_frame(np.zeros(48, dtype=np.uint8), itl, c),
+        "bit_metrics": lambda: bit_metrics(np.zeros((12, 2), dtype=complex),
+                                           np.ones(2), c),
+        "deinterleave_metrics": lambda: deinterleave_metrics(
+            np.zeros((12, 2, 2, 2)), itl),
+        "viterbi_decode": lambda: viterbi_decode(trellis, np.zeros((10, 2, 2))),
+        "event_usage_counts": lambda: event_usage_counts(
+            np.arange(8) % 2, 2, np.array([0, 1, 2]), 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_single_item_calls()))
+def test_batch_only_stages_reject_a_single_item(name):
+    with pytest.raises(ValueError):
+        _single_item_calls()[name]()

@@ -326,6 +326,20 @@ class TestArgumentHandling:
         assert "Warning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("beta_db", ["2000", "-2000"])
+    def test_beta_past_1000_db_exits_1_before_any_bound(self, tmp_path,
+                                                        capsys, beta_db):
+        # past about +-1541 dB beta**2 overflows and the bounds read nan
+        p = tmp_path / "bad.cfg"
+        p.write_text(TINY_CFG.replace("beta_db = -20", f"beta_db = {beta_db}"))
+        out = tmp_path / "x.csv"
+        assert cli.main(["analyze", "--config", str(p),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: nonzero beta values must lie "
+            "within +-1000 dB"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--preset", "fig4_streams"],
         ["channel-stats", "--preset", "fig2_spectrum", "--draws", "2"],

@@ -56,7 +56,7 @@ def exhaustive_ml(trellis, costs, n_bits):
     for value in range(1 << n_bits):
         msg = np.array([(value >> (n_bits - 1 - i)) & 1
                         for i in range(n_bits)], dtype=np.int64)
-        cw = encode(trellis, msg).reshape(-1, trellis.spec.n_out)
+        cw = encode(trellis, msg[None]).reshape(-1, trellis.spec.n_out)
         cost = costs[np.arange(cw.shape[0])[:, None],
                      np.arange(cw.shape[1])[None, :], cw].sum()
         if best_cost is None or cost < best_cost - 1e-12:
@@ -160,12 +160,9 @@ def assert_matches_reference(spectrum, want):
 TIE_VALUES = (0.0, 1.0, 2.0)
 
 
-def tie_costs(trellis, steps, frames=None):
-    """Bit costs drawn from ``TIE_VALUES``."""
-    shape = (steps, trellis.n_out, 2)
-    if frames is not None:
-        shape = (frames,) + shape
-    return hnp.arrays(np.float64, shape,
+def tie_costs(trellis, steps, frames=1):
+    """A (frames, steps, n, 2) batch of bit costs from ``TIE_VALUES``."""
+    return hnp.arrays(np.float64, (frames, steps, trellis.n_out, 2),
                       elements=st.sampled_from(TIE_VALUES))
 
 
@@ -289,15 +286,15 @@ class TestTrellis:
 class TestEncoder:
     def test_four_state_impulse_response(self, trellis4):
         # single 1 bit, terminated: taps 101 and 111 interleaved per step
-        out = encode(trellis4, np.array([1]))
-        assert out.tolist() == [1, 1, 0, 1, 1, 1]
+        out = encode(trellis4, np.array([[1]]))
+        assert out.tolist() == [[1, 1, 0, 1, 1, 1]]
 
     def test_64_state_impulse_is_interleaved_taps(self, trellis64):
-        out = encode(trellis64, np.array([1]))
+        out = encode(trellis64, np.array([[1]]))
         taps1 = [int(b) for b in f"{0o133:07b}"]
         taps2 = [int(b) for b in f"{0o171:07b}"]
         expect = [b for pair in zip(taps1, taps2) for b in pair]
-        assert out.tolist() == expect
+        assert out.tolist() == [expect]
 
     @pytest.mark.parametrize("octal", ["5,7", "133,171"])
     def test_matches_bit_serial_reference(self, octal):
@@ -306,21 +303,21 @@ class TestEncoder:
         rng = np.random.default_rng(2024)
         for _ in range(50):
             msg = rng.integers(0, 2, rng.integers(1, 64))
-            np.testing.assert_array_equal(encode(trellis, msg),
+            np.testing.assert_array_equal(encode(trellis, msg[None])[0],
                                           reference_encode(spec, msg))
 
     def test_linearity_over_gf2(self, trellis64):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            a = rng.integers(0, 2, 40)
-            b = rng.integers(0, 2, 40)
+            a = rng.integers(0, 2, (1, 40))
+            b = rng.integers(0, 2, (1, 40))
             lhs = encode(trellis64, a ^ b)
             rhs = encode(trellis64, a) ^ encode(trellis64, b)
             np.testing.assert_array_equal(lhs, rhs)
 
     def test_rejects_non_binary_message(self, trellis4):
         with pytest.raises(ValueError):
-            encode(trellis4, np.array([0, 2, 1]))
+            encode(trellis4, np.array([[0, 2, 1]]))
 
     @pytest.mark.parametrize("octal", ["5,7", "133,171", "25,33,37"])
     def test_batch_equals_per_row(self, octal):
@@ -328,8 +325,9 @@ class TestEncoder:
         msgs = np.random.default_rng(11).integers(0, 2, (9, 37))
         batch = encode(trellis, msgs)
         assert batch.dtype == np.uint8
-        for row, msg in zip(batch, msgs):
-            np.testing.assert_array_equal(row, encode(trellis, msg))
+        for b in range(len(msgs)):
+            np.testing.assert_array_equal(batch[b:b + 1],
+                                          encode(trellis, msgs[b:b + 1]))
         with pytest.raises(ValueError):
             encode(trellis, msgs[None])
 
@@ -338,10 +336,10 @@ class TestViterbi:
     def test_zero_noise_identity(self, trellis64):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            msg = rng.integers(0, 2, 96)
+            msg = rng.integers(0, 2, (1, 96))
             coded = encode(trellis64, msg).reshape(-1, 2)
-            costs = np.zeros((coded.shape[0], 2, 2))
-            costs[np.arange(coded.shape[0])[:, None],
+            costs = np.zeros((1, coded.shape[0], 2, 2))
+            costs[0, np.arange(coded.shape[0])[:, None],
                   np.arange(2)[None, :], 1 - coded] = 1.0
             np.testing.assert_array_equal(viterbi_decode(trellis64, costs),
                                           msg)
@@ -349,7 +347,7 @@ class TestViterbi:
     def test_all_equal_costs_decode_to_zero(self, trellis4, trellis64):
         for trellis in (trellis4, trellis64):
             steps = 4 * trellis.spec.constraint_length
-            costs = np.ones((steps, 2, 2))
+            costs = np.ones((1, steps, 2, 2))
             out = viterbi_decode(trellis, costs)
             assert not out.any()
 
@@ -361,7 +359,7 @@ class TestViterbi:
         rng = np.random.default_rng(5150)
         for _ in range(n_tables):
             costs = rng.uniform(0.0, 1.0, (steps, 2, 2))
-            got = viterbi_decode(trellis, costs)
+            got = viterbi_decode(trellis, costs[None])[0]
             want = exhaustive_ml(trellis, costs, n_bits)
             np.testing.assert_array_equal(got, want)
 
@@ -370,8 +368,8 @@ class TestViterbi:
         costs = rng.uniform(0.0, 4.0, (5, 24, 2, 2))
         batch = viterbi_decode(trellis64, costs)
         for b in range(5):
-            np.testing.assert_array_equal(batch[b],
-                                          viterbi_decode(trellis64, costs[b]))
+            np.testing.assert_array_equal(
+                batch[b:b + 1], viterbi_decode(trellis64, costs[b:b + 1]))
 
     @settings(max_examples=60, deadline=None)
     @given(trellis=small_codes(), n_bits=st.integers(1, 6),
@@ -380,7 +378,7 @@ class TestViterbi:
         steps = n_bits + trellis.spec.constraint_length - 1
         costs = np.random.default_rng(seed).uniform(
             0.0, 1.0, (steps, trellis.n_out, 2))
-        np.testing.assert_array_equal(viterbi_decode(trellis, costs),
+        np.testing.assert_array_equal(viterbi_decode(trellis, costs[None])[0],
                                       exhaustive_ml(trellis, costs, n_bits))
 
     @settings(max_examples=80, deadline=None)
@@ -388,8 +386,8 @@ class TestViterbi:
     def test_ties_follow_reference_acs(self, trellis, n_bits, data):
         steps = n_bits + trellis.spec.constraint_length - 1
         costs = data.draw(tie_costs(trellis, steps))
-        np.testing.assert_array_equal(viterbi_decode(trellis, costs),
-                                      reference_viterbi(trellis, costs))
+        np.testing.assert_array_equal(viterbi_decode(trellis, costs)[0],
+                                      reference_viterbi(trellis, costs[0]))
 
     @settings(max_examples=40, deadline=None)
     @given(trellis=small_codes(), n_bits=st.integers(1, 8),
@@ -400,8 +398,8 @@ class TestViterbi:
         costs = data.draw(tie_costs(trellis, steps, frames))
         batch = viterbi_decode(trellis, costs)
         for b in range(frames):
-            np.testing.assert_array_equal(batch[b],
-                                          viterbi_decode(trellis, costs[b]))
+            np.testing.assert_array_equal(
+                batch[b:b + 1], viterbi_decode(trellis, costs[b:b + 1]))
 
     @pytest.mark.parametrize("octal,n_bits,frames", [
         ("133,171", 150, 1), ("133,171", 150, 7), ("133,171", 150, 9),
@@ -441,11 +439,11 @@ class TestViterbi:
 
     def test_rejects_short_terminated_block(self, trellis64):
         with pytest.raises(ValueError):
-            viterbi_decode(trellis64, np.zeros((3, 2, 2)))
+            viterbi_decode(trellis64, np.zeros((1, 3, 2, 2)))
 
     def test_rejects_bad_shape(self, trellis4):
         with pytest.raises(ValueError):
-            viterbi_decode(trellis4, np.zeros((8, 2, 3)))
+            viterbi_decode(trellis4, np.zeros((1, 8, 2, 3)))
 
 
 class TestDistanceSpectrum:
@@ -476,9 +474,11 @@ class TestDistanceSpectrum:
                                                   ("561,753", 16),
                                                   ("1003,1777", 18)])
     @pytest.mark.parametrize("event_cap", [10_000, 7, 1])
-    def test_matches_depth_first_reference(self, generators, d_max, event_cap):
+    def test_matches_depth_first_reference(self, generators, d_max, event_cap,
+                                           monkeypatch):
         trellis = build_trellis(CodeSpec.from_octal(generators))
-        spectrum = distance_spectrum(trellis, d_max, event_cap=event_cap)
+        monkeypatch.setattr(coding, "EVENT_STORAGE_CAP", event_cap)
+        spectrum = distance_spectrum(trellis, d_max)
         assert spectrum.d_free == free_distance(trellis)
         assert spectrum.d_max == d_max
         assert_matches_reference(spectrum,
@@ -490,7 +490,9 @@ class TestDistanceSpectrum:
     def test_random_codes_match_depth_first_reference(self, trellis, extra,
                                                       event_cap):
         d_max = free_distance(trellis) + extra
-        spectrum = distance_spectrum(trellis, d_max, event_cap=event_cap)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(coding, "EVENT_STORAGE_CAP", event_cap)
+            spectrum = distance_spectrum(trellis, d_max)
         assert_matches_reference(spectrum,
                                  reference_spectrum(trellis, d_max, event_cap))
 
@@ -543,9 +545,11 @@ class TestDistanceSpectrum:
                 assert pos[0] == 0            # events start at a difference
                 assert np.all(np.diff(pos) > 0)
 
-    def test_storage_cap_truncates_but_keeps_counts(self, trellis4):
+    def test_storage_cap_truncates_but_keeps_counts(self, trellis4,
+                                                    monkeypatch):
         full = distance_spectrum(trellis4, 10)
-        capped = distance_spectrum(trellis4, 10, event_cap=2)
+        monkeypatch.setattr(coding, "EVENT_STORAGE_CAP", 2)
+        capped = distance_spectrum(trellis4, 10)
         for d in full.distances():
             assert capped.multiplicity(d) == full.multiplicity(d)
             assert capped.input_weight(d) == full.input_weight(d)
@@ -557,8 +561,3 @@ class TestDistanceSpectrum:
     def test_rejects_d_max_below_free_distance(self, trellis64):
         with pytest.raises(ValueError):
             distance_spectrum(trellis64, 9)
-
-    def test_rejects_a_cap_that_stores_nothing(self, trellis4):
-        # the union bound needs one stored event per distance
-        with pytest.raises(ValueError, match="event_cap"):
-            distance_spectrum(trellis4, 8, event_cap=0)

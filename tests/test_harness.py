@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicmb import bicm, channel, harness
+from bicmb.analysis import diversity_gain, gamma_fit
 from bicmb.beamforming import predicted_gains, singular_values
 from bicmb.channel import ArrayGeometry, FadingProfile, draw_channel
 from bicmb.coding import free_distance, viterbi_decode
@@ -272,6 +273,11 @@ class TestParseConfig:
         ("interleaver = adversarial\nadversarial_run = 100000",
          "adversarial_run"),
         ("beta_db = 1e18", "finite"),
+        # beta**2 overflows in the Gamma fit past about +-1541 dB, and a
+        # finite value past about -3240 dB underflows to zero power
+        ("beta_db = 2000", "1000 dB"),
+        ("beta_db = -2000", "1000 dB"),
+        ("m_t = 2\nbeta_db = -20 -4000", "1000 dB"),
         ("paths = 1e308", "64-bit"),
         ("m_r = 1000", "too large"),
         ("n_r = 10000000", "too large"),
@@ -355,6 +361,36 @@ class TestParseConfig:
                 assert harness._simulate_frames(cfg, 0, range(2)) <= most
         with pytest.raises(ConfigurationError, match="snr_db"):
             tiny_config(snr_grid_db=(np.nextafter(top, np.inf),))
+
+    def test_extreme_betas_run_with_finite_values(self):
+        # beta**2 in the Gamma fit, and the frames' gains, metrics and
+        # decoder costs, stay finite at both ends of +-1000 dB
+        top = channel._MAX_BETA_DB
+        for beta_db in (-top, top):
+            profile = FadingProfile.from_db([[beta_db]], 2)
+            cfg = tiny_config(profile=profile)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = gamma_fit(profile)
+                assert np.isfinite(
+                    [fit.shape, fit.scale, diversity_gain(profile)]).all()
+                harness._simulate_frames(cfg, 0, range(4))
+        past = np.nextafter(top, np.inf)
+        for beta_db in (past, -past):
+            with pytest.raises(ConfigurationError, match="1000 dB"):
+                FadingProfile.from_db([[beta_db]], 2)
+        with pytest.raises(ConfigurationError, match="1000 dB"):
+            FadingProfile(np.array([[np.nextafter(1e100, np.inf)]]),
+                          np.array([[2]]))
+        # a pair at -inf dB has no power, and another pair may carry it
+        profile = FadingProfile.from_db([[-np.inf, top]], 2)
+        assert profile.beta.tolist() == [[0.0, 1e100]]
+
+    @pytest.mark.parametrize("field", ["n_r", "n_t"])
+    def test_oversized_arrays_are_rejected_without_the_parser(self, field):
+        # the budget check, not a float overflow, rejects an N past 2**20
+        with pytest.raises(ConfigurationError, match="arrays are too large"):
+            tiny_config(**{field: 10 ** 400})
 
     def test_worker_count_is_bounded(self):
         assert tiny_config(workers=harness._MAX_WORKERS).workers == 64
@@ -502,7 +538,8 @@ class TestConfigHash:
                              max_value=1e306),
            angles=st.lists(st.floats(min_value=-90.0, max_value=90.0),
                            min_size=2, max_size=2, unique=True).map(sorted),
-           beta_db=st.lists(st.floats(min_value=-3000.0, max_value=3000.0),
+           beta_db=st.lists(st.floats(min_value=-channel._MAX_BETA_DB,
+                                      max_value=channel._MAX_BETA_DB),
                             min_size=2, max_size=2))
     def test_canonical_text_is_a_parse_fixed_point(self, grid, spacing,
                                                    angles, beta_db):
@@ -517,6 +554,14 @@ class TestConfigHash:
         assert again.angle_range_deg == cfg.angle_range_deg
         assert again.profile.beta_db.tolist() == [beta_db]
         assert again.profile.beta.tobytes() == cfg.profile.beta.tobytes()
+
+    def test_linear_profile_text_parses_to_the_same_powers(self):
+        # a profile given in linear scale, with a pair of no power
+        profile = FadingProfile(np.array([[0.01, 0.0]]), np.array([[2, 2]]))
+        cfg = tiny_config(m_t=2, profile=profile)
+        again = parse_config(cfg.canonical_text())
+        assert again.canonical_text() == cfg.canonical_text()
+        assert again.profile.beta.tobytes() == profile.beta.tobytes()
 
     def test_execution_knobs_do_not_change_the_hash(self):
         cfg = tiny_config()
