@@ -56,11 +56,10 @@ def diversity_gain(profile: FadingProfile) -> float:
 
     Equals (sum beta_ij)^2 / (sum beta_ij^2 / L_ij); scale-invariant in
     beta, equal to the homogeneous value M_r * M_t * L when all pairs
-    share beta and L, and at most the total path count L_t.
+    share beta and L, and at most the total path count L_t.  A profile
+    always has power in some pair, so the ratio is defined.
     """
     beta = profile.beta
-    if not np.any(beta > 0):
-        raise ValueError("profile has no power in any subarray pair")
     num = beta.sum() ** 2
     den = (beta ** 2 / profile.paths).sum()
     return float(num / den)
@@ -76,8 +75,6 @@ def gamma_fit(profile: FadingProfile) -> GammaFit:
     shapes = profile.paths.astype(np.float64)
     scales = profile.beta / shapes
     mean = (shapes * scales).sum()
-    if mean <= 0:
-        raise ValueError("profile has no power in any subarray pair")
     var = (shapes * scales ** 2).sum()
     return GammaFit(shape=float(mean ** 2 / var), scale=float(var / mean))
 

@@ -23,7 +23,6 @@ __all__ = [
     "FadingProfile",
     "ChannelRealization",
     "db_to_linear",
-    "linear_to_db",
     "ula_response",
     "draw_paths",
     "subchannel_matrix",
@@ -45,10 +44,6 @@ def db_to_linear(db):
     """Power ratio from decibels; too large a ratio is ``inf``."""
     with np.errstate(over="ignore"):
         return 10.0 ** (np.asarray(db, dtype=np.float64) / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * np.log10(np.asarray(x, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -94,66 +89,43 @@ class PathSet:
         return PathSet(self.gains[key], self.aoa[key], self.aod[key])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FadingProfile:
     """Large-scale fading powers and path counts for every subarray pair.
 
-    ``beta`` is linear scale (convert from dB at the config boundary) and
-    ``paths`` holds the per-pair path counts L_ij.  ``beta_db`` keeps the
-    decibel values ``beta`` was converted from, when it was, so that a
-    config can be written back exactly (dB -> linear -> dB does not
-    round-trip).
+    ``beta_db`` is an (m_r, m_t) matrix of decibels, ``-inf`` for a pair
+    with no power, and ``paths`` the path counts L_ij, a scalar for
+    every pair alike.  ``beta`` is the linear power derived from
+    ``beta_db``; the decibels are kept so that a config is written back
+    exactly (dB -> linear -> dB does not round-trip).
     """
 
-    beta: np.ndarray
+    beta_db: np.ndarray
     paths: np.ndarray
-    beta_db: np.ndarray | None = field(default=None, compare=False,
-                                       repr=False)
+    beta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=np.float64)
+        beta_db = np.asarray(self.beta_db, dtype=np.float64)
         paths = np.asarray(self.paths, dtype=np.int64)
-        if beta.ndim != 2 or beta.shape != paths.shape:
+        if paths.size == 1:
+            paths = np.full(beta_db.shape, paths.flat[0])
+        if beta_db.ndim != 2 or beta_db.shape != paths.shape:
             raise ConfigurationError(
-                "beta and paths must be matrices of the same shape")
-        if not np.all(np.isfinite(beta)):
-            raise ConfigurationError("beta coefficients must be finite")
-        if np.any(beta < 0):
-            raise ConfigurationError("beta coefficients must be nonnegative")
+                "beta_db and paths must be matrices of the same shape")
         if np.any(paths < 1):
             raise ConfigurationError("every subarray pair needs at least one path")
-        # beta**2 overflows in the Gamma fit past about +-1541 dB; a pair
-        # at -inf dB has no power and stays allowed
-        lo, hi = db_to_linear(-_MAX_BETA_DB), db_to_linear(_MAX_BETA_DB)
-        outside = (beta != 0) & ((beta < lo) | (beta > hi))
-        if self.beta_db is not None:
-            beta_db = np.asarray(self.beta_db, dtype=np.float64)
-            if beta_db.shape != beta.shape:
-                raise ConfigurationError("beta_db must match the beta matrix")
-            # a finite dB value far enough below underflows to zero power
-            outside |= np.isfinite(beta_db) & (np.abs(beta_db) > _MAX_BETA_DB)
-            object.__setattr__(self, "beta_db", beta_db)
-        if np.any(outside):
+        # beta**2 overflows in the Gamma fit past about +-1541 dB
+        if not np.all((np.abs(beta_db) <= _MAX_BETA_DB)
+                      | (beta_db == -np.inf)):
             raise ConfigurationError(
-                f"nonzero beta values must lie within +-{_MAX_BETA_DB:g} dB")
-        object.__setattr__(self, "beta", beta)
+                f"beta_db values must be finite within +-{_MAX_BETA_DB:g} "
+                f"dB, or -inf for a pair with no power")
+        if np.all(beta_db == -np.inf):
+            raise ConfigurationError(
+                "fading profile has no power in any subarray pair")
+        object.__setattr__(self, "beta_db", beta_db)
         object.__setattr__(self, "paths", paths)
-
-    @classmethod
-    def from_db(cls, beta_db, paths) -> "FadingProfile":
-        beta_db = np.atleast_2d(np.asarray(beta_db, dtype=np.float64))
-        paths = np.atleast_2d(np.asarray(paths, dtype=np.int64))
-        if paths.shape != beta_db.shape:
-            if paths.size == 1:
-                paths = np.full(beta_db.shape, int(paths.flat[0]))
-            else:
-                raise ConfigurationError("paths does not match the beta matrix")
-        return cls(db_to_linear(beta_db), paths, beta_db)
-
-    @classmethod
-    def homogeneous(cls, m_r: int, m_t: int, beta_db: float, l: int) -> "FadingProfile":
-        return cls(np.full((m_r, m_t), float(db_to_linear(beta_db))),
-                   np.full((m_r, m_t), l), np.full((m_r, m_t), float(beta_db)))
+        object.__setattr__(self, "beta", db_to_linear(beta_db))
 
     @property
     def m_r(self) -> int:
@@ -175,18 +147,6 @@ class FadingProfile:
         arrays i and j: pairs in row-major order, L_ij columns each."""
         i, j = np.indices(self.paths.shape).reshape(2, -1)
         return np.repeat(i, self.paths.ravel()), np.repeat(j, self.paths.ravel())
-
-    def _key(self) -> tuple:
-        return (self.beta.shape, self.beta.tobytes(), self.paths.tobytes())
-
-    # the generated methods would compare and hash the numpy arrays
-    def __eq__(self, other):
-        if not isinstance(other, FadingProfile):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ import numpy as np
 from .analysis import gamma_fit, union_bound_ber
 from .coding import CodeSpec, build_trellis, distance_spectrum, free_distance
 from .errors import ConfigurationError, NumericalError
-from .harness import (SimConfig, build_runtime, load_config, preset,
-                      preset_names, spectrum_stats, sweep)
+from .harness import (SimConfig, _number_text, build_runtime, load_config,
+                      preset, preset_names, spectrum_stats, sweep)
 
 __all__ = ["main"]
 
@@ -161,7 +161,7 @@ def _write_bound_csv(path: Path, cfg: SimConfig, spectra: dict) -> None:
         fh.write(f"# coverage_ok={int(report.coverage_ok)}\n")
         fh.write(ANALYZE_CSV_HEADER + "\n")
         for k in range(grid.size):
-            fh.write(f"{grid[k]:g},{report.pep[k]:.12e},"
+            fh.write(f"{_number_text(grid[k])},{report.pep[k]:.12e},"
                      f"{report.pep_high_snr[k]:.12e},"
                      f"{report.union_bound[k]:.12e},"
                      f"{report.diversity:.6f}\n")

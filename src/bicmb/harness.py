@@ -26,7 +26,7 @@ from .analysis import estimate_slope
 from .beamforming import (_path_singular_values, predicted_gains,
                           singular_values)
 from .channel import (ArrayGeometry, FadingProfile, draw_channels,
-                      draw_path_sets, linear_to_db)
+                      draw_path_sets)
 from .coding import (CodeSpec, Trellis, build_trellis, encode, free_distance,
                      viterbi_decode)
 from .errors import ConfigurationError, NumericalError
@@ -90,7 +90,6 @@ _MAX_SNR_DB = 1000.0
 class SimConfig:
     """Complete description of one BER simulation.
 
-    ``profile`` holds linear-scale fading powers (configs give dB).
     ``adversarial_run`` of 0 means "use the code's free distance".
     ``rf_chains_per_stream`` is recorded for documentation only; the
     unconstrained beamformer does not use it.
@@ -161,9 +160,6 @@ class SimConfig:
             raise ConfigurationError("adversarial_run cannot be negative")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed cannot be negative")
-        if not np.any(self.profile.beta > 0):
-            raise ConfigurationError(
-                "fading profile has no power in any subarray pair")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ConfigurationError("spacing must be a positive finite number")
         self.sub_frames    # rejects a frame over budget; bounds N to 2**20
@@ -262,16 +258,11 @@ class SimConfig:
         ``rf_chains_per_stream`` is included although it changes no
         result; dropping it would change every existing hash.
         """
-        beta_db = self.profile.beta_db
-        if beta_db is None:
-            # a pair with no power reads back from -inf dB
-            with np.errstate(divide="ignore"):
-                beta_db = linear_to_db(self.profile.beta)
         values = {key: getattr(self, key, None) for key in _KEYS
                   if key not in ("workers", "label")}
         # the keys that are not fields of the same name
         values.update(
-            beta_db=_matrix_text(beta_db),
+            beta_db=_matrix_text(self.profile.beta_db),
             paths=_matrix_text(self.profile.paths),
             generators=",".join(f"{g:o}" for g in self.code.generators),
             constraint_length=self.code.constraint_length,
@@ -287,7 +278,7 @@ class SimConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
     # configs are equal when they describe the same experiment; the
-    # generated methods would compare the profile's numpy arrays
+    # generated methods would compare profiles by identity
     def __eq__(self, other):
         if not isinstance(other, SimConfig):
             return NotImplemented
@@ -450,7 +441,7 @@ def parse_config(text: str) -> SimConfig:
                  m_r, vals["n_r"], m_t, vals["n_t"], m_r * m_t)
     if beta_db.size == 1:
         beta_db = np.full((m_r, m_t), beta_db.flat[0])
-    profile = FadingProfile.from_db(beta_db, paths)
+    profile = FadingProfile(beta_db, paths)
 
     lo, hi = SimConfig.angle_range_deg
     angles = (vals.pop("angle_min_deg", lo), vals.pop("angle_max_deg", hi))
@@ -710,8 +701,9 @@ class BerCurve:
             fh.write(BER_CSV_HEADER + "\n")
             for k in range(self.snr_db.size):
                 ber = self.bit_errors[k] / max(int(self.bits[k]), 1)
-                fh.write(f"{self.snr_db[k]:g},{int(self.frames[k])},"
-                         f"{int(self.bits[k])},{int(self.bit_errors[k])},"
+                fh.write(f"{_number_text(self.snr_db[k])},"
+                         f"{int(self.frames[k])},{int(self.bits[k])},"
+                         f"{int(self.bit_errors[k])},"
                          f"{ber:.12e},{int(self.warning_flags[k])}\n")
 
 
@@ -871,8 +863,7 @@ _BER_PRESETS = {
 
 def _base(m_r, m_t, n_s, snr_grid, beta_db=-20.0, paths=2,
           modulation="bpsk", **kw) -> SimConfig:
-    profile = FadingProfile.homogeneous(m_r, m_t, beta_db, paths) \
-        if np.isscalar(beta_db) else FadingProfile.from_db(beta_db, paths)
+    profile = FadingProfile(np.broadcast_to(beta_db, (m_r, m_t)), paths)
     # Deep grid points see bursty frame errors (a faded subchannel wipes
     # out most of a frame), so stop-rule checks use coarse batches: every
     # point then collects at least one full batch of frames, keeping the

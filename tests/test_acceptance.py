@@ -52,7 +52,7 @@ def report(n, ok, detail):
 
 def test_criterion_1_rank_limited_spectrum():
     """Exactly L_t = 8 modes above 1e-8 of the top one, at two array sizes."""
-    profile = FadingProfile.homogeneous(2, 2, -20.0, 2)
+    profile = FadingProfile(np.full((2, 2), -20.0), 2)
     results = {}
     t0 = time.perf_counter()
     rng = np.random.default_rng(1001)
@@ -129,8 +129,8 @@ def test_criterion_3_code_constants():
 
 def test_criterion_4_diversity_formula():
     """Homogeneous value exact; heterogeneous value pinned to 4.257."""
-    homog = diversity_gain(FadingProfile.homogeneous(2, 2, -20.0, 2))
-    hetero_profile = FadingProfile.from_db([[-20.0, -35.0], [-35.0, -20.0]], 2)
+    homog = diversity_gain(FadingProfile(np.full((2, 2), -20.0), 2))
+    hetero_profile = FadingProfile([[-20.0, -35.0], [-35.0, -20.0]], 2)
     direct = diversity_gain(hetero_profile)
     via_fit = gamma_fit(hetero_profile).shape
     two_ways = abs(direct - via_fit) < 1e-9
@@ -155,7 +155,7 @@ def test_criterion_4_diversity_formula():
 def test_criterion_5_gamma_moment_match():
     """1e5 draws of the normalized power statistic match the fitted law."""
     t0 = time.perf_counter()
-    profile = FadingProfile.homogeneous(2, 2, -20.0, 2)
+    profile = FadingProfile(np.full((2, 2), -20.0), 2)
     fit = gamma_fit(profile)
     draws = sample_theta(profile, 100_000, np.random.default_rng(1005))
     mean_err = abs(draws.mean() - fit.mean) / fit.mean

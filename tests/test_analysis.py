@@ -31,49 +31,49 @@ from bicmb.bicm import (
 )
 from bicmb.channel import FadingProfile
 from bicmb.coding import CodeSpec, build_trellis, distance_spectrum
+from bicmb.errors import ConfigurationError
 
 
 class TestDiversityGain:
     def test_homogeneous_is_pair_count_times_paths(self):
         for m_r, m_t, l in [(1, 1, 4), (2, 2, 2), (2, 3, 5)]:
-            p = FadingProfile.homogeneous(m_r, m_t, -20.0, l)
+            p = FadingProfile(np.full((m_r, m_t), -20.0), l)
             assert diversity_gain(p) == pytest.approx(m_r * m_t * l)
 
     def test_hand_computed_heterogeneous_cases(self):
         # single active pair: (1)^2 / (1/3) = 3
-        p = FadingProfile(np.array([[1.0, 0.0]]), np.array([[3, 2]]))
+        p = FadingProfile([[0.0, -np.inf]], [[3, 2]])
         assert diversity_gain(p) == pytest.approx(3.0)
         # two equal pairs, one path each: 4 / 2 = 2
-        p = FadingProfile(np.array([[1.0, 1.0]]), np.array([[1, 1]]))
+        p = FadingProfile([[0.0, 0.0]], [[1, 1]])
         assert diversity_gain(p) == pytest.approx(2.0)
         # unequal powers: (1 + 1/2)^2 / (1 + 1/8) = 2
-        p = FadingProfile(np.array([[1.0, 0.5]]), np.array([[1, 2]]))
+        p = FadingProfile(10 * np.log10([[1.0, 0.5]]), [[1, 2]])
         assert diversity_gain(p) == pytest.approx(2.0)
 
     def test_scale_invariance(self):
-        beta = np.array([[0.8, 0.05], [0.3, 1.4]])
+        beta_db = np.array([[-1.0, -13.0], [-5.2, 1.5]])
         paths = np.array([[2, 1], [3, 2]])
-        d1 = diversity_gain(FadingProfile(beta, paths))
-        d2 = diversity_gain(FadingProfile(17.0 * beta, paths))
+        d1 = diversity_gain(FadingProfile(beta_db, paths))
+        d2 = diversity_gain(FadingProfile(beta_db + 12.3, paths))
         assert d1 == pytest.approx(d2)
 
     def test_bounded_by_total_paths(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            beta = rng.uniform(0.01, 2.0, (2, 2))
+            beta_db = rng.uniform(-20.0, 3.0, (2, 2))
             paths = rng.integers(1, 5, (2, 2))
-            p = FadingProfile(beta, paths)
+            p = FadingProfile(beta_db, paths)
             assert diversity_gain(p) <= p.total_paths + 1e-9
 
     def test_all_zero_power_rejected(self):
-        p = FadingProfile(np.zeros((1, 2)), np.ones((1, 2), dtype=int))
-        with pytest.raises(ValueError):
-            diversity_gain(p)
+        with pytest.raises(ConfigurationError, match="no power"):
+            FadingProfile(np.full((1, 2), -np.inf), 1)
 
 
 class TestGammaFit:
     def test_moments_match_profile(self):
-        p = FadingProfile(np.array([[1.0, 0.25]]), np.array([[2, 3]]))
+        p = FadingProfile(10 * np.log10([[1.0, 0.25]]), [[2, 3]])
         fit = gamma_fit(p)
         assert fit.mean == pytest.approx(1.25)
         assert fit.variance == pytest.approx(1.0 / 2 + 0.0625 / 3)
@@ -81,15 +81,15 @@ class TestGammaFit:
     def test_shape_equals_diversity_gain(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            p = FadingProfile(rng.uniform(0.01, 2.0, (2, 2)),
+            p = FadingProfile(rng.uniform(-20.0, 3.0, (2, 2)),
                               rng.integers(1, 5, (2, 2)))
             assert gamma_fit(p).shape == pytest.approx(diversity_gain(p))
 
 
 class TestSampleTheta:
     def test_matches_fit_moments(self):
-        p = FadingProfile(np.array([[1.0, 0.2], [0.05, 0.7]]),
-                          np.array([[2, 1], [3, 2]]))
+        p = FadingProfile(10 * np.log10([[1.0, 0.2], [0.05, 0.7]]),
+                          [[2, 1], [3, 2]])
         draws = sample_theta(p, 100_000, np.random.default_rng(19))
         fit = gamma_fit(p)
         assert draws.mean() == pytest.approx(fit.mean, rel=0.02)
@@ -97,7 +97,7 @@ class TestSampleTheta:
 
     def test_single_pair_is_exactly_gamma(self):
         # one pair with L paths: the statistic is Gamma(L, beta/L) exactly
-        p = FadingProfile.homogeneous(1, 1, -3.0, 4)
+        p = FadingProfile([[-3.0]], 4)
         draws = sample_theta(p, 50_000, np.random.default_rng(23))
         fit = gamma_fit(p)
         stat = scipy.stats.kstest(
@@ -107,7 +107,7 @@ class TestSampleTheta:
 
 class TestPepBound:
     def setup_method(self):
-        self.fit = gamma_fit(FadingProfile.homogeneous(2, 2, -20.0, 2))
+        self.fit = gamma_fit(FadingProfile(np.full((2, 2), -20.0), 2))
 
     def test_never_exceeds_half_and_decreases(self):
         snr = np.logspace(-2, 6, 30)
@@ -199,7 +199,7 @@ def bound_inputs():
     trellis = build_trellis(CodeSpec.from_octal("5,7"))
     spectrum = distance_spectrum(trellis, 8)
     itl = structured_interleaver(256, 2, 1, depth=8)
-    fit = gamma_fit(FadingProfile.homogeneous(2, 2, -20.0, 2))
+    fit = gamma_fit(FadingProfile(np.full((2, 2), -20.0), 2))
     return spectrum, itl, fit, make_constellation("bpsk")
 
 
@@ -304,7 +304,7 @@ class TestUnionBoundEqualsPerEventLoop:
         itl = {"structured": lambda: structured_interleaver(240, 3, 1),
                "random": lambda: random_interleaver(240, 3, 1, rng),
                "shuffled": lambda: block_shuffled_interleaver(240, rng)}[kind]()
-        fit = gamma_fit(FadingProfile.homogeneous(2, 2, -20.0, 2))
+        fit = gamma_fit(FadingProfile(np.full((2, 2), -20.0), 2))
         c = make_constellation("bpsk")
         snr = np.logspace(-1, 5, 13)
         rep = union_bound_ber(spectrum, itl, fit, c, n_t=16, l_t=8,

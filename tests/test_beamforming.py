@@ -18,7 +18,7 @@ from bicmb.errors import NumericalError
 
 @pytest.fixture()
 def channel():
-    profile = FadingProfile.homogeneous(2, 2, -10.0, 2)
+    profile = FadingProfile(np.full((2, 2), -10.0), 2)
     rx, tx = ArrayGeometry(8), ArrayGeometry(8)
     return draw_channel(profile, rx, tx, np.random.default_rng(314))
 
@@ -72,7 +72,7 @@ class TestNumericalRank:
 
 class TestPredictedGains:
     def test_formula_on_known_blocks(self):
-        profile = FadingProfile(np.array([[0.5, 2.0]]), np.array([[2, 1]]))
+        profile = FadingProfile([[-3.0, 3.0]], [[2, 1]])
         rx, tx = ArrayGeometry(4), ArrayGeometry(8)
         ch = draw_channel(profile, rx, tx, np.random.default_rng(6))
         pred = predicted_gains(profile, ch.paths, rx, tx)
@@ -86,8 +86,8 @@ class TestPredictedGains:
         assert np.all(np.diff(pred) <= 0.0)
 
     def test_batch_rows_equal_single_draws(self):
-        profile = FadingProfile(np.array([[0.5, 0.0], [2.0, 1.0]]),
-                                np.array([[2, 1], [3, 1]]))
+        profile = FadingProfile([[-3.0, -np.inf], [3.0, 0.0]],
+                                [[2, 1], [3, 1]])
         rx, tx = ArrayGeometry(4), ArrayGeometry(8)
         batch = draw_channels(profile, rx, tx,
                               [np.random.default_rng(s) for s in range(5)])
@@ -101,7 +101,7 @@ class TestPredictedGains:
     def test_large_arrays_approach_prediction(self):
         # steering vectors decorrelate as the arrays grow, so measured
         # singular values converge on the per-path prediction
-        profile = FadingProfile.homogeneous(1, 1, 0.0, 4)
+        profile = FadingProfile([[0.0]], 4)
         rng = np.random.default_rng(21)
         errs = []
         for n in (8, 256):
@@ -138,10 +138,11 @@ def path_draws(draw):
     n_r, n_t = draw(st.integers(1, 19)), draw(st.integers(1, 19))
     paths = draw(st.lists(st.integers(1, 5), min_size=m_r * m_t,
                           max_size=m_r * m_t))
-    beta = draw(st.lists(st.sampled_from([0.0, 0.003, 0.1, 1.0, 7.0]),
-                         min_size=m_r * m_t, max_size=m_r * m_t))
-    beta[draw(st.integers(0, m_r * m_t - 1))] = 1.0
-    profile = FadingProfile(np.reshape(beta, (m_r, m_t)),
+    beta_db = draw(st.lists(st.sampled_from([-np.inf, -25.0, -10.0, 0.0,
+                                             8.5]),
+                            min_size=m_r * m_t, max_size=m_r * m_t))
+    beta_db[draw(st.integers(0, m_r * m_t - 1))] = 0.0
+    profile = FadingProfile(np.reshape(beta_db, (m_r, m_t)),
                             np.reshape(paths, (m_r, m_t)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     paths = draw_path_sets(profile, [np.random.default_rng([seed, b])
@@ -166,7 +167,7 @@ class TestPathFactors:
         assert np.all(full[:, k:] <= 1e-12 * top)
 
     def test_streams_beyond_the_paths_are_exact_zeros(self):
-        profile = FadingProfile.from_db([[-20.0, -26.0]], [[1, 2]])
+        profile = FadingProfile([[-20.0, -26.0]], [[1, 2]])
         rx, tx = ArrayGeometry(8), ArrayGeometry(4)
         rngs = [np.random.default_rng(s) for s in range(5)]
         paths = draw_path_sets(profile, rngs)
@@ -179,7 +180,7 @@ class TestPathFactors:
         # the paper's N -> infinity result on a heterogeneous 2 x 2 grid:
         # steering vectors decorrelate and each path's gain becomes one
         # singular value
-        profile = FadingProfile.from_db([[-20.0, -35.0], [-35.0, -20.0]], 2)
+        profile = FadingProfile([[-20.0, -35.0], [-35.0, -20.0]], 2)
         medians = []
         for n in (8, 64, 512):
             rx = tx = ArrayGeometry(n)
@@ -243,7 +244,7 @@ def _collided(profile, frames, seed=5):
 
 
 class TestPivotFallback:
-    profile = FadingProfile.from_db([[-20.0, -26.0], [-23.0, -20.0]], 2)
+    profile = FadingProfile([[-20.0, -26.0], [-23.0, -20.0]], 2)
     rx, tx = ArrayGeometry(16), ArrayGeometry(8)
 
     def test_flagged_frames_take_the_qr_values(self, monkeypatch):
@@ -261,7 +262,7 @@ class TestPivotFallback:
         # a receive pivot^2 in [1e-4, 1e-3), below the floor; the transmit
         # subarray carries 3 paths on 2 elements, so it takes the QR path
         # at any floor
-        profile = FadingProfile.from_db(-20.0, 3)
+        profile = FadingProfile([[-20.0]], 3)
         rx, tx = ArrayGeometry(16), ArrayGeometry(2)
         paths = draw_path_sets(profile, [np.random.default_rng(4)])
         paths.aoa[0] = [0.3, 0.30125, -0.6]
@@ -304,7 +305,7 @@ class TestPivotFallback:
                                                                monkeypatch):
         # 4 paths arrive at one 2-element receive subarray; each
         # 16-element transmit subarray sends 2, none nearly collide
-        profile = FadingProfile.from_db([[-20.0, -26.0]], 2)
+        profile = FadingProfile([[-20.0, -26.0]], 2)
         rx, tx = ArrayGeometry(2), ArrayGeometry(16)
         paths = draw_path_sets(profile, [np.random.default_rng([2, b])
                                          for b in range(4)])

@@ -19,7 +19,6 @@ from bicmb.channel import (
     draw_channels,
     draw_path_sets,
     draw_paths,
-    linear_to_db,
     subchannel_matrix,
     ula_response,
 )
@@ -30,11 +29,6 @@ class TestDecibels:
     def test_known_values(self):
         assert db_to_linear(-20.0) == pytest.approx(0.01)
         assert db_to_linear(0.0) == pytest.approx(1.0)
-        assert linear_to_db(100.0) == pytest.approx(20.0)
-
-    def test_round_trip(self):
-        x = np.array([0.03, 1.0, 7.5])
-        np.testing.assert_allclose(db_to_linear(linear_to_db(x)), x)
 
 
 class TestArrayGeometry:
@@ -164,47 +158,48 @@ class TestSubchannelMatrix:
 
 class TestFadingProfile:
     def test_homogeneous(self):
-        p = FadingProfile.homogeneous(2, 3, -20.0, 4)
+        p = FadingProfile(np.full((2, 3), -20.0), 4)
         assert p.m_r == 2 and p.m_t == 3
         np.testing.assert_allclose(p.beta, 0.01)
         assert p.total_paths == 24
 
     def test_path_total_is_exact(self):
         # four pairs of 4e18 paths sum past the int64 range
-        p = FadingProfile(np.full((2, 2), 0.01), np.full((2, 2), 4 * 10**18))
+        p = FadingProfile(np.full((2, 2), -20.0), np.full((2, 2), 4 * 10**18))
         assert p.total_paths == 16 * 10**18
 
-    def test_from_db_broadcasts_scalar_paths(self):
-        p = FadingProfile.from_db([[0.0, -10.0]], 2)
-        np.testing.assert_allclose(p.beta, [[1.0, 0.1]])
-        np.testing.assert_array_equal(p.paths, [[2, 2]])
+    def test_broadcasts_scalar_paths(self):
+        p = FadingProfile([[0.0, -10.0, -np.inf]], 2)
+        np.testing.assert_allclose(p.beta, [[1.0, 0.1, 0.0]])
+        assert p.beta[0, 0] == 1.0 and p.beta[0, 2] == 0.0
+        np.testing.assert_array_equal(p.paths, [[2, 2, 2]])
 
     def test_keeps_the_decibels_it_was_built_from(self):
-        p = FadingProfile.from_db([[2.3, -20.0000001]], 2)
+        p = FadingProfile([[2.3, -20.0000001]], 2)
         assert p.beta_db.tolist() == [[2.3, -20.0000001]]
-        assert FadingProfile.homogeneous(1, 2, -7.5, 1).beta_db.tolist() \
+        assert FadingProfile(np.full((1, 2), -7.5), 1).beta_db.tolist() \
             == [[-7.5, -7.5]]
-        assert FadingProfile(np.ones((1, 1)), np.ones((1, 1), int)).beta_db \
-            is None
-        with pytest.raises(ConfigurationError, match="beta_db"):
-            FadingProfile(np.ones((1, 2)), np.ones((1, 2), int),
-                          beta_db=np.zeros((2, 1)))
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FadingProfile(np.ones((2, 2)), np.ones((2, 3), dtype=int))
-        with pytest.raises(ConfigurationError):
-            FadingProfile(-np.ones((1, 1)), np.ones((1, 1), dtype=int))
-        with pytest.raises(ConfigurationError):
-            FadingProfile(np.ones((1, 1)), np.zeros((1, 1), dtype=int))
-        with pytest.raises(ConfigurationError):
-            FadingProfile.from_db([[0.0, 0.0]], [[1], [2]])
+        for beta_db, paths in [
+                (np.zeros((2, 2)), np.ones((2, 3), dtype=int)),
+                (np.zeros((1, 1)), np.zeros((1, 1), dtype=int)),
+                ([[0.0, 0.0]], [[1], [2]]),
+                # no power in any pair
+                (np.full((2, 2), -np.inf), 1),
+                # outside the range rule: finite within +-1000 dB or -inf
+                ([[0.0, np.nan]], 1),
+                ([[0.0, np.inf]], 1),
+                ([[1000.0001]], 1),
+                ([[-1000.0001, 0.0]], 1)]:
+            with pytest.raises(ConfigurationError):
+                FadingProfile(beta_db, paths)
 
 
 class TestCompositeChannel:
     def test_block_layout_and_scaling(self):
-        profile = FadingProfile(np.array([[1.0, 0.25], [0.0, 4.0]]),
-                                np.array([[1, 2], [1, 3]]))
+        profile = FadingProfile([[0.0, -6.0], [-np.inf, 6.0]],
+                                [[1, 2], [1, 3]])
         rx, tx = ArrayGeometry(3), ArrayGeometry(4)
         ch = draw_channel(profile, rx, tx, np.random.default_rng(9))
         assert ch.h.shape == (6, 8)
@@ -227,7 +222,7 @@ class TestCompositeChannel:
         assert not ch.h[3:6, 0:4].any()
 
     def test_draw_channel_shape_rank_and_determinism(self):
-        profile = FadingProfile.homogeneous(2, 2, -10.0, 2)
+        profile = FadingProfile(np.full((2, 2), -10.0), 2)
         rx, tx = ArrayGeometry(8), ArrayGeometry(16)
         ch = draw_channel(profile, rx, tx, np.random.default_rng(77))
         assert ch.h.shape == (16, 32)
@@ -242,8 +237,8 @@ class TestCompositeChannel:
 
     def test_batched_draw_equals_stacked_draw_channel(self):
         # a zero-power block and a different path count in every block
-        profile = FadingProfile(np.array([[1.0, 0.0], [0.25, 4.0]]),
-                                np.array([[1, 2], [3, 4]]))
+        profile = FadingProfile([[0.0, -np.inf], [-6.0, 6.0]],
+                                [[1, 2], [3, 4]])
         rx, tx = ArrayGeometry(3), ArrayGeometry(5, spacing_over_lambda=0.4)
         angles = (-1.0, 1.2)
         stacked = np.stack([
@@ -264,8 +259,8 @@ class TestCompositeChannel:
                           (1.0, 1.0))
 
     def test_path_draw_equals_a_per_frame_draw_paths_loop(self):
-        profile = FadingProfile(np.array([[1.0, 0.0], [0.25, 4.0]]),
-                                np.array([[1, 2], [3, 4]]))
+        profile = FadingProfile([[0.0, -np.inf], [-6.0, 6.0]],
+                                [[1, 2], [3, 4]])
         angles = (-1.0, 1.2)
         rx, tx = ArrayGeometry(3), ArrayGeometry(5, spacing_over_lambda=0.4)
         rngs_a = [np.random.default_rng(s) for s in range(4)]
@@ -295,7 +290,7 @@ class TestCompositeChannel:
             assert a.bit_generator.state == b.bit_generator.state
 
     def test_mean_composite_energy_tracks_fading_sum(self):
-        profile = FadingProfile.from_db([[0.0, -3.0], [-10.0, 0.0]], 2)
+        profile = FadingProfile([[0.0, -3.0], [-10.0, 0.0]], 2)
         rx = tx = ArrayGeometry(4)
         rng = np.random.default_rng(11)
         energy = [np.linalg.norm(draw_channel(profile, rx, tx, rng).h) ** 2

@@ -336,8 +336,8 @@ class TestArgumentHandling:
         assert cli.main(["analyze", "--config", str(p),
                          "--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
-            "configuration error: nonzero beta values must lie "
-            "within +-1000 dB"]
+            "configuration error: beta_db values must be finite within "
+            "+-1000 dB, or -inf for a pair with no power"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -587,6 +587,24 @@ class TestAnalyze:
                          "--out", str(out)]) == cli.EXIT_CONFIG
         assert "catastrophic" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_snr_columns_read_back_to_the_grid(tmp_path, monkeypatch):
+    # grid points that differ past six significant digits
+    p = tmp_path / "fine.cfg"
+    p.write_text(TINY_CFG.replace("snr_db = 0,4,8",
+                                  "snr_db = 10.1234561,10.1234564"))
+    grid = list(parse_config(p.read_text()).snr_grid_db)
+    monkeypatch.setattr(cli, "sweep", fake_curve)
+    ber, bound = tmp_path / "ber.csv", tmp_path / "bound.csv"
+    assert cli.main(["simulate", "--config", str(p),
+                     "--out", str(ber)]) == cli.EXIT_OK
+    assert cli.main(["analyze", "--config", str(p),
+                     "--out", str(bound)]) == cli.EXIT_OK
+    assert [float(r[0]) for r in ber_rows(ber)] == grid
+    lines = bound.read_text().splitlines()
+    rows = lines[lines.index(cli.ANALYZE_CSV_HEADER) + 1:]
+    assert [float(ln.split(",")[0]) for ln in rows] == grid
 
 
 class TestChannelStats:

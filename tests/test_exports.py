@@ -47,6 +47,15 @@ def test_beamforming_exports_only_the_link_functions():
     assert beamforming.__all__ == ["singular_values", "predicted_gains"]
 
 
+def test_channel_exports_no_linear_profile_names():
+    # a profile is built from decibels alone: no linear_to_db
+    from bicmb import channel
+    assert channel.__all__ == [
+        "ArrayGeometry", "PathSet", "FadingProfile", "ChannelRealization",
+        "db_to_linear", "ula_response", "draw_paths", "subchannel_matrix",
+        "draw_channel", "draw_path_sets", "draw_channels"]
+
+
 def test_traced_benchmark_targets_resolve():
     # the benchmark's tracer wraps these by name and cannot install
     # without every one of them
