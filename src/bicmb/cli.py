@@ -89,11 +89,8 @@ def _selected_configs(args, workers: int | None = None) -> dict[str, SimConfig]:
         cfg = load_config(args.config)
         variants = {cfg.label or "run": cfg}
     else:
-        p = preset(args.preset, master_seed=args.seed, workers=workers)
-        if not p.variants:
-            raise ConfigurationError(
-                f"preset {p.name!r} is a spectrum study; use channel-stats")
-        variants = p.variants
+        variants = preset(args.preset, master_seed=args.seed,
+                          workers=workers).variants
     if args.variant is not None:
         if args.variant not in variants:
             raise ConfigurationError(
@@ -178,15 +175,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_channel_stats(args) -> int:
-    cfg = (preset(args.preset, master_seed=args.seed).spectrum
-           if args.preset is not None else None)
-    if cfg is None:
-        cfg = next(iter(_selected_configs(args).values()))
-    elif args.config is not None:
-        raise ConfigurationError("give exactly one of --config or --preset")
-    elif args.variant is not None:
-        raise ConfigurationError(
-            f"unknown variant {args.variant!r}; preset {args.preset!r} has none")
+    cfg = next(iter(_selected_configs(args).values()))
     _out_file(args.out)
     sv, pred = spectrum_stats(cfg, args.draws)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -268,19 +268,21 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
     pred_state = trellis.pred_state.T.ravel()
     pred_pattern = trellis.pred_pattern.T.ravel()
 
-    metric = np.full((S, B), np.inf)
-    metric[0] = 0.0  # encoder always starts in state 0
-    cand = np.empty((2 * S, B))
-    branch = np.empty_like(cand)
-    # The frame axis is padded to whole bytes, its pad columns zeroed
-    # once, so a chunk packs in one flat call.  Bit 7 - b % 8 of
-    # survivor[t, s, b // 8] is set when s's slot 1 survived in frame b.
+    # The frame axis is padded to whole bytes with zero-cost frames, so
+    # each step writes whole rows of decisions and a chunk packs in one
+    # flat call.  Bit 7 - b % 8 of survivor[t, s, b // 8] is set when s's
+    # slot 1 survived in frame b; the traceback never reads a pad frame.
     n_bytes = -(-B // 8)
-    decisions = np.zeros((min(T, _DECODE_CHUNK_STEPS), S, 8 * n_bytes),
-                         dtype=bool)
+    width = 8 * n_bytes
+    metric = np.full((S, width), np.inf)
+    metric[0] = 0.0  # encoder always starts in state 0
+    cand = np.empty((2 * S, width))
+    branch = np.empty_like(cand)
+    decisions = np.empty((min(T, _DECODE_CHUNK_STEPS), S, width), dtype=bool)
     survivor = np.empty((T, S, n_bytes), dtype=np.uint8)
     for t0 in range(0, T, _DECODE_CHUNK_STEPS):
-        pattern_costs = _pattern_costs(costs[:, t0:t0 + _DECODE_CHUNK_STEPS])
+        pattern_costs = _pattern_costs(costs[:, t0:t0 + _DECODE_CHUNK_STEPS],
+                                       width)
         steps = pattern_costs.shape[0]
         # The trellis tables index in range, so mode="clip" never clips;
         # it lets take write straight into ``out`` instead of buffering.
@@ -289,7 +291,7 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
             cand += pattern_costs[t].take(pred_pattern, axis=0, out=branch,
                                           mode="clip")
             # strict <: the lower predecessor state (slot 0) wins ties
-            np.less(cand[S:], cand[:S], out=decisions[t, :, :B])
+            np.less(cand[S:], cand[:S], out=decisions[t])
             np.minimum(cand[:S], cand[S:], out=metric)
         survivor[t0:t0 + steps] = np.packbits(
             decisions[:steps].ravel()).reshape(steps, S, n_bytes)
@@ -311,18 +313,20 @@ def viterbi_decode(trellis: Trellis, branch_costs: np.ndarray) -> np.ndarray:
     return decided[: T - (K - 1)].T
 
 
-def _pattern_costs(costs: np.ndarray) -> np.ndarray:
-    """Cost of each packed output pattern at each step, shape (T, P, B).
+def _pattern_costs(costs: np.ndarray, width: int) -> np.ndarray:
+    """Cost of each packed output pattern at each step, shape (T, P, width).
 
-    ``costs`` is (B, T, n, 2).  The state-major layout makes every
-    per-step gather of the decoder a copy of whole contiguous batch rows.
-    The n bit costs are added left to right, the order of numpy's sum
-    over that axis, so the sums are bitwise those of the reduce form.
+    ``costs`` is (B, T, n, 2); frames B to ``width`` - 1 cost zero.  The
+    state-major layout makes every per-step gather of the decoder a copy
+    of whole contiguous batch rows.  The n bit costs are added left to
+    right, the order of numpy's sum over that axis, so the sums are
+    bitwise those of the reduce form.
     """
     B, T, n, _ = costs.shape
     pb = _pattern_bits(n)
-    bit_costs = np.ascontiguousarray(costs.transpose(1, 2, 3, 0))
-    out = np.empty((T, 1 << n, B))
+    bit_costs = np.zeros((T, n, 2, width))
+    bit_costs[..., :B] = costs.transpose(1, 2, 3, 0)
+    out = np.empty((T, 1 << n, width))
     for p, bits in enumerate(pb):
         acc = out[:, p]
         np.add(bit_costs[:, 0, bits[0]], bit_costs[:, 1, bits[1]], out=acc)

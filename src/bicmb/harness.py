@@ -587,15 +587,32 @@ def _frame_rngs(config: SimConfig, snr_idx: int, frames: range,
             for w in words]
 
 
+def _message_bits(rngs: list, length: int) -> np.ndarray:
+    """The (len(rngs), length) bits that ``rng.integers(0, 2, length)``
+    would draw from each generator, taken from raw PCG64 words.
+
+    That bounded draw returns the top bit of each 32-bit half of the
+    generator's 64-bit words, low half first, so the bits are bits 31
+    and 63 of ceil(length / 2) words.  The raw call leaves the 64-bit
+    stream where ``integers`` leaves it, so later normal draws match.
+    """
+    words = np.empty((len(rngs), -(-length // 2)), dtype=np.uint64)
+    for b, rng in enumerate(rngs):
+        words[b] = rng.bit_generator.random_raw(words.shape[1])
+    bits = words[:, :, None] >> np.array([31, 63], dtype=np.uint64) & 1
+    return bits.reshape(len(rngs), -1)[:, :length].astype(np.uint8)
+
+
 def _simulate_frames(config: SimConfig, snr_idx: int, frames: range) -> int:
     """Run one sub-batch of frames through the link; return its
     info-bit error count.
 
     The seed words of every frame's two generators are hashed in one
     pass.  Each frame's channel generator draws its paths, and its frame
-    generator the message, then the real and the imaginary noise parts
-    in one call.  The gain stage, the encoder and the decoder run once
-    on the whole sub-batch, the demap stage once per block of frames.
+    generator the message as raw words, then the real and the imaginary
+    noise parts in one call.  The gain stage, the encoder and the
+    decoder run once on the whole sub-batch, the demap stage once per
+    block of frames.
     Every stage treats frames independently, so results do not depend
     on how frames are grouped.
     """
@@ -618,9 +635,7 @@ def _simulate_frames(config: SimConfig, snr_idx: int, frames: range) -> int:
     B = len(frames)
     n_sym, n_s = itl.n_symbols, itl.n_substreams
     rngs = _frame_rngs(config, snr_idx, frames, 1)
-    messages = np.empty((B, config.frame_bits), dtype=np.uint8)
-    for b, rng in enumerate(rngs):
-        messages[b] = rng.integers(0, 2, config.frame_bits)
+    messages = _message_bits(rngs, config.frame_bits)
 
     # pad bits past the code's output are zeros and get dropped after demap
     coded = np.zeros((B, itl.n_coded), dtype=np.uint8)
@@ -811,28 +826,31 @@ def spectrum_stats(config: SimConfig,
 
 @dataclass(frozen=True)
 class Preset:
-    """A named experiment: BER variants, or the config whose channel a
-    spectrum study draws."""
+    """A named experiment: its run configs by variant label."""
 
     name: str
     variants: dict
-    spectrum: SimConfig | None = None
 
 
 _CODE = "133,171"
 _DESK_NT = 32
 _DESK_NR = 16
 
-# Variant k of a BER preset, in table order, runs at master_seed + k so
+_FIG3_STRUCTURED = dict(m_r=2, m_t=2, n_s=6,
+                        snr_grid=(1, 3, 5, 7, 9, 11, 13, 15))
+
+# Variant k of a preset, in table order, runs at master_seed + k so
 # that statistically-equivalent runs (e.g. a fading profile rescaled
 # onto a shifted SNR grid) do not replay the same noise and trivially
 # coincide.  Grids are calibrated so the last four points (the default
 # slope window) sit in each curve's decaying region, roughly BER 1e-2
 # down to a few 1e-5, reachable under the 200-error stop rule in seconds.
-_BER_PRESETS = {
+# The Fig. 2 spectrum study is the fig3_interleaver/structured config at
+# the same seed, so its one variant is that config under another label.
+_PRESETS = {
+    "fig2_spectrum": {"spectrum": _FIG3_STRUCTURED},
     "fig3_interleaver": {
-        "structured": dict(m_r=2, m_t=2, n_s=6,
-                           snr_grid=(1, 3, 5, 7, 9, 11, 13, 15)),
+        "structured": _FIG3_STRUCTURED,
         "adversarial": dict(m_r=2, m_t=2, n_s=6, interleaver="adversarial",
                             snr_grid=(4, 8, 12, 16, 18, 20, 22, 24)),
     },
@@ -875,7 +893,7 @@ def _base(m_r, m_t, n_s, snr_grid, beta_db=-20.0, paths=2,
 
 
 def preset_names() -> tuple:
-    return ("fig2_spectrum", *_BER_PRESETS)
+    return tuple(_PRESETS)
 
 
 def preset(name: str, master_seed: int | None = None,
@@ -887,15 +905,11 @@ def preset(name: str, master_seed: int | None = None,
     paths per subarray pair.  SNR grids are calibrated so the last
     points sit in the high-SNR slope region at the default stop rule.
     """
-    seed = 1 if master_seed is None else master_seed
-    if name == "fig2_spectrum":
-        # the fig3_interleaver/structured channel at the same seed
-        fields = _BER_PRESETS["fig3_interleaver"]["structured"]
-        return Preset(name, {}, _base(master_seed=seed, **fields))
-    if name not in _BER_PRESETS:
+    if name not in _PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; "
                                  f"choose from {preset_names()}")
+    seed = 1 if master_seed is None else master_seed
     opts = {} if workers is None else {"workers": workers}
     return Preset(name, {
         label: _base(master_seed=seed + k, label=label, **fields, **opts)
-        for k, (label, fields) in enumerate(_BER_PRESETS[name].items())})
+        for k, (label, fields) in enumerate(_PRESETS[name].items())})

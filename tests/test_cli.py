@@ -382,11 +382,6 @@ class TestArgumentHandling:
         assert "label" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == [p, out]
 
-    def test_spectrum_preset_cannot_simulate(self, tmp_path, capsys):
-        assert cli.main(["simulate", "--preset", "fig2_spectrum",
-                         "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
-        assert "spectrum study" in capsys.readouterr().err
-
 
 class TestSimulate:
     def test_config_file_to_csv(self, cfg_file, tmp_path, capsys):
@@ -576,6 +571,18 @@ class TestAnalyze:
                              "--out", str(tmp_path / "fig6")]) == cli.EXIT_OK
         # four variants share one code; the second call builds it again
         assert len(built) == 2
+
+    @pytest.mark.parametrize("seed", ["1", "7"])
+    def test_spectrum_preset_is_the_fig3_structured_config(self, tmp_path,
+                                                           seed):
+        outs = []
+        for source in (["--preset", "fig2_spectrum"],
+                       ["--preset", "fig3_interleaver",
+                        "--variant", "structured"]):
+            outs.append(tmp_path / f"{len(outs)}.csv")
+            assert cli.main(["analyze", *source, "--seed", seed,
+                             "--out", str(outs[-1])]) == cli.EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("command", ["analyze", "simulate",
                                          "channel-stats"])

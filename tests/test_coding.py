@@ -432,10 +432,13 @@ class TestViterbi:
         jidx = np.broadcast_to(np.arange(n), pb.shape)
         reduce_form = np.ascontiguousarray(
             costs[:, :, jidx, pb].sum(axis=3).transpose(1, 2, 0))
-        got = _pattern_costs(costs)
-        assert got.shape == (40, 1 << n, frames)
-        np.testing.assert_array_equal(got.view(np.uint64),
+        # frames padded to whole bytes, as the decoder asks, cost zero
+        width = 8 * -(-frames // 8)
+        got = _pattern_costs(costs, width)
+        assert got.shape == (40, 1 << n, width)
+        np.testing.assert_array_equal(got[:, :, :frames].view(np.uint64),
                                       reduce_form.view(np.uint64))
+        assert not got[:, :, frames:].any()
 
     def test_rejects_short_terminated_block(self, trellis64):
         with pytest.raises(ValueError):

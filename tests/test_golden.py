@@ -5,17 +5,23 @@ BER preset variant at its shipped seed must write the full CSV bytes
 recorded in ``PRESET_SHA256``.
 
 A change that must move bytes re-records these tables on purpose and
-says which hashes moved and why.
+says which hashes moved and why.  The workload checks rerun under two
+other OpenBLAS kernels, so a golden byte that follows the BLAS kernel
+shows on any host.
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import worker  # noqa: E402
@@ -71,3 +77,54 @@ def test_every_preset_variant_matches_its_csv_hash(preset_curves, tmp_path):
             curve.to_csv(path)
             got[name, key] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == PRESET_SHA256
+
+
+def _blas_name() -> str:
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):   # numpy before 1.25 has no dict form
+        return "unknown"
+    return deps.get("blas", {}).get("name", "unknown")
+
+
+BLAS = _blas_name()
+
+
+# The one golden mismatch a BLAS kernel is known to cause: rows 9-32 of
+# the spectrum study are LAPACK rounding noise of a full SVD, about
+# 1e-16, whose digits follow the kernel (the FOUND in ROADMAP.md's
+# current state).  ROADMAP item 2 takes the spectrum from the path
+# factors; it must then drop this entry and the xfail below.
+_KERNEL_NOISE = {
+    "analytic_tools": f"channel-stats.fig2_spectrum seed {GOLDEN['seed']}: "
+                      "output hash mismatch "
+                      "['channel-stats.fig2_spectrum/spectrum.csv']",
+}
+
+
+@pytest.mark.skipif("openblas" not in BLAS.lower(),
+                    reason=f"numpy's BLAS is {BLAS}, not OpenBLAS, "
+                           "so OPENBLAS_CORETYPE selects no kernel")
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+@pytest.mark.parametrize("workload", [
+    pytest.param(w, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="spectrum.csv rows 9-32 follow the BLAS kernel "
+               "until ROADMAP item 2")) if w in _KERNEL_NOISE else w
+    for w in sorted(workloads.WORKLOADS)])
+def test_golden_outputs_hold_under_other_blas_kernels(workload, kernel):
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
+    # -s lets the checker's "perfbench: " lines reach the child's stderr
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         f"{__file__}::test_every_operation_matches_golden[{workload}]"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    errors = [line.removeprefix("perfbench: ")
+              for line in result.stderr.splitlines()
+              if line.startswith("perfbench: ")]
+    unexpected = [e for e in errors if e != _KERNEL_NOISE.get(workload)]
+    if result.returncode not in (0, 1) or unexpected or (
+            result.returncode == 1 and not errors):
+        pytest.fail(f"golden check under {kernel}: {unexpected}\n"
+                    f"{result.stdout}\n{result.stderr}")
+    assert errors == []

@@ -576,7 +576,7 @@ class TestConfigHash:
 
 class TestConfigEquality:
     def test_equal_and_unequal_pairs(self):
-        spectrum = preset("fig2_spectrum").spectrum
+        spectrum = preset("fig2_spectrum").variants["spectrum"]
         variants = preset("fig3_interleaver").variants
         assert spectrum == variants["structured"]
         assert hash(spectrum) == hash(variants["structured"])
@@ -925,6 +925,21 @@ class TestFrameStreams:
         with pytest.raises(ValueError):
             seed.generate_state(4, np.uint32)
 
+    @pytest.mark.parametrize("length", [1, 127, 128, 1024])
+    def test_message_bits_are_those_of_integers(self, length):
+        # odd lengths leave integers' buffered 32-bit half unused
+        seeds = np.random.SeedSequence(length).spawn(3)
+        raw = [np.random.default_rng(s) for s in seeds]
+        bits = harness._message_bits(raw, length)
+        assert bits.shape == (3, length) and bits.dtype == np.uint8
+        for row, rng, seed in zip(bits, raw, seeds, strict=True):
+            want = np.random.default_rng(seed)
+            np.testing.assert_array_equal(row, want.integers(0, 2, length))
+            # the noise drawn after the message is unchanged
+            np.testing.assert_array_equal(
+                rng.standard_normal((2, 7)).view(np.uint64),
+                want.standard_normal((2, 7)).view(np.uint64))
+
 
 class TestSweep:
     def test_stop_rule_and_bookkeeping(self):
@@ -1108,15 +1123,17 @@ class TestPresets:
         with pytest.raises(ConfigurationError, match="unknown preset"):
             preset("fig9_imaginary")
 
-    def test_spectrum_preset_has_no_ber_variants(self):
-        p = preset("fig2_spectrum", master_seed=5)
-        assert p.variants == {}
-        assert p.spectrum is not None
-        assert p.spectrum.master_seed == 5
-        assert (p.spectrum.n_r, p.spectrum.n_t) == (16, 32)
+    def test_spectrum_preset_is_the_fig3_structured_config(self):
+        p = preset("fig2_spectrum", master_seed=5, workers=3)
+        assert tuple(p.variants) == ("spectrum",)
+        spectrum = p.variants["spectrum"]
+        assert spectrum.label == "spectrum"
+        assert spectrum.master_seed == 5
+        assert spectrum.workers == 3
+        assert (spectrum.n_r, spectrum.n_t) == (16, 32)
         # the study draws the fig3_interleaver/structured channel
         structured = preset("fig3_interleaver", master_seed=5).variants
-        assert p.spectrum.canonical_text() \
+        assert spectrum.canonical_text() \
             == structured["structured"].canonical_text()
 
     @pytest.mark.parametrize("name,keys", [
@@ -1128,7 +1145,6 @@ class TestPresets:
     def test_ber_presets_fill_variants(self, name, keys):
         p = preset(name, master_seed=11)
         assert tuple(p.variants) == keys
-        assert p.spectrum is None
         for off, (key, cfg) in enumerate(p.variants.items()):
             assert cfg.label == key
             assert (cfg.n_r, cfg.n_t) == (16, 32)
