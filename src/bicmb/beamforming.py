@@ -120,7 +120,12 @@ def _gram_factor(gram):
     return r, min_pivot2
 
 
-def _steering_factor(phi, group, geometry) -> np.ndarray:
+def _fallback_bytes(rows: int, l_t: int) -> int:
+    """Bytes of one frame's QR fallback on a side: its A and QR's copy."""
+    return 32 * rows * l_t
+
+
+def _steering_factor(phi, group, geometry, budget: int) -> np.ndarray:
     """Upper-triangular R with A^H A = R^H R for the steering matrix A of
     each frame of a stack of one side's azimuths (B, L_t).
 
@@ -129,29 +134,30 @@ def _steering_factor(phi, group, geometry) -> np.ndarray:
     that does not grow with the array size.  A frame with a pivot below
     ``_MIN_PIVOT2``, and every frame when some subarray carries more
     paths than it has elements (its Gram matrix is singular), takes R
-    from the thin QR of its own A instead.
+    from the thin QR of its own A instead, built and factored in chunks
+    of at most ``budget`` bytes (at least one frame each).  LAPACK
+    factors each matrix on its own, so the chunks give the same bytes.
     """
     n = geometry.n_elements
+    l_t, blocks = group.size, group.max() + 1
     if np.bincount(group).max() > n:
-        r, redo = None, np.arange(len(phi))
+        redo = np.arange(len(phi))
+        r = np.empty((redo.size, min(blocks * n, l_t), l_t), dtype=complex)
     else:
         r, min_pivot2 = _gram_factor(_ula_gram(phi, group, geometry))
         redo = np.flatnonzero(min_pivot2 < _MIN_PIVOT2)
-        if not redo.size:
-            return r
-    l_t = group.size
-    a = np.zeros((redo.size, group.max() + 1, n, l_t), dtype=complex)
-    # column q fills rows group[q] n to (group[q] + 1) n of each frame
-    a[:, group, :, np.arange(l_t)] = \
-        ula_response(phi[redo], geometry).transpose(2, 0, 1)
-    qr = np.linalg.qr(a.reshape(redo.size, -1, l_t), mode="r")
-    if r is None:
-        return qr
-    r[redo] = qr
+    chunk = max(1, budget // _fallback_bytes(blocks * n, l_t))
+    for lo in range(0, redo.size, chunk):
+        part = redo[lo:lo + chunk]
+        a = np.zeros((part.size, blocks, n, l_t), dtype=complex)
+        # column q fills rows group[q] n to (group[q] + 1) n of each frame
+        a[:, group, :, np.arange(l_t)] = \
+            ula_response(phi[part], geometry).transpose(2, 0, 1)
+        r[part] = np.linalg.qr(a.reshape(part.size, -1, l_t), mode="r")
     return r
 
 
-def _path_singular_values(profile, paths, rx, tx, n_s: int) -> np.ndarray:
+def _path_singular_values(profile, paths, rx, tx, n_s, budget) -> np.ndarray:
     """The top ``n_s`` singular values of a batch of channels, one row
     per draw, from their path columns alone.
 
@@ -160,13 +166,13 @@ def _path_singular_values(profile, paths, rx, tx, n_s: int) -> np.ndarray:
     and d_p is sqrt(beta_ij N_r N_t / L_ij) times its gain.  With any
     R_U, R_V such that U^H U = R_U^H R_U and V^H V = R_V^H R_V, the
     nonzero singular values of H are those of the at most L_t x L_t core
-    R_U diag(d) R_V^H, with R_U and R_V from :func:`_steering_factor`.
-    Rows are zero-padded past them.
+    R_U diag(d) R_V^H, with R_U and R_V from :func:`_steering_factor`
+    within ``budget``.  Rows are zero-padded past them.
     """
     d = _path_amplitudes(profile, rx, tx) * paths.gains
     rows, cols = profile.path_pairs
-    r_u = _steering_factor(paths.aoa, rows, rx)
-    r_v = _steering_factor(paths.aod, cols, tx)
+    r_u = _steering_factor(paths.aoa, rows, rx, budget)
+    r_v = _steering_factor(paths.aod, cols, tx, budget)
     sv = singular_values((r_u * d[:, None, :]) @ r_v.conj().swapaxes(-1, -2))
     out = np.zeros((len(d), n_s))
     k = min(n_s, sv.shape[-1])

@@ -23,12 +23,12 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import bicm
 from .analysis import estimate_slope
-from .beamforming import (_path_singular_values, predicted_gains,
-                          singular_values)
+from .beamforming import (_fallback_bytes, _path_singular_values,
+                          predicted_gains, singular_values)
 from .channel import (ArrayGeometry, FadingProfile, draw_channels,
                       draw_path_sets)
-from .coding import (CodeSpec, Trellis, build_trellis, encode, free_distance,
-                     viterbi_decode)
+from .coding import (_DECODE_CHUNK_STEPS, CodeSpec, Trellis, build_trellis,
+                     encode, free_distance, viterbi_decode)
 from .errors import ConfigurationError, NumericalError
 
 __all__ = [
@@ -57,18 +57,14 @@ _NS_SPECTRUM = 2
 # peak memory by 2 and 6 MiB; one chunk of all draws by 65 MiB.
 _SPECTRUM_CHUNK = 32
 
-# Decoder survivor bytes (one byte charged per step, state and frame),
-# steering-factor bytes (16 per complex value), or a spectrum study's
-# channel-matrix bytes, that one sub-batch may hold.  A batch runs
-# through the link in sub-batches of at most this many frames, so its
-# working set does not grow with batch_frames: the 64-state desk
-# presets allow 254 frames of 1030 steps, and a 64 x 128 composite
-# array with 128-bit frames 682.  Over the five desk
+# Bytes that one sub-batch's frames (``_frame_bytes``), one chunk of the
+# QR fallback or one chunk of spectrum matrices may take, so a batch's
+# working set does not grow with batch_frames.  216-235 desk frames fit,
+# so 1024-frame desk batches run as 204 + 4 x 205: over the five desk
 # benchmark sweeps (one BLAS thread), 205-frame sub-batches peaked at
-# 52 MiB and whole 1024-frame batches at 94 MiB, at about the same
-# speed; 64-frame sub-batches ran 1.5-1.8x slower, as the decoder's
-# per-step calls dominate.
-_SUBBATCH_SURVIVOR_BYTES = 16 << 20
+# 52 MiB and whole batches at 94 MiB at about the same speed, and
+# 64-frame ones ran 1.5-1.8x slower, as the decoder's steps dominate.
+_SUBBATCH_BYTES = 12 << 20
 
 # Frames are demapped in blocks whose squared-distance planes (this many
 # float64 entries, 1 MiB) stay in cache while the minima read them.
@@ -162,7 +158,7 @@ class SimConfig:
             raise ConfigurationError("master_seed cannot be negative")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ConfigurationError("spacing must be a positive finite number")
-        self.sub_frames    # rejects a frame over budget; bounds N to 2**20
+        self.sub_frames    # rejects a frame over budget; bounds N to 2**19
         # the largest steering phase is below 2 pi * spacing * N
         phase = 2 * math.pi * self.spacing * max(self.n_r, self.n_t)
         if not math.isfinite(phase):
@@ -237,9 +233,9 @@ class SimConfig:
     def sub_frames(self) -> int:
         """Most frames one sub-batch holds under the current budget (see
         ``_frame_bytes``)."""
-        return max(1, _SUBBATCH_SURVIVOR_BYTES // _frame_bytes(
-            self.n_steps, self.code.constraint_length,
-            self.m_r, self.n_r, self.m_t, self.n_t, self.l_t))
+        return max(1, _SUBBATCH_BYTES // _frame_bytes(
+            self.code, self.frame_bits, self.l_t,
+            max(self.m_r * self.n_r, self.m_t * self.n_t)))
 
     @property
     def geometry(self) -> tuple:
@@ -288,38 +284,37 @@ class SimConfig:
         return hash(self.canonical_text())
 
 
-def _frame_bytes(n_steps: int, k: int, m_r: int, n_r: int, m_t: int,
-                 n_t: int, l_t: int) -> int:
-    """Bytes one frame holds in a sub-batch: the larger of its decoder
-    survivors (one byte per trellis step and state) and its steering
-    factors U and V, (m_r n_r + m_t n_t) x l_t complex values.
+def _frame_bytes(code: CodeSpec, frame_bits: int, l_t: int,
+                 rows: int) -> int:
+    """Bytes one frame of ``l_t`` paths takes in a sub-batch: per trellis
+    step its decoder costs (2n float64) and packed survivors (2^(K-1)/8
+    bytes); the bit costs, pattern costs and decisions of one decoder
+    chunk of steps; one step's metrics, candidates and branch costs (40
+    bytes per state); and six L_t x L_t complex gain-stage matrices.  Its
+    message, code and decoded bits, a byte per step each, are left out.
 
-    The decoder stores each survivor decision as one bit, but a
-    decision is still charged one byte, so ``sub_frames`` and the
-    budget's limits on a frame are those of a byte-per-decision table.
-
-    The steering factors stay the bound although most frames take their
-    gains from the l_t x l_t Gram matrices: a side where a frame nearly
-    collides, or where some subarray has more paths than elements,
-    builds its U or V, and a frame may do so on both sides.  On any
-    other side l_t <= m n, so its Gram matrix is never the larger.
-
-    Sizes are Python ints, so no count overflows; either part above the
-    sub-batch budget is a configuration error.
+    The QR fallback runs in chunks, so it is not charged, but one frame's
+    fallback on its larger side, of ``rows`` elements, must fit the
+    budget, like the frame, or the config is an error.  Sizes are Python
+    ints, so no count overflows.
     """
-    survivors = n_steps << (k - 1)
-    if survivors > _SUBBATCH_SURVIVOR_BYTES:
+    n, k = code.n_out, code.constraint_length
+    states, n_steps = 1 << (k - 1), frame_bits + k - 1
+    size = (n_steps * 16 * n + n_steps * states // 8 + 40 * states
+            + min(n_steps, _DECODE_CHUNK_STEPS) * (16 * n + (8 << n) + states)
+            + 96 * l_t * l_t)
+    if size > _SUBBATCH_BYTES:
         raise ConfigurationError(
-            f"frame_bits {n_steps - k + 1} is too large: one frame's "
-            f"decoder survivors take {survivors} bytes, above the "
-            f"{_SUBBATCH_SURVIVOR_BYTES}-byte sub-batch budget")
-    steering = 16 * (m_r * n_r + m_t * n_t) * l_t
-    if steering > _SUBBATCH_SURVIVOR_BYTES:
+            f"a frame is too large: frame_bits {frame_bits} at K = {k} and "
+            f"L_t = {l_t} takes {size} bytes, above the {_SUBBATCH_BYTES}-"
+            f"byte sub-batch budget")
+    fallback = _fallback_bytes(rows, l_t)
+    if fallback > _SUBBATCH_BYTES:
         raise ConfigurationError(
-            f"the arrays are too large: one frame's steering factors take "
-            f"{steering} bytes, above the {_SUBBATCH_SURVIVOR_BYTES}-byte "
-            f"sub-batch budget")
-    return max(survivors, steering)
+            f"the arrays are too large: one frame's QR fallback on a side "
+            f"of {rows} elements takes {fallback} bytes, above the "
+            f"{_SUBBATCH_BYTES}-byte sub-batch budget")
+    return size
 
 
 def _number_text(v) -> str:
@@ -436,9 +431,8 @@ def parse_config(text: str) -> SimConfig:
 
     # every pair has a path, so L_t >= m_r * m_t: bounds a frame before a
     # scalar beta_db, then paths, is filled out to m_r x m_t
-    k = code.constraint_length
-    _frame_bytes(vals.get("frame_bits", SimConfig.frame_bits) + k - 1, k,
-                 m_r, vals["n_r"], m_t, vals["n_t"], m_r * m_t)
+    _frame_bytes(code, vals.get("frame_bits", SimConfig.frame_bits),
+                 m_r * m_t, max(m_r * vals["n_r"], m_t * vals["n_t"]))
     if beta_db.size == 1:
         beta_db = np.full((m_r, m_t), beta_db.flat[0])
     profile = FadingProfile(beta_db, paths)
@@ -621,7 +615,7 @@ def _simulate_frames(config: SimConfig, snr_idx: int, frames: range) -> int:
                            _frame_rngs(config, snr_idx, frames, 0), angles)
     try:
         gains = _path_singular_values(config.profile, paths, rx, tx,
-                                      config.n_s)
+                                      config.n_s, _SUBBATCH_BYTES)
     except NumericalError as exc:
         raise NumericalError(
             "SVD failed to converge during sweep",
@@ -793,12 +787,12 @@ def spectrum_stats(config: SimConfig,
         raise ConfigurationError("draws must be positive")
     rows, cols = config.m_r * config.n_r, config.m_t * config.n_t
     matrix_bytes = 16 * rows * cols
-    if matrix_bytes > _SUBBATCH_SURVIVOR_BYTES:
+    if matrix_bytes > _SUBBATCH_BYTES:
         raise ConfigurationError(
             f"the arrays are too large: one {rows} x {cols} channel matrix "
             f"takes {matrix_bytes} bytes, above the "
-            f"{_SUBBATCH_SURVIVOR_BYTES}-byte sub-batch budget")
-    chunk = min(_SPECTRUM_CHUNK, _SUBBATCH_SURVIVOR_BYTES // matrix_bytes)
+            f"{_SUBBATCH_BYTES}-byte sub-batch budget")
+    chunk = min(_SPECTRUM_CHUNK, _SUBBATCH_BYTES // matrix_bytes)
     rx, tx, angles = config.geometry
     rng = np.random.default_rng(
         np.random.SeedSequence(config.master_seed, spawn_key=(_NS_SPECTRUM,)))

@@ -15,6 +15,9 @@ from bicmb.channel import (ArrayGeometry, FadingProfile, draw_channel,
                            ula_response)
 from bicmb.errors import NumericalError
 
+# QR-fallback bytes per chunk: one chunk holds every fallback frame here
+BUDGET = 16 << 20
+
 
 @pytest.fixture()
 def channel():
@@ -161,17 +164,20 @@ class TestPathFactors:
         profile, paths, rx, tx = drawn
         full = singular_values(_assembled(profile, paths, rx, tx))
         k = min(profile.total_paths, full.shape[1])
-        fac = _path_singular_values(profile, paths, rx, tx, k)
+        fac = _path_singular_values(profile, paths, rx, tx, k, BUDGET)
         top = full[:, :1]
         assert np.all(np.abs(fac - full[:, :k]) <= 1e-12 * top)
         assert np.all(full[:, k:] <= 1e-12 * top)
+        # a one-byte budget runs the QR fallback one frame at a time
+        one = _path_singular_values(profile, paths, rx, tx, k, 1)
+        assert one.tobytes() == fac.tobytes()
 
     def test_streams_beyond_the_paths_are_exact_zeros(self):
         profile = FadingProfile([[-20.0, -26.0]], [[1, 2]])
         rx, tx = ArrayGeometry(8), ArrayGeometry(4)
         rngs = [np.random.default_rng(s) for s in range(5)]
         paths = draw_path_sets(profile, rngs)
-        fac = _path_singular_values(profile, paths, rx, tx, 6)
+        fac = _path_singular_values(profile, paths, rx, tx, 6, BUDGET)
         assert fac.shape == (5, 6)
         assert np.all(fac[:, :3] > 0.0)
         assert not fac[:, 3:].any()
@@ -187,7 +193,7 @@ class TestPathFactors:
             paths = draw_path_sets(
                 profile, [np.random.default_rng([n, b]) for b in range(200)])
             fac = _path_singular_values(profile, paths, rx, tx,
-                                        profile.total_paths)
+                                        profile.total_paths, BUDGET)
             pred = predicted_gains(profile, paths, rx, tx)
             medians.append(np.median(np.max(np.abs(fac - pred) / pred,
                                              axis=1)))
@@ -249,10 +255,12 @@ class TestPivotFallback:
 
     def test_flagged_frames_take_the_qr_values(self, monkeypatch):
         paths = _collided(self.profile, 6)
-        fac = _path_singular_values(self.profile, paths, self.rx, self.tx, 8)
+        fac = _path_singular_values(self.profile, paths, self.rx, self.tx,
+                                    8, BUDGET)
         # a pivot floor above every pivot sends every frame to the QR path
         monkeypatch.setattr(beamforming, "_MIN_PIVOT2", np.inf)
-        qr = _path_singular_values(self.profile, paths, self.rx, self.tx, 8)
+        qr = _path_singular_values(self.profile, paths, self.rx, self.tx,
+                                   8, BUDGET)
         assert fac[[1, 3]].tobytes() == qr[[1, 3]].tobytes()
         # a colliding pair leaves one zero mode
         assert np.all(fac[[1, 3], 7] <= 1e-12 * fac[[1, 3], 0])
@@ -269,9 +277,9 @@ class TestPivotFallback:
         _, min_pivot2 = _gram_factor(_ula_gram(paths.aoa, np.zeros(3, int),
                                                rx))
         assert 1e-4 <= min_pivot2[0] < 1e-3
-        fac = _path_singular_values(profile, paths, rx, tx, 2)
+        fac = _path_singular_values(profile, paths, rx, tx, 2, BUDGET)
         monkeypatch.setattr(beamforming, "_MIN_PIVOT2", np.inf)
-        qr = _path_singular_values(profile, paths, rx, tx, 2)
+        qr = _path_singular_values(profile, paths, rx, tx, 2, BUDGET)
         assert fac.tobytes() == qr.tobytes()
 
     @staticmethod
@@ -294,7 +302,8 @@ class TestPivotFallback:
                                               for b in range(6)])
         paths.aoa[[1, 3], 1] = paths.aoa[[1, 3], 0]
         calls = self._steering_calls(monkeypatch)
-        fac = _path_singular_values(self.profile, paths, self.rx, self.tx, 8)
+        fac = _path_singular_values(self.profile, paths, self.rx, self.tx,
+                                    8, BUDGET)
         # one receive matrix of the two flagged frames, no transmit matrix
         assert calls == [(16, (2, 8))]
         full = singular_values(_assembled(self.profile, paths, self.rx,
@@ -310,7 +319,7 @@ class TestPivotFallback:
         paths = draw_path_sets(profile, [np.random.default_rng([2, b])
                                          for b in range(4)])
         calls = self._steering_calls(monkeypatch)
-        fac = _path_singular_values(profile, paths, rx, tx, 2)
+        fac = _path_singular_values(profile, paths, rx, tx, 2, BUDGET)
         assert calls == [(2, (4, 4))]
         full = singular_values(_assembled(profile, paths, rx, tx))[:, :2]
         assert np.all(np.abs(fac - full) <= 1e-12 * full[:, :1])
@@ -326,10 +335,40 @@ class TestPivotFallback:
 
         with monkeypatch.context() as patch:
             patch.setattr(beamforming, "ula_response", forbidden)
-            fac = _path_singular_values(self.profile, paths, rx, tx, 8)
+            fac = _path_singular_values(self.profile, paths, rx, tx, 8, BUDGET)
         monkeypatch.setattr(beamforming, "_MIN_PIVOT2", np.inf)
-        qr = _path_singular_values(self.profile, paths, rx, tx, 8)
+        qr = _path_singular_values(self.profile, paths, rx, tx, 8, BUDGET)
         assert np.all(np.abs(fac - qr) <= 1e-12 * qr[:, :1])
+
+    def test_fallback_chunks_give_the_same_bytes(self, monkeypatch):
+        # every frame of both sides takes the QR path; the budget holds
+        # the fallback of two frames on the 32-row receive side and of
+        # four on the 16-row transmit side
+        paths = _collided(self.profile, 6)
+        monkeypatch.setattr(beamforming, "_MIN_PIVOT2", np.inf)
+        whole = _path_singular_values(self.profile, paths, self.rx, self.tx,
+                                      8, BUDGET)
+        calls = self._steering_calls(monkeypatch)
+        budget = 2 * beamforming._fallback_bytes(32, 8)
+        chunked = _path_singular_values(self.profile, paths, self.rx,
+                                        self.tx, 8, budget)
+        assert calls == [(16, (2, 8))] * 3 + [(8, (4, 8)), (8, (2, 8))]
+        assert chunked.tobytes() == whole.tobytes()
+
+    def test_an_over_full_side_falls_back_in_chunks(self, monkeypatch):
+        # 4 paths on one 2-element receive subarray: every frame takes
+        # the QR path, one frame per chunk under a budget just short of
+        # two frames' fallback
+        profile = FadingProfile([[-20.0, -26.0]], 2)
+        rx, tx = ArrayGeometry(2), ArrayGeometry(16)
+        paths = draw_path_sets(profile, [np.random.default_rng([2, b])
+                                         for b in range(4)])
+        whole = _path_singular_values(profile, paths, rx, tx, 2, BUDGET)
+        calls = self._steering_calls(monkeypatch)
+        budget = 2 * beamforming._fallback_bytes(2, 4) - 1
+        chunked = _path_singular_values(profile, paths, rx, tx, 2, budget)
+        assert calls == [(2, (1, 4))] * 4
+        assert chunked.tobytes() == whole.tobytes()
 
     def test_svd_failure_names_the_original_frame(self, monkeypatch):
         # frames 1 and 3 are redone on the QR path; the core stack stays
@@ -347,5 +386,6 @@ class TestPivotFallback:
 
         monkeypatch.setattr(np.linalg, "svd", flaky_svd)
         with pytest.raises(NumericalError) as info:
-            _path_singular_values(self.profile, paths, self.rx, self.tx, 8)
+            _path_singular_values(self.profile, paths, self.rx, self.tx,
+                                  8, BUDGET)
         assert info.value.index == 3

@@ -9,6 +9,7 @@ import pickle
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,7 +386,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("field", ["n_r", "n_t"])
     def test_oversized_arrays_are_rejected_without_the_parser(self, field):
-        # the budget check, not a float overflow, rejects an N past 2**20
+        # the budget check, not a float overflow, rejects an N past 2**19
         with pytest.raises(ConfigurationError, match="arrays are too large"):
             tiny_config(**{field: 10 ** 400})
 
@@ -397,31 +398,40 @@ class TestParseConfig:
             preset("fig3_interleaver", workers=100_000)
 
     def test_frame_bits_are_bounded_by_the_sub_batch_budget(self):
-        # 64 states: one frame's survivors take (frame_bits + 6) * 64
-        # bytes, so the largest frame fills the budget exactly
+        # 64 states, rate 1/2, two paths: one frame takes 40 bytes per
+        # step (32 of costs, 8 of packed survivors) of its frame_bits + 6
+        # steps, and 11,136 more: 64 steps of bit and pattern costs and
+        # decisions (128 bytes a step), 40 bytes per state of one step's
+        # buffers and six 2 x 2 complex matrices.  The largest frame
+        # leaves the budget less than one step's 40 bytes.
         text = BASE_TEXT.replace("generators = 5,7", "generators = 133,171")
-        largest = harness._SUBBATCH_SURVIVOR_BYTES // 64 - 6
+        largest = (harness._SUBBATCH_BYTES - 64 * 128 - 40 * 64
+                   - 6 * 16 * 2 * 2) // 40 - 6
+        assert largest == 314_288
 
         def with_frame_bits(bits):
             return parse_config(text.replace("frame_bits = 128",
                                              f"frame_bits = {bits}"))
 
-        assert with_frame_bits(largest).frame_bits == largest
+        assert with_frame_bits(largest).sub_frames == 1
         for bits in (largest + 1, 10 ** 8):
             with pytest.raises(ConfigurationError, match="sub-batch budget"):
                 with_frame_bits(bits)
 
     def test_steering_factors_are_bounded_by_the_sub_batch_budget(self):
-        # two paths: one frame's steering factors take 16 * (n_r + 4) * 2
-        # bytes, so n_r = 2**19 - 4 fills the budget exactly
-        largest = harness._SUBBATCH_SURVIVOR_BYTES // 32 - 4
+        # two paths: one frame's QR fallback holds its n_r x 2 receive
+        # steering matrix twice, 32 * n_r * 2 bytes, so n_r = 3 * 2**16
+        # fills the budget exactly
+        largest = harness._SUBBATCH_BYTES // 64
 
         def with_n_r(n_r):
             return parse_config(BASE_TEXT.replace("n_r = 4", f"n_r = {n_r}"))
 
-        assert largest == 524284
-        assert with_n_r(largest).sub_frames == 1
-        with pytest.raises(ConfigurationError, match="too large"):
+        assert largest == 196_608
+        # the fallback works in chunks, so the array size leaves the
+        # sub-batch as it is
+        assert with_n_r(largest).sub_frames == tiny_config().sub_frames
+        with pytest.raises(ConfigurationError, match="arrays are too large"):
             with_n_r(largest + 1)
 
     @pytest.mark.parametrize("mutation,key,accepted,rejected", [
@@ -481,14 +491,19 @@ class TestParseConfig:
             build_runtime(cfg)
             errors = harness._simulate_frames(cfg, 0, range(2))
         assert 0 <= errors <= 2 * cfg.frame_bits
-        # a frame holds the larger of its survivors, one byte per trellis
-        # step and state, and its 16-byte steering factor values
-        k = cfg.code.constraint_length
-        frame_bytes = max((cfg.frame_bits + k - 1) << (k - 1),
-                          16 * (cfg.m_r * cfg.n_r + cfg.m_t * cfg.n_t)
-                          * int(cfg.profile.paths.sum()))
+        # a frame holds its costs, 2n float64 per step, its survivors, a
+        # bit per step and state, up to 64 steps of bit costs, 2^n
+        # pattern costs and S decisions, one step's metrics, candidates
+        # and branch costs, 40 bytes per state, and six L_t x L_t complex
+        # matrices
+        n, states = cfg.code.n_out, cfg.trellis.n_states
+        steps = cfg.frame_bits + cfg.code.constraint_length - 1
+        paths = int(cfg.profile.paths.sum())
+        frame_bytes = (16 * n * steps + states * steps // 8
+                       + min(steps, 64) * (16 * n + 8 * 2 ** n + states)
+                       + 40 * states + 96 * paths ** 2)
         assert cfg.sub_frames == max(
-            1, harness._SUBBATCH_SURVIVOR_BYTES // frame_bytes)
+            1, harness._SUBBATCH_BYTES // frame_bytes)
         # the interleaver period n_s * m * run fits one frame's code bits
         if cfg.interleaver == "structured":
             run = cfg.depth
@@ -652,9 +667,10 @@ class TestBuildRuntime:
 
 
 def set_sub_frames(monkeypatch, cfg: SimConfig, frames: int):
-    """Set the survivor budget to ``frames`` frames of ``cfg``."""
-    monkeypatch.setattr(harness, "_SUBBATCH_SURVIVOR_BYTES",
-                        frames * cfg.n_steps * cfg.trellis.n_states)
+    """Set the sub-batch budget to ``frames`` frames of ``cfg``."""
+    rows = max(cfg.m_r * cfg.n_r, cfg.m_t * cfg.n_t)
+    frame = harness._frame_bytes(cfg.code, cfg.frame_bits, cfg.l_t, rows)
+    monkeypatch.setattr(harness, "_SUBBATCH_BYTES", frames * frame)
     assert cfg.sub_frames == frames
 
 
@@ -673,16 +689,42 @@ def record_decoder_rows(monkeypatch) -> list:
 
 class TestSubBatches:
     def test_budget_sets_the_sub_batch_frames(self):
-        # 16 MiB of survivors hold 254 frames of 1030 steps on 64 states
+        # 12 MiB hold 216 frames of 1030 steps on 64 states and 8 paths,
+        # 58,096 bytes each
         desk = preset("fig3_interleaver").variants["structured"]
-        assert desk.sub_frames == 254
+        assert desk.sub_frames == 216
         assert tiny_config().sub_frames >= 64
-        # 2 MiB of steering factors per frame outweigh its survivors
-        wide = parse_config(BASE_TEXT.replace("m_r = 1", "m_r = 2")
-                            .replace("m_t = 1", "m_t = 2")
-                            .replace("n_r = 4", "n_r = 4096")
+        # 14,881 bytes per 130-step frame on 4 states and 8 paths,
+        # whatever the array size
+        grid = BASE_TEXT.replace("m_r = 1", "m_r = 2").replace("m_t = 1",
+                                                               "m_t = 2")
+        wide = parse_config(grid.replace("n_r = 4", "n_r = 4096")
                             .replace("n_t = 4", "n_t = 4096"))
-        assert wide.sub_frames == 8
+        assert wide.sub_frames == parse_config(grid).sub_frames == 845
+
+    def test_presets_and_benchmark_configs_keep_their_split(self,
+                                                           monkeypatch):
+        for name in preset_names():
+            for cfg in preset(name).variants.values():
+                parts = harness._sub_batches(0, cfg.batch_frames,
+                                             cfg.sub_frames, 1)
+                assert [len(p) for p in parts] == [204, 205, 205, 205, 205]
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import MASSIVE_CONFIG
+        massive = parse_config(MASSIVE_CONFIG.format(seed=7))
+        assert harness._sub_batches(0, massive.batch_frames,
+                                    massive.sub_frames, 1) == [range(256)]
+        sizes = []
+        real_draw = harness.draw_channels
+
+        def counting_draw(profile, rx, tx, rngs, angle_range):
+            sizes.append(len(rngs))
+            return real_draw(profile, rx, tx, rngs, angle_range)
+
+        monkeypatch.setattr(harness, "draw_channels", counting_draw)
+        spectrum_stats(preset("fig2_spectrum").variants["spectrum"], 70)
+        assert sizes == [32, 32, 6]
 
     @settings(max_examples=300, deadline=None)
     @given(lo=st.integers(0, 10 ** 6), n=st.integers(1, 5000),
@@ -773,6 +815,29 @@ class TestSubBatches:
             tracemalloc.stop()
         assert sub_batch_peak < 20 << 20
         assert decoder_peak < steps * cfg.trellis.n_states * frames
+
+    @pytest.mark.parametrize("name", ["5,7", "fig3", "561,753", "fig4_4096"])
+    def test_a_full_sub_batch_peaks_within_twice_the_budget(self, name):
+        # a 5,7 frame holds 32 bytes of decoder costs per step and half a
+        # byte of survivors, so a rule that misses the costs overruns the
+        # budget about tenfold
+        long_frames = BASE_TEXT.replace("frame_bits = 128",
+                                        "frame_bits = 1024")
+        cfg = {
+            "5,7": lambda: parse_config(long_frames),
+            "fig3": lambda: preset("fig3_interleaver").variants["structured"],
+            "561,753": lambda: parse_config(long_frames.replace(
+                "generators = 5,7", "generators = 561,753")),
+            "fig4_4096": lambda: replace(
+                preset("fig4_streams").variants["ns4"], n_r=4096),
+        }[name]()
+        tracemalloc.start()
+        try:
+            harness._simulate_frames(cfg, 0, range(cfg.sub_frames))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * harness._SUBBATCH_BYTES
 
     def test_decoder_never_sees_more_than_one_sub_batch(self, monkeypatch):
         cfg = tiny_config(batch_frames=12, max_frames=24, min_errors=10 ** 6)
@@ -1101,7 +1166,7 @@ class TestSpectrumStats:
             return real_draw(profile, rx, tx, rngs, angle_range)
 
         monkeypatch.setattr(harness, "draw_channels", counting_draw)
-        monkeypatch.setattr(harness, "_SUBBATCH_SURVIVOR_BYTES", 3 * 256 + 255)
+        monkeypatch.setattr(harness, "_SUBBATCH_BYTES", 3 * 256 + 255)
         sv3, pred3 = spectrum_stats(cfg, draws=10)
         assert sizes == [3, 3, 3, 1]
         assert sv3.tobytes() == sv.tobytes()
